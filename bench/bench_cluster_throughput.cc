@@ -2,10 +2,13 @@
 // into S shards, hosts S in-process shard servers plus a gtpq-wire
 // router in front of them, and drives the ROUTER with N pipelining
 // client threads — so every reachability probe a query needs crosses
-// the wire to the owning shard. Reports qps and p50/p99 per
-// (shards, clients, pipeline) configuration and verifies every routed
-// answer differentially against a single in-process QueryServer over
-// the unpartitioned graph.
+// the wire to the owning shard. Reports qps, p50/p99, PROBE frames per
+// query and wire bytes per query per (shards, clients, pipeline)
+// configuration and verifies every routed answer differentially against
+// a single in-process QueryServer over the unpartitioned graph. Wire
+// bytes count every byte the in-process servers received and sent: the
+// shards' PROBE traffic plus the client<->router queries. Both are 0
+// under --connect=, whose servers run in another process.
 //
 //   --shards=1,3               shard-count sweep (self-hosted mode)
 //   --clients=1,2              client-thread sweep
@@ -44,6 +47,7 @@
 #include "graph/graph_io.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "query/query_generator.h"
 #include "runtime/query_server.h"
 #include "workload/graph_gen_spec.h"
@@ -129,6 +133,25 @@ ClientStats RunClient(const std::string& host, uint16_t port,
     }
   }
   return out;
+}
+
+/// PROBE frames the hosted shards answered, and bytes every in-process
+/// server moved, so far.
+struct WireTotals {
+  uint64_t probe_frames = 0;
+  uint64_t bytes = 0;
+};
+
+WireTotals ReadWireTotals(
+    const std::vector<std::unique_ptr<net::NetServer>>& shards) {
+  WireTotals totals;
+  for (const auto& shard : shards) {
+    totals.probe_frames += shard->counters().probes_served;
+  }
+  obs::Registry& reg = obs::Registry::Global();
+  totals.bytes = reg.GetCounter("gtpq_net_bytes_received_total")->Value() +
+                 reg.GetCounter("gtpq_net_bytes_sent_total")->Value();
+  return totals;
 }
 
 double Percentile(std::vector<double>& sorted_us, double p) {
@@ -303,9 +326,9 @@ int main(int argc, char** argv) {
   std::printf("Cluster serving throughput: %s (%zu nodes), %zu-query "
               "pool, %zu requests/client\n",
               gen_spec.c_str(), g.NumNodes(), queries.size(), requests);
-  std::printf("%8s %8s %10s %10s %12s %10s %10s %10s\n", "shards",
-              "clients", "pipeline", "requests", "qps", "p50 ms",
-              "p99 ms", "wall ms");
+  std::printf("%8s %8s %10s %10s %12s %12s %12s %10s %10s %10s\n",
+              "shards", "clients", "pipeline", "requests", "qps",
+              "frames/q", "bytes/q", "p50 ms", "p99 ms", "wall ms");
 
   JsonReport report("cluster_throughput");
   report.AddMeta("nodes", static_cast<uint64_t>(g.NumNodes()));
@@ -348,6 +371,7 @@ int main(int argc, char** argv) {
           return 2;
         }
         std::vector<ClientStats> stats(clients);
+        const WireTotals wire_before = ReadWireTotals(hosted.shard_servers);
         Timer wall;
         {
           std::vector<std::thread> workers;
@@ -360,6 +384,7 @@ int main(int argc, char** argv) {
           for (std::thread& worker : workers) worker.join();
         }
         const double wall_ms = wall.ElapsedMillis();
+        const WireTotals wire_after = ReadWireTotals(hosted.shard_servers);
 
         std::vector<double> latencies;
         uint64_t bad = 0;
@@ -373,17 +398,27 @@ int main(int argc, char** argv) {
         const double qps = wall_ms > 0 ? 1000.0 * answered / wall_ms : 0;
         const double p50 = Percentile(latencies, 0.50) / 1000.0;
         const double p99 = Percentile(latencies, 0.99) / 1000.0;
-        std::printf("%8zu %8zu %10zu %10llu %12.0f %10.2f %10.2f "
-                    "%10.1f%s\n",
+        const double per_query = answered > 0 ? 1.0 / answered : 0;
+        const double frames_per_query =
+            per_query * static_cast<double>(wire_after.probe_frames -
+                                            wire_before.probe_frames);
+        const double bytes_per_query =
+            per_query *
+            static_cast<double>(wire_after.bytes - wire_before.bytes);
+        std::printf("%8zu %8zu %10zu %10llu %12.0f %12.1f %12.0f %10.2f "
+                    "%10.2f %10.1f%s\n",
                     shards, clients, pipeline,
-                    static_cast<unsigned long long>(answered), qps, p50,
-                    p99, wall_ms, bad > 0 ? "  [MISMATCHES]" : "");
+                    static_cast<unsigned long long>(answered), qps,
+                    frames_per_query, bytes_per_query, p50, p99, wall_ms,
+                    bad > 0 ? "  [MISMATCHES]" : "");
         report.AddRow()
             .Add("shards", static_cast<uint64_t>(shards))
             .Add("clients", static_cast<uint64_t>(clients))
             .Add("pipeline", static_cast<uint64_t>(pipeline))
             .Add("requests", answered)
             .Add("queries_per_sec", qps)
+            .Add("probe_frames_per_query", frames_per_query)
+            .Add("wire_bytes_per_query", bytes_per_query)
             .Add("p50_ms", p50)
             .Add("p99_ms", p99)
             .Add("wall_ms", wall_ms)

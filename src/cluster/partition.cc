@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -107,25 +106,7 @@ Result<PartitionArtifacts> BuildPartition(
   out.map.boundary = oracle.boundary_vertices();
   out.map.cross_edges = oracle.cross_edges();
   out.map.shard_overlay = oracle.shard_overlay_contributions();
-  // The closure is not copyable (POD-array rows), so rebuild it from
-  // the exported machinery — the same digraph ShardedOracle closed.
-  {
-    std::unordered_map<NodeId, uint32_t> boundary_id;
-    boundary_id.reserve(out.map.boundary.size());
-    for (uint32_t b = 0; b < out.map.boundary.size(); ++b) {
-      boundary_id.emplace(out.map.boundary[b], b);
-    }
-    Digraph overlay(out.map.boundary.size());
-    for (const auto& [x, y] : out.map.cross_edges) {
-      overlay.AddEdge(boundary_id.at(x), boundary_id.at(y));
-    }
-    for (const auto& contribution : out.map.shard_overlay) {
-      for (const auto& [b1, b2] : contribution) overlay.AddEdge(b1, b2);
-    }
-    overlay.Finalize();
-    out.map.overlay_closure = std::make_shared<const TransitiveClosure>(
-        TransitiveClosure::Build(overlay));
-  }
+  out.map.overlay_closure = oracle.overlay_closure();
 
   for (size_t s = 0; s < shards; ++s) {
     const size_t begin = cuts[s], end = cuts[s + 1];

@@ -94,16 +94,23 @@ Status PartitionMap::Validate() const {
         "partition map covers " + std::to_string(ranges.back().end) +
         " of " + std::to_string(num_nodes) + " vertices");
   }
-  for (const NodeId v : boundary) {
-    if (v >= num_nodes) {
+  for (size_t i = 0; i < boundary.size(); ++i) {
+    if (boundary[i] >= num_nodes) {
       return Status::ParseError("partition map boundary vertex " +
-                                std::to_string(v) + " is out of range");
+                                std::to_string(boundary[i]) +
+                                " is out of range");
+    }
+    if (i > 0 && boundary[i] <= boundary[i - 1]) {
+      return Status::ParseError(
+          "partition map boundary vertices are not strictly ascending");
     }
   }
   const uint32_t num_boundary = static_cast<uint32_t>(boundary.size());
   for (const auto& [x, y] : cross_edges) {
-    if (x >= num_nodes || y >= num_nodes) {
-      return Status::ParseError("partition map cross edge out of range");
+    if (!std::binary_search(boundary.begin(), boundary.end(), x) ||
+        !std::binary_search(boundary.begin(), boundary.end(), y)) {
+      return Status::ParseError(
+          "partition map cross edge does not join two boundary vertices");
     }
   }
   for (const auto& overlay : shard_overlay) {
@@ -117,6 +124,10 @@ Status PartitionMap::Validate() const {
   }
   if (overlay_closure == nullptr) {
     return Status::ParseError("partition map is missing the overlay closure");
+  }
+  if (overlay_closure->NumNodes() != boundary.size()) {
+    return Status::ParseError(
+        "partition map overlay closure does not cover the boundary");
   }
   return Status::OK();
 }

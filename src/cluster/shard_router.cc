@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "dynamic/graph_delta.h"
-#include "graph/digraph.h"
 #include "obs/trace.h"
 
 namespace gtpq {
@@ -19,24 +18,21 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
       health_interval_ms_(options.health_interval_ms),
       health_failure_threshold_(options.health_failure_threshold),
       name_("cluster:" + map_.inner_spec) {
-  boundary_id_.reserve(map_.boundary.size());
-  for (uint32_t b = 0; b < map_.boundary.size(); ++b) {
-    boundary_id_.emplace(map_.boundary[b], b);
+  BoundaryLayout layout;
+  for (const ShardRange& range : map_.ranges) {
+    layout.shard_starts.push_back(static_cast<size_t>(range.begin));
   }
-  shard_boundary_.resize(map_.num_shards());
-  for (uint32_t b = 0; b < map_.boundary.size(); ++b) {
-    shard_boundary_[map_.ShardOf(map_.boundary[b])].push_back(b);
-  }
-  cross_b_.reserve(map_.cross_edges.size());
-  for (const auto& [x, y] : map_.cross_edges) {
-    cross_b_.emplace_back(boundary_id_.at(x), boundary_id_.at(y));
-  }
-  contributions_ = map_.shard_overlay;
-  closure_ = map_.overlay_closure;
+  layout.shard_starts.push_back(static_cast<size_t>(map_.num_nodes));
+  layout.boundary = map_.boundary;
+  layout.cross_edges = map_.cross_edges;
+  layout.contributions = map_.shard_overlay;
+  layout.closure = map_.overlay_closure;
+  InitBoundaries(std::move(layout));
   shard_epochs_.assign(map_.num_shards(), 0);
 
   obs::Registry& reg = obs::Registry::Global();
   shard_probes_.reserve(map_.num_shards());
+  probe_failures_.reserve(map_.num_shards());
   shard_probe_latency_us_.reserve(map_.num_shards());
   shard_healthy_.reserve(map_.num_shards());
   health_failures_.reserve(map_.num_shards());
@@ -44,6 +40,8 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
     const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
     shard_probes_.push_back(
         reg.GetCounter("gtpq_shard_probes_total" + label));
+    probe_failures_.push_back(
+        reg.GetCounter("gtpq_shard_probe_failures_total" + label));
     shard_probe_latency_us_.push_back(
         reg.GetHistogram("gtpq_shard_probe_latency_us" + label));
     shard_healthy_.push_back(reg.GetGauge("gtpq_shard_healthy" + label));
@@ -56,7 +54,6 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
   healthy_.assign(map_.num_shards(), true);
   health_streak_.assign(map_.num_shards(), 0);
   reconnects_ = reg.GetCounter("gtpq_shard_reconnects_total");
-  closure_hits_ = reg.GetCounter("gtpq_overlay_closure_hits_total");
 }
 
 ShardRouter::~ShardRouter() {
@@ -94,7 +91,14 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Connect(
 }
 
 net::NetClient* ShardRouter::Client(size_t shard) const {
-  return Client(shard, /*attempts=*/50);
+  bool healthy = true;
+  {
+    std::lock_guard<std::mutex> lock(health_mutex_);
+    healthy = healthy_[shard];
+  }
+  // A shard the prober holds unhealthy costs one refused connect per
+  // call, not the whole restart budget.
+  return Client(shard, /*attempts=*/healthy ? 50 : 1);
 }
 
 net::NetClient* ShardRouter::Client(size_t shard, int attempts) const {
@@ -140,177 +144,98 @@ void ShardRouter::DropClient(size_t shard) const {
   }
 }
 
-std::shared_ptr<const TransitiveClosure> ShardRouter::closure() const {
-  std::lock_guard<std::mutex> lock(closure_mutex_);
-  return closure_;
-}
-
 std::vector<uint64_t> ShardRouter::shard_epochs() const {
   std::lock_guard<std::mutex> lock(epoch_mutex_);
   return shard_epochs_;
 }
 
-Result<bool> ShardRouter::ProbeCluster(NodeId from, NodeId to, size_t su,
-                                       size_t sv) const {
-  const bool same = su == sv;
-  // A cross-shard path must leave through an exit of su and arrive
-  // through an entry of sv; a shard with no boundary admits neither.
-  if (!same &&
-      (shard_boundary_[su].empty() || shard_boundary_[sv].empty())) {
-    return false;
-  }
-
+Status ShardRouter::ProbeShards(std::span<ShardProbe> probes) const {
   // The ambient trace was installed thread-locally by the query worker
-  // (QueryServer::EvaluateOnWorker): probes fanned out on its behalf
-  // carry the trace on the wire and record child spans here. Each wire
-  // probe gets a PRE-ALLOCATED span id sent as the wire parent, so the
-  // shard's server-side "serve probe" span nests under the router's
+  // (QueryServer::EvaluateOnWorker): frames sent on its behalf carry
+  // the trace on the wire and record child spans here. Each frame gets
+  // a PRE-ALLOCATED span id sent as the wire parent, so the shard's
+  // server-side "serve probe" span nests under the router's
   // "probe shard=N" span in the stitched cross-process trace.
   const obs::TraceContext trace = obs::CurrentTrace();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  const uint64_t fwd_span = trace.active() ? recorder.NewSpanId() : 0;
-  const uint64_t rev_span = trace.active() ? recorder.NewSpanId() : 0;
-
-  net::ProbeRequest fwd;
-  fwd.reverse = false;
-  fwd.pivot = LocalId(from, su);
-  fwd.trace_id = trace.trace_id;
-  fwd.parent_span = fwd_span;
-  if (same) fwd.ids.push_back(LocalId(to, sv));
-  for (uint32_t b : shard_boundary_[su]) {
-    fwd.ids.push_back(LocalId(map_.boundary[b], su));
-  }
-  net::ProbeRequest rev;
-  rev.reverse = true;
-  rev.pivot = LocalId(to, sv);
-  rev.trace_id = trace.trace_id;
-  rev.parent_span = rev_span;
-  for (uint32_t b : shard_boundary_[sv]) {
-    rev.ids.push_back(LocalId(map_.boundary[b], sv));
-  }
-
-  net::NetClient* cu = Client(su);
-  if (cu == nullptr) return Status::Internal("no connection to shard " +
-                                                std::to_string(su));
-  net::NetClient* cv = same ? cu : Client(sv);
-  if (cv == nullptr) return Status::Internal("no connection to shard " +
-                                                std::to_string(sv));
-
-  // Scatter both probes before gathering either: in the cross-shard
-  // case they overlap on two connections; in the same-shard case they
-  // pipeline back to back on one.
-  const double fwd_start_us = obs::NowMicros();
-  auto fwd_id = cu->SendProbe(fwd);
-  if (!fwd_id.ok()) {
-    DropClient(su);
-    return fwd_id.status();
-  }
-  Result<uint64_t> rev_id = 0;
-  const bool want_rev = !rev.ids.empty();
-  double rev_start_us = 0;
-  if (want_rev) {
-    rev_start_us = obs::NowMicros();
-    rev_id = cv->SendProbe(rev);
-    if (!rev_id.ok()) {
-      DropClient(sv);
-      DropClient(su);  // fwd response now orphaned; start clean
-      return rev_id.status();
-    }
-  }
-
-  auto decode = [](Result<std::string> payload, size_t want,
-                   net::ProbeResult* out) -> Status {
-    GTPQ_RETURN_NOT_OK(payload.status());
-    GTPQ_RETURN_NOT_OK(net::DecodeProbeResult(*payload, out));
-    if (out->count != want) {
-      return Status::ParseError("probe result count mismatch");
-    }
-    return Status::OK();
+  struct Pending {
+    net::NetClient* client = nullptr;
+    uint64_t request_id = 0;
+    uint64_t span_id = 0;
+    double start_us = 0;
   };
-  auto finish_probe = [&trace, this](size_t shard, uint64_t span_id,
-                                     double start_us) {
-    const double dur_us = obs::NowMicros() - start_us;
-    shard_probes_[shard]->Add();
-    shard_probe_latency_us_[shard]->Record(static_cast<uint64_t>(dur_us));
-    if (trace.active()) {
-      obs::TraceRecorder::Global().Record(
-          trace.trace_id, span_id, trace.parent_span,
-          "probe shard=" + std::to_string(shard), start_us, dur_us);
-    }
+  std::vector<Pending> pending(probes.size());
+  Status first = Status::OK();
+  const auto fail = [&](size_t i, const Status& status) {
+    OnProbeFailure(probes[i].shard, status);
+    pending[i].client = nullptr;
+    if (first.ok()) first = status;
   };
 
-  net::ProbeResult fr;
-  Status status = decode(
-      cu->WaitForResponse(*fwd_id, net::FrameType::kProbeResult),
-      fwd.ids.size(), &fr);
-  if (!status.ok()) {
-    DropClient(su);
-    if (want_rev) DropClient(sv);
-    return status;
-  }
-  finish_probe(su, fwd_span, fwd_start_us);
-  net::ProbeResult rr;
-  if (want_rev) {
-    status = decode(cv->WaitForResponse(*rev_id, net::FrameType::kProbeResult),
-                    rev.ids.size(), &rr);
-    if (!status.ok()) {
-      DropClient(sv);
-      return status;
+  // Scatter every frame before gathering any: the shards answer
+  // concurrently, one frame each.
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const ShardProbe& probe = probes[i];
+    net::NetClient* client = Client(probe.shard);
+    if (client == nullptr) {
+      fail(i, Status::Internal("no connection to shard " +
+                               std::to_string(probe.shard)));
+      continue;
     }
-    finish_probe(sv, rev_span, rev_start_us);
+    net::ProbeRequest request;
+    request.reverse = probe.reverse;
+    request.pivots = probe.pivots;
+    request.ids = probe.ids;
+    request.trace_id = trace.trace_id;
+    pending[i].span_id = trace.active() ? recorder.NewSpanId() : 0;
+    request.parent_span = pending[i].span_id;
+    pending[i].start_us = obs::NowMicros();
+    auto id = client->SendProbe(request);
+    if (!id.ok()) {
+      fail(i, id.status());
+      continue;
+    }
+    pending[i].client = client;
+    pending[i].request_id = *id;
   }
 
   IndexStats& st = stats();
-  st.elements_looked_up += fwd.ids.size() + rev.ids.size();
-
-  const size_t off = same ? 1 : 0;
-  if (same && fr.Get(0)) return true;
-
-  // Exits of `from`: boundaries it reaches intra-shard, plus itself
-  // (zero-length exit) when it is one — Reaches(from, from) must not
-  // require a cycle here, mirroring ShardedOracle.
-  std::vector<uint32_t> exits;
-  for (size_t i = 0; i < shard_boundary_[su].size(); ++i) {
-    const uint32_t b = shard_boundary_[su][i];
-    if (map_.boundary[b] == from || fr.Get(off + i)) exits.push_back(b);
-  }
-  if (exits.empty()) return false;
-  std::vector<uint32_t> entries;
-  for (size_t i = 0; i < shard_boundary_[sv].size(); ++i) {
-    const uint32_t b = shard_boundary_[sv][i];
-    if (map_.boundary[b] == to || rr.Get(i)) entries.push_back(b);
-  }
-  if (entries.empty()) return false;
-
-  const std::shared_ptr<const TransitiveClosure> closure = this->closure();
-  for (uint32_t b1 : exits) {
-    for (uint32_t b2 : entries) {
-      if (closure->Reaches(b1, b2)) {
-        // Answered by the replicated overlay closure — no further wire
-        // traffic needed.
-        closure_hits_->Add();
-        return true;
-      }
+  for (size_t i = 0; i < probes.size(); ++i) {
+    if (pending[i].client == nullptr) continue;
+    ShardProbe& probe = probes[i];
+    net::ProbeResult result;
+    auto payload = pending[i].client->WaitForResponse(
+        pending[i].request_id, net::FrameType::kProbeResult);
+    Status status = payload.status();
+    if (status.ok()) status = net::DecodeProbeResult(*payload, &result);
+    if (status.ok() && (result.rows != probe.pivots.size() ||
+                        result.cols != probe.ids.size())) {
+      status = Status::ParseError("probe result shape mismatch");
     }
+    if (!status.ok()) {
+      fail(i, status);
+      continue;
+    }
+    const double dur_us = obs::NowMicros() - pending[i].start_us;
+    shard_probes_[probe.shard]->Add();
+    shard_probe_latency_us_[probe.shard]->Record(
+        static_cast<uint64_t>(dur_us));
+    if (trace.active()) {
+      recorder.Record(trace.trace_id, pending[i].span_id, trace.parent_span,
+                      "probe shard=" + std::to_string(probe.shard),
+                      pending[i].start_us, dur_us);
+    }
+    probe.epoch = result.epoch;
+    probe.bits = std::move(result.bits);
+    st.elements_looked_up += probe.pivots.size() * probe.ids.size();
   }
-  return false;
+  return first;
 }
 
-bool ShardRouter::Reaches(NodeId from, NodeId to) const {
-  IndexStats& st = stats();
-  ++st.queries;
-  const size_t su = map_.ShardOf(from);
-  const size_t sv = map_.ShardOf(to);
-  if (su >= num_shards() || sv >= num_shards()) return false;
-  auto result = ProbeCluster(from, to, su, sv);
-  if (!result.ok()) {
-    // bool has no error channel; a failed probe is a (loudly logged)
-    // miss, and the dropped connection reconnects on the next call.
-    GTPQ_LOG(Warning) << "cluster probe " << from << " -> " << to
-                      << " failed: " << result.status().ToString();
-    return false;
-  }
-  return *result;
+void ShardRouter::OnProbeFailure(size_t shard, const Status& status) const {
+  BoundaryClosure::OnProbeFailure(shard, status);
+  probe_failures_[shard]->Add();
+  DropClient(shard);
 }
 
 namespace {
@@ -361,7 +286,7 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
       return Status::InvalidArgument("update removes unknown vertex " +
                                      std::to_string(v));
     }
-    if (boundary_id_.count(v) != 0) {
+    if (std::binary_search(map_.boundary.begin(), map_.boundary.end(), v)) {
       return RejectStructural("boundary-vertex removals");
     }
     GTPQ_RETURN_NOT_OK(claim(map_.ShardOf(v)));
@@ -398,48 +323,10 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
     epochs[owner] = applied->epoch;
 
     // The shard's intra-shard reachability changed; re-probe its
-    // boundary-to-boundary contribution (pipelined, one probe per exit
-    // boundary) and rebuild the replicated closure before any other
-    // shard — or any later query — can observe the new epoch.
-    const std::vector<uint32_t>& bs = shard_boundary_[owner];
-    std::vector<NodeId> locals;
-    locals.reserve(bs.size());
-    for (uint32_t b : bs) {
-      locals.push_back(LocalId(map_.boundary[b], owner));
-    }
-    std::vector<uint64_t> request_ids;
-    request_ids.reserve(bs.size());
-    for (const NodeId pivot : locals) {
-      net::ProbeRequest request;
-      request.reverse = false;
-      request.pivot = pivot;
-      request.ids = locals;
-      auto id = client->SendProbe(request);
-      if (!id.ok()) {
-        DropClient(owner);
-        return id.status();
-      }
-      request_ids.push_back(*id);
-    }
-    std::vector<std::pair<uint32_t, uint32_t>> contribution;
-    for (size_t i = 0; i < bs.size(); ++i) {
-      net::ProbeResult result;
-      auto payload = client->WaitForResponse(request_ids[i],
-                                             net::FrameType::kProbeResult);
-      if (!payload.ok()) {
-        DropClient(owner);
-        return payload.status();
-      }
-      GTPQ_RETURN_NOT_OK(net::DecodeProbeResult(*payload, &result));
-      if (result.count != bs.size()) {
-        return Status::ParseError("contribution probe count mismatch");
-      }
-      for (size_t j = 0; j < bs.size(); ++j) {
-        if (result.Get(j)) contribution.emplace_back(bs[i], bs[j]);
-      }
-    }
-    contributions_[owner] = std::move(contribution);
-    RebuildClosure();
+    // boundary-to-boundary contribution (one frame) and rebuild the
+    // replicated closure before any other shard — or any later query —
+    // can observe the new epoch.
+    GTPQ_RETURN_NOT_OK(RefreshContributions({&owner, 1}));
   }
 
   // Epoch barrier: every shard that did not apply the batch commits one
@@ -608,19 +495,6 @@ void ShardRouter::ProberLoop() {
                         std::chrono::milliseconds(health_interval_ms_),
                         [this] { return prober_stop_; });
   }
-}
-
-void ShardRouter::RebuildClosure() const {
-  Digraph overlay(map_.boundary.size());
-  for (const auto& [b1, b2] : cross_b_) overlay.AddEdge(b1, b2);
-  for (const auto& contribution : contributions_) {
-    for (const auto& [b1, b2] : contribution) overlay.AddEdge(b1, b2);
-  }
-  overlay.Finalize();
-  auto next = std::make_shared<const TransitiveClosure>(
-      TransitiveClosure::Build(overlay));
-  std::lock_guard<std::mutex> lock(closure_mutex_);
-  closure_ = std::move(next);
 }
 
 }  // namespace cluster

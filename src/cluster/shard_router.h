@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,8 +16,7 @@
 #include "net/client.h"
 #include "obs/federation.h"
 #include "obs/metrics.h"
-#include "reachability/reachability_index.h"
-#include "reachability/transitive_closure.h"
+#include "reachability/boundary_closure.h"
 
 namespace gtpq {
 namespace cluster {
@@ -37,36 +35,35 @@ struct ShardRouterOptions {
   int health_failure_threshold = 2;
 };
 
-/// Scatter-gather reachability over a cluster of `gteactl serve`
+/// Set-at-a-time reachability over a cluster of `gteactl serve`
 /// processes, one per contiguous vertex shard of a PartitionMap.
 ///
 /// The router replicates only the map's boundary machinery (boundary
 /// vertex ids, cross edges, per-shard overlay contributions, and the
-/// overlay transitive closure); per-shard labelings live in the shard
-/// processes and are consulted through pipelined gtpq-wire PROBE
-/// frames. Reaches(u, v) mirrors ShardedOracle exactly:
+/// overlay transitive closure) in its BoundaryClosure core; per-shard
+/// labelings live in the shard processes. This class is the core's
+/// wire prober: each call's probes (at most one per shard) go out as
+/// gtpq-wire PROBE frames on this thread's connections, all sent before
+/// any answer is read, so the shards work concurrently. Every set call
+/// thus costs at most one PROBE frame per shard holding members or
+/// probed nodes; see BoundaryClosure for the fold.
 ///
-///  * same shard — one forward probe answers "u reaches v intra-shard"
-///    and "u reaches each shard boundary" in a single round trip
-///    (ids = [v, boundaries...]), pipelined with the reverse entry
-///    probe on the same connection;
-///  * cross shard — a forward probe on u's shard (exits) and a reverse
-///    probe on v's shard (entries) fly concurrently on two
-///    connections, then exits x entries are folded through the local
-///    closure with zero further wire traffic.
-///
-/// Wire failures cannot be reported through the bool probe interface,
-/// so a failed probe logs a warning, drops the connection (the next
-/// call reconnects), and answers false.
+/// Wire failures cannot be reported through the bool probe interface.
+/// A failed frame, or one answered at an epoch other than the one the
+/// summary in use recorded, logs a warning, drops the connection (the
+/// next call reconnects), bumps gtpq_shard_probe_failures_total, and
+/// the call answers false. Reconnects ride out a restart with a long
+/// backoff budget, cut to one attempt while the health prober holds the
+/// shard unhealthy.
 ///
 /// Updates: SupportsNativeUpdates() is true, so the serving layer's
 /// SharedEngineFactory routes APPLY_UPDATES here instead of wrapping
 /// the router in a delta overlay. ApplyNativeUpdate applies the batch
 /// on the owning shard, re-probes that shard's boundary-to-boundary
-/// contribution, rebuilds the replicated closure, and then commits an
-/// epoch barrier: every other shard receives one empty batch so all
-/// shard epochs advance in lockstep and no later probe can observe
-/// mixed shard epochs. Batches that would change the partition
+/// contribution with one frame, rebuilds the replicated closure, and
+/// then commits an epoch barrier: every other shard receives one empty
+/// batch so all shard epochs advance in lockstep and no later probe can
+/// observe mixed shard epochs. Batches that would change the partition
 /// structure (node additions, cross-shard edges, boundary-vertex
 /// removals, multi-shard batches) are rejected with FailedPrecondition
 /// before any shard is touched.
@@ -77,8 +74,7 @@ struct ShardRouterOptions {
 /// and must not run concurrently with probes that require a stable
 /// epoch — the serving layer's serial update dispatcher provides
 /// exactly that barrier.
-class ShardRouter : public ReachabilityOracle,
-                    public obs::ClusterObservable {
+class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
  public:
   /// Validates endpoints, connects to every shard once (bounded
   /// ECONNREFUSED backoff, so a cluster can come up in any order), and
@@ -91,7 +87,6 @@ class ShardRouter : public ReachabilityOracle,
   ~ShardRouter() override;
 
   std::string_view name() const override { return name_; }
-  bool Reaches(NodeId from, NodeId to) const override;
 
   bool SupportsNativeUpdates() const override { return true; }
   Status ApplyNativeUpdate(const UpdateBatch& batch) const override;
@@ -118,29 +113,25 @@ class ShardRouter : public ReachabilityOracle,
   /// thread's body, exposed so tests can step it deterministically.
   void ProbeHealthOnce() const;
 
+ protected:
+  Status ProbeShards(std::span<ShardProbe> probes) const override;
+  void OnProbeFailure(size_t shard, const Status& status) const override;
+
  private:
   ShardRouter(PartitionMap map, ShardRouterOptions options);
 
   /// The calling thread's connection to `shard`, connecting (and
   /// HELLO-validating) on first use; nullptr after a warning when the
   /// shard is unreachable or serves the wrong graph. `attempts` bounds
-  /// the ECONNREFUSED backoff of a fresh connect (probes use the
-  /// default long budget to ride out restarts; the health prober and
-  /// federation scrapes pass 1–2 so a dead shard cannot stall them).
+  /// the ECONNREFUSED backoff of a fresh connect (probes use the long
+  /// default budget to ride out restarts unless the shard is held
+  /// unhealthy; the health prober and federation scrapes pass 1–2 so a
+  /// dead shard cannot stall them).
   net::NetClient* Client(size_t shard) const;
   net::NetClient* Client(size_t shard, int attempts) const;
   /// Drops the calling thread's connection to `shard` after a wire
   /// error so the next probe reconnects.
   void DropClient(size_t shard) const;
-  NodeId LocalId(NodeId v, size_t shard) const {
-    return v - static_cast<NodeId>(map_.ranges[shard].begin);
-  }
-  Result<bool> ProbeCluster(NodeId from, NodeId to, size_t su,
-                            size_t sv) const;
-  std::shared_ptr<const TransitiveClosure> closure() const;
-  /// Rebuilds the replicated overlay closure from cross edges + the
-  /// (possibly just-updated) per-shard contributions.
-  void RebuildClosure() const;
   void StartProber();
   void ProberLoop();
 
@@ -151,18 +142,8 @@ class ShardRouter : public ReachabilityOracle,
   int health_failure_threshold_;
   std::string name_;
 
-  // Immutable probe-side structure derived from the map.
-  std::unordered_map<NodeId, uint32_t> boundary_id_;
-  std::vector<std::vector<uint32_t>> shard_boundary_;  // boundary ids
-  std::vector<std::pair<uint32_t, uint32_t>> cross_b_;  // boundary ids
-
-  // Mutable replica state (updates only; probes read the closure via a
-  // locked shared_ptr copy).
+  // Serializes ApplyNativeUpdate.
   mutable std::mutex update_mutex_;
-  mutable std::vector<std::vector<std::pair<uint32_t, uint32_t>>>
-      contributions_;
-  mutable std::mutex closure_mutex_;
-  mutable std::shared_ptr<const TransitiveClosure> closure_;
   mutable std::mutex epoch_mutex_;
   mutable std::vector<uint64_t> shard_epochs_;
 
@@ -183,11 +164,11 @@ class ShardRouter : public ReachabilityOracle,
   // Observability handles (registry-owned, stable pointers; one
   // counter/histogram per shard, labeled shard="N").
   std::vector<obs::Counter*> shard_probes_;
+  std::vector<obs::Counter*> probe_failures_;
   std::vector<obs::Histogram*> shard_probe_latency_us_;
   std::vector<obs::Gauge*> shard_healthy_;
   std::vector<obs::Counter*> health_failures_;
   obs::Counter* reconnects_ = nullptr;
-  obs::Counter* closure_hits_ = nullptr;
 };
 
 }  // namespace cluster

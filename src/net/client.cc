@@ -276,10 +276,12 @@ Result<ProbeResult> NetClient::Probe(const ProbeRequest& request) {
   if (!payload.ok()) return payload.status();
   ProbeResult out;
   GTPQ_RETURN_NOT_OK(DecodeProbeResult(*payload, &out));
-  if (out.count != request.ids.size()) {
-    return Status::Internal("probe answered " + std::to_string(out.count) +
-                            " targets, asked " +
-                            std::to_string(request.ids.size()));
+  if (out.rows != request.pivots.size() || out.cols != request.ids.size()) {
+    return Status::Internal(
+        "probe answered " + std::to_string(out.rows) + " x " +
+        std::to_string(out.cols) + ", asked " +
+        std::to_string(request.pivots.size()) + " x " +
+        std::to_string(request.ids.size()));
   }
   return out;
 }

@@ -14,7 +14,7 @@
 namespace gtpq {
 namespace net {
 
-/// Blocking gtpq-wire v1 client over one TCP connection, shared by the
+/// Blocking gtpq-wire v2 client over one TCP connection, shared by the
 /// gteactl query/apply subcommands, bench_net_throughput, and the
 /// socket-level tests.
 ///
@@ -69,7 +69,7 @@ class NetClient {
   Result<ApplyOk> ApplyUpdates(const std::string& updates_text);
   Result<ApplyOk> ApplyUpdates(std::span<const UpdateBatch> batches);
   Result<ServingStats> Stats();
-  /// Reachability scatter-gather probe (see ProbeRequest); node ids are
+  /// Set-at-a-time reachability probe (see ProbeRequest); node ids are
   /// local to the server's graph.
   Result<ProbeResult> Probe(const ProbeRequest& request);
   /// One observability export (OBSERVE frame): Prometheus metrics,

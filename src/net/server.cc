@@ -460,8 +460,8 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
              EncodeServingStats(runtime->serving_stats()));
       return;
     case FrameType::kProbe: {
-      // Answered inline on the IO thread, like STATS: a probe is a
-      // handful of immutable-snapshot oracle lookups, and the cluster
+      // Answered inline on the IO thread, like STATS: a probe is one
+      // prepared set scan over the immutable snapshot, and the cluster
       // router's scatter-gather latency would otherwise eat a full
       // dispatch + coalescing round trip per hop.
       if (!conn.hello_done) break;
@@ -474,10 +474,11 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
         return;
       }
       ProbeResult result;
-      result.count = static_cast<uint32_t>(request.ids.size());
+      result.rows = static_cast<uint32_t>(request.pivots.size());
+      result.cols = static_cast<uint32_t>(request.ids.size());
       const double probe_start_us = obs::NowMicros();
       const Status probed = runtime->ProbeReachability(
-          request.reverse, request.pivot, request.ids, &result.epoch,
+          request.reverse, request.pivots, request.ids, &result.epoch,
           &result.bits);
       if (!probed.ok()) {
         SendError(conn, frame.request_id, probed);

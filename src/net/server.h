@@ -61,7 +61,7 @@ struct NetServerOptions {
 };
 
 /// The network serving front-end: a non-blocking epoll event loop
-/// accepting gtpq-wire v1 connections (net/wire.h), feeding a single
+/// accepting gtpq-wire v2 connections (net/wire.h), feeding a single
 /// dispatcher that coalesces concurrently-arriving queries into
 /// snapshot-consistent QueryServer batches, with live APPLY_UPDATES
 /// folding into the epoch-snapshot path so in-flight responses never

@@ -454,7 +454,7 @@ Status DecodeServingStats(std::string_view payload, ServingStats* out) {
 std::string EncodeProbeRequest(const ProbeRequest& request) {
   Writer w;
   w.WriteU8(request.reverse ? 1 : 0);
-  w.WriteU64(request.pivot);
+  w.WritePodVec(request.pivots);
   w.WritePodVec(request.ids);
   if (request.trace_id != 0) {
     w.WriteU64(request.trace_id);
@@ -474,14 +474,9 @@ Status DecodeProbeRequest(std::string_view payload, ProbeRequest* out) {
           return Status::ParseError("probe direction must be 0 or 1");
         }
         request->reverse = direction == 1;
-        uint64_t pivot = 0;
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&pivot));
-        if (pivot > std::numeric_limits<NodeId>::max()) {
-          return Status::ParseError("probe pivot exceeds the node id range");
-        }
-        request->pivot = static_cast<NodeId>(pivot);
         request->trace_id = 0;
         request->parent_span = 0;
+        GTPQ_RETURN_NOT_OK(r->ReadPodVec(&request->pivots));
         GTPQ_RETURN_NOT_OK(r->ReadPodVec(&request->ids));
         if (r->remaining() > 0) {
           GTPQ_RETURN_NOT_OK(r->ReadU64(&request->trace_id));
@@ -492,12 +487,19 @@ Status DecodeProbeRequest(std::string_view payload, ProbeRequest* out) {
       out);
 }
 
+namespace {
+size_t ProbeMatrixBytes(uint32_t rows, uint32_t cols) {
+  return (static_cast<size_t>(rows) * cols + 7) / 8;
+}
+}  // namespace
+
 std::string EncodeProbeResult(const ProbeResult& result) {
-  GTPQ_CHECK(result.bits.size() == (result.count + 7) / 8)
-      << "probe bitmask does not cover the declared target count";
+  GTPQ_CHECK(result.bits.size() == ProbeMatrixBytes(result.rows, result.cols))
+      << "probe bitmask does not cover the declared rows x cols";
   Writer w;
   w.WriteU64(result.epoch);
-  w.WriteU32(result.count);
+  w.WriteU32(result.rows);
+  w.WriteU32(result.cols);
   w.WritePodVec(result.bits);
   return w.buffer();
 }
@@ -508,14 +510,15 @@ Status DecodeProbeResult(std::string_view payload, ProbeResult* out) {
       [](Reader* r, void* opaque) -> Status {
         auto* result = static_cast<ProbeResult*>(opaque);
         GTPQ_RETURN_NOT_OK(r->ReadU64(&result->epoch));
-        GTPQ_RETURN_NOT_OK(r->ReadU32(&result->count));
+        GTPQ_RETURN_NOT_OK(r->ReadU32(&result->rows));
+        GTPQ_RETURN_NOT_OK(r->ReadU32(&result->cols));
         GTPQ_RETURN_NOT_OK(r->ReadPodVec(&result->bits));
-        // The bitmask must cover exactly the declared targets — a
+        // The bitmask must cover exactly the declared matrix — a
         // mismatch means corruption, not a shorter answer.
         if (result->bits.size() !=
-            (static_cast<size_t>(result->count) + 7) / 8) {
+            ProbeMatrixBytes(result->rows, result->cols)) {
           return Status::ParseError(
-              "probe bitmask does not match the declared target count");
+              "probe bitmask does not match the declared rows x cols");
         }
         return Status::OK();
       },

@@ -14,7 +14,7 @@
 namespace gtpq {
 namespace net {
 
-/// "gtpq-wire v1": the length-prefixed binary protocol the network
+/// "gtpq-wire v2": the length-prefixed binary protocol the network
 /// front-end (net/server.h) speaks. Every frame is
 ///
 ///   u32 length       bytes that follow (type + request id + payload
@@ -46,12 +46,13 @@ namespace net {
 ///                  optional u64 trace id + u64 parent span pair
 ///   APPLY_UPDATES  string "gtpq-updates v1" text (dynamic/update_io.h)
 ///   STATS          empty
-///   PROBE          u8 direction (0 = does pivot reach ids[i], 1 = does
-///                  ids[i] reach pivot), u64 pivot node id, then the
-///                  target ids as a NodeId POD vector — the reachability
-///                  scatter-gather primitive the cluster router fans out
-///                  to shard servers (src/cluster/shard_router.h) — then
-///                  the same optional u64 trace id + u64 parent span
+///   PROBE          u8 direction (0 = does pivots[r] reach ids[c], 1 =
+///                  does ids[c] reach pivots[r]), the pivots as a NodeId
+///                  POD vector, then the ids as a NodeId POD vector —
+///                  the set-at-a-time reachability primitive the cluster
+///                  router sends to each shard server once per set call
+///                  (src/cluster/shard_router.h) — then the same
+///                  optional u64 trace id + u64 parent span
 ///   OBSERVE        u8 kind (0 = Prometheus metrics, 1 = Chrome trace
 ///                  JSON, 2 = slow-query log, 3 = binary metrics
 ///                  snapshot, 4 = health report, 5 = binary span dump),
@@ -65,12 +66,17 @@ namespace net {
 ///   BATCH_RESULT   u64 epoch, u32 count, count QueryResults
 ///   APPLY_OK       u64 epoch, u64 batches applied
 ///   STATS_RESULT   ServingStats (EncodeServingStats)
-///   PROBE_RESULT   u64 epoch, u32 count, packed answer bitmask as a
-///                  u8 POD vector of exactly (count + 7) / 8 bytes
+///   PROBE_RESULT   u64 epoch, u32 rows, u32 cols, then the packed
+///                  rows x cols answer matrix, row-major (bit r * cols + c
+///                  answers (pivots[r], ids[c])), as a u8 POD vector of
+///                  exactly (rows * cols + 7) / 8 bytes
 ///   OBSERVE_RESULT string body (text exposition / JSON / log dump)
 ///   ERROR          u8 StatusCode, string message
 inline constexpr uint32_t kWireMagic = 0x57505447;  // "GTPW" LE
-inline constexpr uint32_t kWireVersion = 1;
+/// v2 replaced PROBE's single pivot with a pivot list and made
+/// PROBE_RESULT a matrix; HELLO rejects a v1 peer instead of letting it
+/// misread a PROBE.
+inline constexpr uint32_t kWireVersion = 2;
 
 /// Frame header bytes after the length prefix: type + request id +
 /// crc trailer.
@@ -97,7 +103,7 @@ enum class FrameType : uint8_t {
 
 /// True for the seven request (client -> server) frame types.
 bool IsRequestType(uint8_t type);
-/// True for any frame type defined by gtpq-wire v1.
+/// True for any frame type defined by gtpq-wire v2.
 bool IsKnownType(uint8_t type);
 const char* FrameTypeName(FrameType type);
 
@@ -213,14 +219,13 @@ Status DecodeApplyOk(std::string_view payload, ApplyOk* out);
 std::string EncodeServingStats(const ServingStats& stats);
 Status DecodeServingStats(std::string_view payload, ServingStats* out);
 
-/// One scatter-gather reachability probe: `reverse == false` asks
-/// "does pivot reach ids[i]?", `reverse == true` asks "does ids[i]
-/// reach pivot?" for every target in order. Node ids are LOCAL to the
-/// server's graph; the cluster router translates global ids before
-/// fanning out.
+/// One set-at-a-time reachability probe: `reverse == false` asks "does
+/// pivots[r] reach ids[c]?", `reverse == true` asks "does ids[c] reach
+/// pivots[r]?", for every pair. Node ids are LOCAL to the server's
+/// graph; the cluster router translates global ids before fanning out.
 struct ProbeRequest {
   bool reverse = false;
-  NodeId pivot = 0;
+  std::vector<NodeId> pivots;
   std::vector<NodeId> ids;
   /// Optional trailing trace correlation, as on QueryRequest: a u64
   /// pair appended only when trace_id is non-zero, decoded as 0 when
@@ -231,14 +236,19 @@ struct ProbeRequest {
 std::string EncodeProbeRequest(const ProbeRequest& request);
 Status DecodeProbeRequest(std::string_view payload, ProbeRequest* out);
 
-/// Per-target answers as a packed bitmask (bit i of bits[i / 8] answers
-/// ids[i]), stamped with the snapshot epoch that answered them.
+/// The pivots x ids answers as a packed row-major bitmask (bit
+/// r * cols + c of bits[i / 8]), stamped with the snapshot epoch that
+/// answered them.
 struct ProbeResult {
   uint64_t epoch = 0;
-  uint32_t count = 0;
+  uint32_t rows = 0;
+  uint32_t cols = 0;
   std::vector<uint8_t> bits;
 
-  bool Get(size_t i) const { return (bits[i / 8] >> (i % 8)) & 1; }
+  bool Get(size_t row, size_t col) const {
+    const size_t i = row * cols + col;
+    return (bits[i / 8] >> (i % 8)) & 1;
+  }
 };
 std::string EncodeProbeResult(const ProbeResult& result);
 Status DecodeProbeResult(std::string_view payload, ProbeResult* out);

@@ -1,6 +1,8 @@
 #include "reachability/sharded_oracle.h"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 
 #include "common/logging.h"
 #include "reachability/factory.h"
@@ -13,66 +15,60 @@ ShardedOracle::ShardedOracle(const Digraph& g, ShardedOracleOptions options)
       name_("sharded:" + inner_spec_) {
   GTPQ_CHECK(g.finalized());
   const size_t n = g.NumNodes();
-  num_shards_ = std::max<size_t>(
+  const size_t num_shards = std::max<size_t>(
       1, std::min(options.num_shards, std::max<size_t>(n, 1)));
 
+  BoundaryLayout layout;
   if (!options.custom_starts.empty()) {
-    GTPQ_CHECK(options.custom_starts.size() == num_shards_ + 1)
+    GTPQ_CHECK(options.custom_starts.size() == num_shards + 1)
         << "custom_starts must carry num_shards + 1 cut points";
     GTPQ_CHECK(options.custom_starts.front() == 0 &&
                options.custom_starts.back() == n)
         << "custom_starts must span [0, n)";
-    for (size_t s = 0; s < num_shards_; ++s) {
+    for (size_t s = 0; s < num_shards; ++s) {
       GTPQ_CHECK(options.custom_starts[s] <= options.custom_starts[s + 1])
           << "custom_starts must be monotone";
     }
-    shard_start_ = options.custom_starts;
+    layout.shard_starts = options.custom_starts;
   } else {
-    shard_start_.resize(num_shards_ + 1);
-    for (size_t s = 0; s <= num_shards_; ++s) {
-      shard_start_[s] = s * n / num_shards_;
+    layout.shard_starts.resize(num_shards + 1);
+    for (size_t s = 0; s <= num_shards; ++s) {
+      layout.shard_starts[s] = s * n / num_shards;
     }
   }
+  const auto shard_of = [&layout](NodeId v) {
+    return std::upper_bound(layout.shard_starts.begin(),
+                            layout.shard_starts.end(),
+                            static_cast<size_t>(v)) -
+           layout.shard_starts.begin();
+  };
 
   // Boundary vertices: endpoints of shard-crossing edges, in id order.
-  boundary_id_.assign(n, kNotBoundary);
   std::vector<char> is_boundary(n, 0);
   for (NodeId v = 0; v < n; ++v) {
     for (NodeId w : g.OutNeighbors(v)) {
-      if (ShardOf(v) != ShardOf(w)) {
-        cross_edges_.emplace_back(v, w);
+      if (shard_of(v) != shard_of(w)) {
+        layout.cross_edges.emplace_back(v, w);
         is_boundary[v] = 1;
         is_boundary[w] = 1;
       }
     }
   }
   for (NodeId v = 0; v < n; ++v) {
-    if (is_boundary[v]) {
-      boundary_id_[v] = static_cast<uint32_t>(boundary_.size());
-      boundary_.push_back(v);
-    }
+    if (is_boundary[v]) layout.boundary.push_back(v);
   }
+  InitBoundaries(std::move(layout));
 
-  sub_.resize(num_shards_);
-  shard_boundaries_.resize(num_shards_);
-  shard_overlay_.resize(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) BuildShard(g, s);
-  BuildOverlay();
-}
-
-size_t ShardedOracle::ShardOf(NodeId v) const {
-  // shard_start_ is sorted with shard_start_[0] == 0; find the range
-  // containing v. num_shards_ is small, but binary search anyway.
-  size_t s = static_cast<size_t>(
-      std::upper_bound(shard_start_.begin(), shard_start_.end(),
-                       static_cast<size_t>(v)) -
-      shard_start_.begin());
-  return s - 1;
+  sub_.resize(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) BuildShard(g, s);
+  std::vector<size_t> all(num_shards);
+  std::iota(all.begin(), all.end(), size_t{0});
+  GTPQ_CHECK_OK(RefreshContributions(all));
 }
 
 void ShardedOracle::BuildShard(const Digraph& g, size_t shard) {
-  const size_t start = shard_start_[shard];
-  const size_t end = shard_start_[shard + 1];
+  const size_t start = shard_starts()[shard];
+  const size_t end = shard_starts()[shard + 1];
 
   Digraph local(end - start);
   for (NodeId v = start; v < end; ++v) {
@@ -85,97 +81,27 @@ void ShardedOracle::BuildShard(const Digraph& g, size_t shard) {
   local.Finalize();
   sub_[shard] = MakeReachabilityIndex(inner_spec_, local);
   GTPQ_CHECK(sub_[shard] != nullptr);
-
-  auto& bs = shard_boundaries_[shard];
-  bs.clear();
-  for (NodeId v = start; v < end; ++v) {
-    if (boundary_id_[v] != kNotBoundary) bs.push_back(boundary_id_[v]);
-  }
-
-  // Overlay contribution: intra-shard reachability between this shard's
-  // boundary vertices. The diagonal (b -> b on an intra-shard cycle)
-  // matters: it turns into an overlay self-loop so the closure keeps
-  // the cyclic-self-reachability semantics.
-  auto& overlay = shard_overlay_[shard];
-  overlay.clear();
-  for (uint32_t b1 : bs) {
-    const NodeId l1 = LocalId(boundary_[b1], shard);
-    for (uint32_t b2 : bs) {
-      if (sub_[shard]->Reaches(l1, LocalId(boundary_[b2], shard))) {
-        overlay.emplace_back(b1, b2);
-      }
-    }
-  }
-}
-
-void ShardedOracle::BuildOverlay() {
-  Digraph overlay(boundary_.size());
-  for (const auto& [x, y] : cross_edges_) {
-    overlay.AddEdge(boundary_id_[x], boundary_id_[y]);
-  }
-  for (const auto& shard_edges : shard_overlay_) {
-    for (const auto& [b1, b2] : shard_edges) overlay.AddEdge(b1, b2);
-  }
-  overlay.Finalize();
-  overlay_closure_ =
-      std::make_unique<TransitiveClosure>(TransitiveClosure::Build(overlay));
 }
 
 void ShardedOracle::RebuildShard(const Digraph& g, size_t shard) {
-  GTPQ_CHECK(shard < num_shards_);
-  GTPQ_CHECK(g.NumNodes() == boundary_id_.size());
+  GTPQ_CHECK(shard < NumShards());
+  GTPQ_CHECK(g.NumNodes() == shard_starts().back());
   BuildShard(g, shard);
-  BuildOverlay();
+  GTPQ_CHECK_OK(RefreshContributions({&shard, 1}));
 }
 
-bool ShardedOracle::Reaches(NodeId from, NodeId to) const {
-  IndexStats& st = stats();
-  ++st.queries;
-
-  // Delta-samples a sub-oracle probe so #index aggregates the work of
+Status ShardedOracle::ProbeShards(std::span<ShardProbe> probes) const {
+  // Delta-samples each sub-index so #index aggregates the work of
   // whichever labelings the routed query actually touched.
-  auto probe = [&st](const ReachabilityOracle& oracle, NodeId a,
-                     NodeId b) {
-    const uint64_t before = oracle.stats().elements_looked_up;
-    const bool r = oracle.Reaches(a, b);
-    st.elements_looked_up += oracle.stats().elements_looked_up - before;
-    return r;
-  };
-
-  const size_t su = ShardOf(from);
-  const size_t sv = ShardOf(to);
-  const NodeId lu = LocalId(from, su);
-  const NodeId lv = LocalId(to, sv);
-  if (su == sv && probe(*sub_[su], lu, lv)) return true;
-  if (boundary_.empty()) return false;
-
-  // Boundary exits of `from`: boundaries of its shard it reaches
-  // intra-shard, plus itself (zero-length exit) when it is one.
-  ProbeScratch& scratch = scratch_.Local();
-  std::vector<uint32_t>& exits = scratch.exits;
-  exits.clear();
-  for (uint32_t b : shard_boundaries_[su]) {
-    if (boundary_[b] == from || probe(*sub_[su], lu, LocalId(boundary_[b], su))) {
-      exits.push_back(b);
-    }
+  IndexStats& st = stats();
+  for (ShardProbe& probe : probes) {
+    const ReachabilityOracle& sub = *sub_[probe.shard];
+    const uint64_t before = sub.stats().elements_looked_up;
+    AnswerShardProbe(sub, probe.reverse, probe.pivots, probe.ids,
+                     &probe.bits);
+    st.elements_looked_up += sub.stats().elements_looked_up - before;
   }
-  if (exits.empty()) return false;
-
-  std::vector<uint32_t>& entries = scratch.entries;
-  entries.clear();
-  for (uint32_t b : shard_boundaries_[sv]) {
-    if (boundary_[b] == to || probe(*sub_[sv], LocalId(boundary_[b], sv), lv)) {
-      entries.push_back(b);
-    }
-  }
-  if (entries.empty()) return false;
-
-  for (uint32_t b1 : exits) {
-    for (uint32_t b2 : entries) {
-      if (probe(*overlay_closure_, b1, b2)) return true;
-    }
-  }
-  return false;
+  return Status::OK();
 }
 
 namespace {
@@ -209,19 +135,30 @@ Status UnflattenPairs(std::vector<uint32_t> flat,
 }  // namespace
 
 void ShardedOracle::SaveBody(storage::Writer* w) const {
-  w->WriteU64(num_shards_);
-  w->WriteString(inner_spec_);
-  std::vector<uint64_t> starts(shard_start_.begin(), shard_start_.end());
-  w->WritePodVec(starts);
-  w->WritePodVec(boundary_);
-  w->WritePodVec(boundary_id_);
-  w->WriteNestedVec(shard_boundaries_);
-  w->WritePodVec(FlattenPairs(cross_edges_));
-  w->WriteU64(shard_overlay_.size());
-  for (const auto& overlay : shard_overlay_) {
-    w->WritePodVec(FlattenPairs(overlay));
+  const std::vector<NodeId>& boundary = boundary_vertices();
+  const size_t n = shard_starts().back();
+  // boundary_id (per vertex) and per-shard boundary lists are derived,
+  // but stay in the body so the section layout is unchanged.
+  std::vector<uint32_t> boundary_id(n, static_cast<uint32_t>(-1));
+  std::vector<std::vector<uint32_t>> shard_boundaries(NumShards());
+  for (uint32_t b = 0; b < boundary.size(); ++b) {
+    boundary_id[boundary[b]] = b;
+    shard_boundaries[ShardOf(boundary[b])].push_back(b);
   }
-  overlay_closure_->SaveBody(w);
+  w->WriteU64(NumShards());
+  w->WriteString(inner_spec_);
+  std::vector<uint64_t> starts(shard_starts().begin(), shard_starts().end());
+  w->WritePodVec(starts);
+  w->WritePodVec(boundary);
+  w->WritePodVec(boundary_id);
+  w->WriteNestedVec(shard_boundaries);
+  w->WritePodVec(FlattenPairs(cross_edges()));
+  const auto contributions = shard_overlay_contributions();
+  w->WriteU64(contributions.size());
+  for (const auto& contribution : contributions) {
+    w->WritePodVec(FlattenPairs(contribution));
+  }
+  overlay_closure()->SaveBody(w);
   for (const auto& sub : sub_) {
     // Sub-indexes were built through the factory, so this dispatch
     // cannot hit an unknown spec.
@@ -234,39 +171,60 @@ Result<std::unique_ptr<ShardedOracle>> ShardedOracle::LoadBody(
   auto oracle = std::unique_ptr<ShardedOracle>(new ShardedOracle());
   uint64_t num_shards = 0;
   GTPQ_RETURN_NOT_OK(r->ReadU64(&num_shards));
-  oracle->num_shards_ = static_cast<size_t>(num_shards);
   GTPQ_RETURN_NOT_OK(r->ReadString(&oracle->inner_spec_));
   oracle->name_ = "sharded:" + oracle->inner_spec_;
+  BoundaryLayout layout;
   std::vector<uint64_t> starts;
   GTPQ_RETURN_NOT_OK(r->ReadPodVec(&starts));
-  oracle->shard_start_.assign(starts.begin(), starts.end());
-  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&oracle->boundary_));
-  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&oracle->boundary_id_));
-  GTPQ_RETURN_NOT_OK(r->ReadNestedVec(&oracle->shard_boundaries_));
+  layout.shard_starts.assign(starts.begin(), starts.end());
+  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&layout.boundary));
+  std::vector<uint32_t> boundary_id;
+  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&boundary_id));
+  std::vector<std::vector<uint32_t>> shard_boundaries;
+  GTPQ_RETURN_NOT_OK(r->ReadNestedVec(&shard_boundaries));
   std::vector<uint32_t> flat;
   GTPQ_RETURN_NOT_OK(r->ReadPodVec(&flat));
-  GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &oracle->cross_edges_));
+  GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &layout.cross_edges));
   uint64_t num_overlays = 0;
   GTPQ_RETURN_NOT_OK(r->ReadU64(&num_overlays));
   if (num_overlays != num_shards) {
     return Status::ParseError("sharded section overlay count mismatch");
   }
-  oracle->shard_overlay_.resize(static_cast<size_t>(num_overlays));
-  for (auto& overlay : oracle->shard_overlay_) {
+  layout.contributions.resize(static_cast<size_t>(num_overlays));
+  for (auto& contribution : layout.contributions) {
     flat.clear();
     GTPQ_RETURN_NOT_OK(r->ReadPodVec(&flat));
-    GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &overlay));
+    GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &contribution));
   }
   auto closure = TransitiveClosure::LoadBody(r);
   GTPQ_RETURN_NOT_OK(closure.status());
-  oracle->overlay_closure_ =
-      std::make_unique<TransitiveClosure>(closure.TakeValue());
-  if (oracle->num_shards_ == 0 ||
-      oracle->shard_start_.size() != oracle->num_shards_ + 1 ||
-      oracle->shard_boundaries_.size() != oracle->num_shards_) {
-    return Status::ParseError("inconsistent sharded section layout");
+  layout.closure =
+      std::make_shared<const TransitiveClosure>(closure.TakeValue());
+
+  // Everything InitBoundaries and the probes index without checks.
+  const size_t b = layout.boundary.size();
+  bool ok = num_shards > 0 && starts.size() == num_shards + 1 &&
+            starts.front() == 0 &&
+            std::is_sorted(starts.begin(), starts.end()) &&
+            shard_boundaries.size() == num_shards &&
+            layout.closure->NumNodes() == b &&
+            std::adjacent_find(layout.boundary.begin(),
+                               layout.boundary.end(),
+                               std::greater_equal<NodeId>()) ==
+                layout.boundary.end() &&
+            (b == 0 || layout.boundary.back() < starts.back());
+  for (const auto& [x, y] : layout.cross_edges) {
+    ok = ok && std::binary_search(layout.boundary.begin(),
+                                  layout.boundary.end(), x) &&
+         std::binary_search(layout.boundary.begin(), layout.boundary.end(),
+                            y);
   }
-  oracle->sub_.resize(oracle->num_shards_);
+  for (const auto& contribution : layout.contributions) {
+    for (const auto& [x, y] : contribution) ok = ok && x < b && y < b;
+  }
+  if (!ok) return Status::ParseError("inconsistent sharded section layout");
+  oracle->InitBoundaries(std::move(layout));
+  oracle->sub_.resize(static_cast<size_t>(num_shards));
   for (auto& sub : oracle->sub_) {
     auto loaded = storage::LoadOracleBody(oracle->inner_spec_, r);
     GTPQ_RETURN_NOT_OK(loaded.status());

@@ -6,10 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/per_thread.h"
 #include "common/status.h"
-#include "reachability/reachability_index.h"
-#include "reachability/transitive_closure.h"
+#include "reachability/boundary_closure.h"
 
 namespace gtpq {
 
@@ -35,59 +33,26 @@ struct ShardedOracleOptions {
 
 /// Partitioned reachability: vertices are split into contiguous-range
 /// shards, each carrying an independent sub-index over its induced
-/// subgraph; paths that cross shards are answered through a boundary
-/// overlay. The point is build economics on large graphs — when data
-/// changes land in one partition, only that shard's sub-index (plus the
-/// small overlay closure) is rebuilt (RebuildShard), instead of
-/// relabeling the whole graph.
-///
-/// Structure:
-///  * boundary vertices: endpoints of shard-crossing edges;
-///  * overlay graph over boundary vertices: the crossing edges, plus an
-///    edge b -> b' whenever b' is intra-shard reachable from b (so a
-///    cross-shard path contracts to an overlay path);
-///  * the overlay's transitive closure (it is small: boundaries only).
-///
-/// Reaches(u, v) holds iff v is intra-shard reachable from u, or some
-/// boundary exit of u (u itself when u is a boundary) reaches some
-/// boundary entry of v through the overlay. Cycles threading several
-/// shards condense into overlay cycles, so the Section-2 semantics
-/// (Reaches(v, v) only on a cycle) carry over exactly; the conformance
-/// suite checks this decorator against the materialized closure like
-/// any base backend.
-///
-/// Set-reachability uses the pairwise defaults of ReachabilityOracle.
-class ShardedOracle : public ReachabilityOracle {
+/// subgraph; paths that cross shards are answered through the boundary
+/// overlay of BoundaryClosure, which also supplies the whole native
+/// set-reachability API. This class is its in-process prober: a shard
+/// probe is answered by the shard's sub-index (AnswerShardProbe). The
+/// point is build economics on large graphs — when data changes land
+/// in one partition, only that shard's sub-index (plus the small
+/// overlay closure) is rebuilt (RebuildShard), instead of relabeling
+/// the whole graph. The conformance suite checks it against the
+/// materialized closure like any base backend.
+class ShardedOracle : public BoundaryClosure {
  public:
   ShardedOracle(const Digraph& g, ShardedOracleOptions options = {});
 
   std::string_view name() const override { return name_; }
-  bool Reaches(NodeId from, NodeId to) const override;
 
-  size_t NumShards() const { return num_shards_; }
-  size_t ShardOf(NodeId v) const;
   size_t ShardSize(size_t shard) const {
-    return shard_start_[shard + 1] - shard_start_[shard];
+    return shard_starts()[shard + 1] - shard_starts()[shard];
   }
-  size_t NumBoundaryVertices() const { return boundary_.size(); }
   const ReachabilityOracle& shard_index(size_t shard) const {
     return *sub_[shard];
-  }
-
-  // Boundary-machinery export (read-only) — the cluster partitioner
-  // serializes these into the .gtpqmap so a router can answer
-  // cross-shard probes from a replicated overlay without rebuilding it.
-  const std::vector<size_t>& shard_starts() const { return shard_start_; }
-  const std::vector<NodeId>& boundary_vertices() const { return boundary_; }
-  const std::vector<std::pair<NodeId, NodeId>>& cross_edges() const {
-    return cross_edges_;
-  }
-  const std::vector<std::vector<std::pair<uint32_t, uint32_t>>>&
-  shard_overlay_contributions() const {
-    return shard_overlay_;
-  }
-  const TransitiveClosure& overlay_closure() const {
-    return *overlay_closure_;
   }
 
   /// Rebuilds one shard's sub-index and the overlay rows it
@@ -96,9 +61,9 @@ class ShardedOracle : public ReachabilityOracle {
   /// graph the oracle was built from (intra-shard edits only).
   ///
   /// NOT thread-safe with concurrent probes: rebuilding swaps the
-  /// shard's sub-index and the overlay closure in place. Quiesce every
-  /// reader first (e.g. drain the QueryServer batch, or rebuild into a
-  /// fresh oracle and swap the shared_ptr at the serving layer).
+  /// shard's sub-index in place. Quiesce every reader first (e.g. drain
+  /// the QueryServer batch, or rebuild into a fresh oracle and swap the
+  /// shared_ptr at the serving layer).
   void RebuildShard(const Digraph& g, size_t shard);
 
   /// Persistence hooks (storage/index_io.h): the body carries the shard
@@ -109,37 +74,17 @@ class ShardedOracle : public ReachabilityOracle {
   static Result<std::unique_ptr<ShardedOracle>> LoadBody(
       storage::Reader* r);
 
+ protected:
+  Status ProbeShards(std::span<ShardProbe> probes) const override;
+
  private:
   ShardedOracle() = default;
 
   void BuildShard(const Digraph& g, size_t shard);
-  void BuildOverlay();
-  NodeId LocalId(NodeId v, size_t shard) const {
-    return v - static_cast<NodeId>(shard_start_[shard]);
-  }
 
-  size_t num_shards_ = 1;
   std::string inner_spec_;
   std::string name_;
-  std::vector<size_t> shard_start_;  // size num_shards_+1, last = n
   std::vector<std::unique_ptr<ReachabilityOracle>> sub_;
-  // Boundary machinery. boundary_id_[v] indexes boundary_ or kNotBoundary.
-  static constexpr uint32_t kNotBoundary = static_cast<uint32_t>(-1);
-  std::vector<NodeId> boundary_;
-  std::vector<uint32_t> boundary_id_;
-  std::vector<std::vector<uint32_t>> shard_boundaries_;  // per shard
-  std::vector<std::pair<NodeId, NodeId>> cross_edges_;
-  // Per-shard overlay contributions (intra-shard boundary-to-boundary
-  // reachability), kept separately so RebuildShard replaces one slice.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> shard_overlay_;
-  std::unique_ptr<TransitiveClosure> overlay_closure_;
-  // Probe scratch (boundary exit/entry lists), thread-confined so
-  // cross-shard probes allocate nothing on the hot path.
-  struct ProbeScratch {
-    std::vector<uint32_t> exits;
-    std::vector<uint32_t> entries;
-  };
-  PerThread<ProbeScratch> scratch_;
 };
 
 }  // namespace gtpq

@@ -30,6 +30,12 @@ class TransitiveClosure : public ReachabilityOracle {
 
   size_t NumNodes() const { return scc_.component_of.size(); }
 
+  /// The closure as node-level bit rows: NumNodes() rows of
+  /// (NumNodes() + 63) / 64 words each; bit w of row v is
+  /// Reaches(v, w). For callers that fold many rows; not counted in
+  /// stats().
+  std::vector<uint64_t> NodeRows() const;
+
   /// Persistence hooks (storage/index_io.h).
   void SaveBody(storage::Writer* w) const;
   static Result<TransitiveClosure> LoadBody(storage::Reader* r);

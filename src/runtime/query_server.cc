@@ -1,12 +1,14 @@
 #include "runtime/query_server.h"
 
 #include <condition_variable>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
+#include "reachability/boundary_closure.h"
 #include "storage/index_io.h"
 
 namespace gtpq {
@@ -34,7 +36,7 @@ struct QueryMetrics {
       const std::string format =
           "gtpqidx v" + std::to_string(storage::kIndexFormatVersion);
       reg.GetGauge(obs::LabeledName("gtpq_build_info",
-                                    {{"version", "gtpq-wire v1"},
+                                    {{"version", "gtpq-wire v2"},
                                      {"format", format}}))
           ->Set(1);
       return QueryMetrics{reg.GetCounter("gtpq_queries_total"),
@@ -259,7 +261,8 @@ std::future<QueryResult> QueryServer::Submit(Gtpq query) {
   return future;
 }
 
-Status QueryServer::ProbeReachability(bool reverse, NodeId pivot,
+Status QueryServer::ProbeReachability(bool reverse,
+                                      std::span<const NodeId> pivots,
                                       std::span<const NodeId> ids,
                                       uint64_t* epoch,
                                       std::vector<uint8_t>* bits) const {
@@ -271,22 +274,17 @@ Status QueryServer::ProbeReachability(bool reverse, NodeId pivot,
         "' has no reachability oracle to probe");
   }
   const size_t n = snap->graph().NumNodes();
-  if (pivot >= n) {
-    return Status::InvalidArgument("probe pivot " + std::to_string(pivot) +
-                                   " is outside the " + std::to_string(n) +
-                                   "-node graph");
-  }
-  bits->assign((ids.size() + 7) / 8, 0);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] >= n) {
-      return Status::InvalidArgument(
-          "probe target " + std::to_string(ids[i]) + " is outside the " +
-          std::to_string(n) + "-node graph");
+  for (const auto& [what, list] :
+       {std::pair{"pivot", pivots}, std::pair{"id", ids}}) {
+    for (const NodeId v : list) {
+      if (v >= n) {
+        return Status::InvalidArgument(
+            std::string("probe ") + what + " " + std::to_string(v) +
+            " is outside the " + std::to_string(n) + "-node graph");
+      }
     }
-    const bool hit = reverse ? oracle->Reaches(ids[i], pivot)
-                             : oracle->Reaches(pivot, ids[i]);
-    if (hit) (*bits)[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
   }
+  AnswerShardProbe(*oracle, reverse, pivots, ids, bits);
   if (epoch != nullptr) *epoch = snap->epoch();
   return Status::OK();
 }

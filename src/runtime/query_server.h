@@ -156,16 +156,17 @@ class QueryServer {
   /// validation error (and changes nothing) for malformed batches.
   Status ApplyUpdates(const UpdateBatch& batch);
 
-  /// Point-reachability scatter-gather primitive (the PROBE wire
-  /// frame): answers "does pivot reach ids[i]?" (or the reverse when
-  /// `reverse`) for every target against ONE pinned snapshot, packing
-  /// the answers into a bitmask (bit i of (*bits)[i / 8]) and reporting
-  /// the pinned epoch. Answered inline on the calling thread straight
-  /// from the snapshot's immutable oracle — no pool dispatch.
+  /// Set-at-a-time reachability primitive (the PROBE wire frame):
+  /// answers "does pivots[r] reach ids[c]?" (or the reverse when
+  /// `reverse`) for every pair against ONE pinned snapshot, through the
+  /// snapshot oracle's own set API with one prepared target list
+  /// (AnswerShardProbe). Packs the row-major answers into a bitmask
+  /// (bit r * ids.size() + c of (*bits)[i / 8]) and reports the pinned
+  /// epoch. Answered inline on the calling thread — no pool dispatch.
   /// FailedPrecondition when the engine spec has no oracle (tuple
-  /// baselines); InvalidArgument when pivot or a target id is outside
-  /// the snapshot graph.
-  Status ProbeReachability(bool reverse, NodeId pivot,
+  /// baselines); InvalidArgument when a pivot or id is outside the
+  /// snapshot graph.
+  Status ProbeReachability(bool reverse, std::span<const NodeId> pivots,
                            std::span<const NodeId> ids, uint64_t* epoch,
                            std::vector<uint8_t>* bits) const;
 

@@ -24,7 +24,7 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 /// to little-endian hosts — the only kind the toolchain targets.
 ///
 /// Two layout modes share this class:
-///  * default — the dense layout gtpq-wire v1 frames use (no padding);
+///  * default — the dense layout gtpq-wire frames use (no padding);
 ///  * pod_align — the `.gtpqidx` v2 body layout: every POD vector's
 ///    element bytes start on an 8-byte boundary (zero pad after the
 ///    count prefix), so a reader mapping the file can hand out aligned

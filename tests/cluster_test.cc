@@ -1,10 +1,13 @@
 // Cluster serving tests: .gtpqmap round-trip + rejection suite (bad
 // magic, corruption, overlapping/uncovered ranges, shard-index
-// fingerprint mismatch), PROBE wire codec, degree-aware cut planning,
-// and the ShardRouter differential — a 3-shard in-process cluster must
-// answer every probe exactly like the in-process `sharded:` oracle and
-// the materialized closure, before and after a routed update with its
-// epoch barrier. Enrolled in the TSan CI job.
+// fingerprint mismatch), the multi-pivot PROBE wire codec, degree-aware
+// cut planning, and the ShardRouter differential — a 3-shard in-process
+// cluster must answer every point probe and the whole set API exactly
+// like the in-process `sharded:` oracle and the materialized closure,
+// before and after a routed update with its epoch barrier, and GTEA over
+// the router must match the unpartitioned engine at 1 and 4 lanes. Also
+// bounds PROBE frames per set call and counts failed probes. Enrolled in
+// the TSan CI job.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +15,8 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,16 +27,20 @@
 #include "cluster/partition_map.h"
 #include "cluster/shard_router.h"
 #include "common/rng.h"
+#include "core/gtea.h"
 #include "dynamic/graph_delta.h"
 #include "graph/graph_io.h"
+#include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "obs/federation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/query_generator.h"
 #include "reachability/sharded_oracle.h"
 #include "reachability/transitive_closure.h"
 #include "storage/index_io.h"
+#include "storage/serializer.h"
 #include "tests/test_util.h"
 #include "workload/graph_gen_spec.h"
 
@@ -214,57 +223,93 @@ TEST(PartitionMapTest, RejectsShardCountDisagreement) {
 
 // ---------------------------------------------------------- wire codec
 
-TEST(ProbeCodecTest, RequestAndResultRoundTrip) {
+TEST(ProbeCodecTest, MultiPivotRequestAndMatrixResultRoundTrip) {
   net::ProbeRequest request;
   request.reverse = true;
-  request.pivot = 41;
+  request.pivots = {41, 2, 9};
   request.ids = {0, 7, 13, 41};
   net::ProbeRequest request2;
   ASSERT_TRUE(
       net::DecodeProbeRequest(net::EncodeProbeRequest(request), &request2)
           .ok());
   EXPECT_EQ(request2.reverse, request.reverse);
-  EXPECT_EQ(request2.pivot, request.pivot);
+  EXPECT_EQ(request2.pivots, request.pivots);
   EXPECT_EQ(request2.ids, request.ids);
 
+  // 3 x 4 matrix: bit r * 4 + c. Row 0 = 0b1010, row 1 = 0b0001,
+  // row 2 = 0b1100.
   net::ProbeResult result;
   result.epoch = 9;
-  result.count = 4;
-  result.bits = {0b1010};
+  result.rows = 3;
+  result.cols = 4;
+  result.bits = {0b00011010, 0b1100};
   net::ProbeResult result2;
   ASSERT_TRUE(
       net::DecodeProbeResult(net::EncodeProbeResult(result), &result2)
           .ok());
   EXPECT_EQ(result2.epoch, 9u);
-  ASSERT_EQ(result2.count, 4u);
-  EXPECT_FALSE(result2.Get(0));
-  EXPECT_TRUE(result2.Get(1));
-  EXPECT_FALSE(result2.Get(2));
-  EXPECT_TRUE(result2.Get(3));
+  ASSERT_EQ(result2.rows, 3u);
+  ASSERT_EQ(result2.cols, 4u);
+  const bool expect[3][4] = {{false, true, false, true},
+                             {true, false, false, false},
+                             {false, false, true, true}};
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(result2.Get(r, c), expect[r][c]) << r << "," << c;
+    }
+  }
 }
 
 TEST(ProbeCodecTest, RejectsMalformedFrames) {
   net::ProbeRequest request;
   // Direction byte beyond {0, 1}.
-  std::string bad = net::EncodeProbeRequest({false, 3, {1}});
+  std::string bad = net::EncodeProbeRequest({false, {3}, {1}});
   bad[0] = 2;
   EXPECT_FALSE(net::DecodeProbeRequest(bad, &request).ok());
-  // Truncated payload.
-  const std::string good = net::EncodeProbeRequest({true, 5, {1, 2, 3}});
-  EXPECT_FALSE(
-      net::DecodeProbeRequest(good.substr(0, good.size() - 2), &request)
-          .ok());
-  // Result whose bitmask disagrees with its count.
+
+  // Truncation at every byte, request and result alike.
+  const std::string good = net::EncodeProbeRequest({true, {5, 6}, {1, 2, 3}});
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    EXPECT_FALSE(net::DecodeProbeRequest(good.substr(0, cut), &request).ok())
+        << "request cut at " << cut;
+  }
   net::ProbeResult result;
   result.epoch = 1;
-  result.count = 9;  // needs 2 bytes
+  result.rows = 3;
+  result.cols = 3;  // 9 bits: 2 bytes
   result.bits = {0xff, 0x01};
-  std::string payload = net::EncodeProbeResult(result);
+  const std::string payload = net::EncodeProbeResult(result);
   net::ProbeResult out;
   ASSERT_TRUE(net::DecodeProbeResult(payload, &out).ok());
-  EXPECT_FALSE(net::DecodeProbeResult(payload.substr(0, payload.size() - 1),
-                                      &out)
-                   .ok());
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_FALSE(net::DecodeProbeResult(payload.substr(0, cut), &out).ok())
+        << "result cut at " << cut;
+  }
+
+  // A bitmask whose size is not (rows * cols + 7) / 8 bytes.
+  for (const auto& [rows, cols] : {std::pair{3u, 4u}, std::pair{1u, 9u}}) {
+    storage::Writer w;
+    w.WriteU64(1);
+    w.WriteU32(rows);
+    w.WriteU32(cols);
+    w.WritePodVec(std::vector<uint8_t>{0xff, 0x01});
+    const bool fits = (rows * cols + 7) / 8 == 2;
+    EXPECT_EQ(net::DecodeProbeResult(w.buffer(), &out).ok(), fits)
+        << rows << " x " << cols;
+  }
+  storage::Writer w;
+  w.WriteU64(1);
+  w.WriteU32(4);
+  w.WriteU32(4);  // 16 bits need 2 bytes
+  w.WritePodVec(std::vector<uint8_t>{0xff});
+  EXPECT_FALSE(net::DecodeProbeResult(w.buffer(), &out).ok());
+
+  // A v1 peer fails at HELLO instead of misreading a PROBE.
+  storage::Writer hello;
+  hello.WriteU32(net::kWireMagic);
+  hello.WriteU32(1);
+  EXPECT_FALSE(net::DecodeHello(hello.buffer()).ok());
+  EXPECT_TRUE(net::DecodeHello(net::EncodeHello()).ok());
 }
 
 // ------------------------------------------------------------ planning
@@ -370,6 +415,105 @@ void BringUp(const std::string& gen_spec, const std::string& name,
   cluster->router = router.TakeValue();
 }
 
+/// Sorted, unique member set of `kind`: 0 empty, 1 within one shard,
+/// 2 across all shards, 3 anywhere.
+std::vector<NodeId> RandomMembers(const PartitionMap& map, int kind,
+                                  Rng* rng) {
+  std::vector<NodeId> members;
+  const auto draw = [&](const ShardRange& r) {
+    members.push_back(static_cast<NodeId>(
+        r.begin + rng->NextBounded(r.end - r.begin)));
+  };
+  const size_t count = 1 + rng->NextBounded(6);
+  switch (kind) {
+    case 1: {
+      const ShardRange& r = map.ranges[rng->NextBounded(map.num_shards())];
+      for (size_t i = 0; i < count; ++i) draw(r);
+      break;
+    }
+    case 2:
+      for (const ShardRange& r : map.ranges) {
+        for (size_t i = 0; i < count; ++i) draw(r);
+      }
+      break;
+    case 3:
+      for (size_t i = 0; i < count; ++i) draw({0, map.num_nodes});
+      break;
+    default:
+      break;
+  }
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  return members;
+}
+
+/// Checks `oracle`'s whole set API (both summaries, both batches,
+/// SuccessorsAmong) against the materialized closure on random member
+/// sets: empty, single-shard, across all shards, and self-probes (the
+/// probed nodes include the members, so cycles show up as Reaches(v, v)).
+void ExpectSetApiMatches(const ReachabilityOracle& oracle,
+                         const TransitiveClosure& closure,
+                         const PartitionMap& map, uint64_t seed,
+                         size_t rounds) {
+  Rng rng(seed);
+  for (size_t round = 0; round < rounds; ++round) {
+    const std::vector<NodeId> targets =
+        RandomMembers(map, static_cast<int>(round % 4), &rng);
+    const std::vector<NodeId> targets2 =
+        RandomMembers(map, static_cast<int>((round + 1) % 4), &rng);
+    const std::vector<NodeId> sources =
+        RandomMembers(map, static_cast<int>((round + 2) % 4), &rng);
+    std::vector<NodeId> probed =
+        RandomMembers(map, static_cast<int>(round % 3) + 1, &rng);
+    if (round % 2 == 0) {
+      probed.insert(probed.end(), targets.begin(), targets.end());
+      probed.insert(probed.end(), sources.begin(), sources.end());
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+
+    const auto reaches_any = [&](NodeId v, const std::vector<NodeId>& set,
+                                 bool forward) {
+      for (const NodeId m : set) {
+        if (forward ? closure.Reaches(v, m) : closure.Reaches(m, v)) {
+          return true;
+        }
+      }
+      return false;
+    };
+
+    const auto t1 = oracle.SummarizeTargets(targets);
+    const auto t2 = oracle.SummarizeTargets(targets2);
+    const auto src = oracle.SummarizeSources(sources);
+    const auto prepared = oracle.PrepareSuccessorTargets(targets);
+    const ReachabilityOracle::SetSummary* sets[] = {t1.get(), t2.get()};
+    std::vector<std::vector<char>> down;
+    oracle.ReachesSetsBatch(probed, sets, &down);
+    std::vector<char> up;
+    oracle.SetReachesBatch(*src, probed, &up);
+    ASSERT_EQ(down.size(), 2u);
+    ASSERT_EQ(up.size(), probed.size());
+    for (size_t i = 0; i < probed.size(); ++i) {
+      const NodeId v = probed[i];
+      const bool to_t1 = reaches_any(v, targets, true);
+      const bool from_src = reaches_any(v, sources, false);
+      ASSERT_EQ(down[0][i] != 0, to_t1) << "ReachesSetsBatch at " << v;
+      ASSERT_EQ(down[1][i] != 0, reaches_any(v, targets2, true))
+          << "ReachesSetsBatch (second set) at " << v;
+      ASSERT_EQ(up[i] != 0, from_src) << "SetReachesBatch at " << v;
+      ASSERT_EQ(oracle.ReachesSet(v, *t1), to_t1) << "ReachesSet at " << v;
+      ASSERT_EQ(oracle.SetReaches(*src, v), from_src)
+          << "SetReaches at " << v;
+      std::vector<uint32_t> successors;
+      oracle.SuccessorsAmong(v, *prepared, &successors);
+      std::vector<uint32_t> expected;
+      for (uint32_t k = 0; k < targets.size(); ++k) {
+        if (closure.Reaches(v, targets[k])) expected.push_back(k);
+      }
+      ASSERT_EQ(successors, expected) << "SuccessorsAmong at " << v;
+    }
+  }
+}
+
 void ExpectDifferential(const TestCluster& cluster, uint64_t seed,
                         size_t samples) {
   // Ground truths: the in-process sharded oracle over the SAME cuts,
@@ -399,6 +543,14 @@ void ExpectDifferential(const TestCluster& cluster, uint64_t seed,
         << "sharded oracle disagrees at (" << from << ", " << to << ")";
     ASSERT_EQ(cluster.router->Reaches(from, to), expected)
         << "router disagrees at (" << from << ", " << to << ")";
+  }
+  {
+    SCOPED_TRACE("sharded set API");
+    ExpectSetApiMatches(sharded, closure, cluster.art.map, seed, 24);
+  }
+  {
+    SCOPED_TRACE("router set API");
+    ExpectSetApiMatches(*cluster.router, closure, cluster.art.map, seed, 24);
   }
 }
 
@@ -724,6 +876,220 @@ TEST(ShardRouterTest, NativeUpdateCommitsEpochBarrier) {
   // And the epochs did not move under any rejected batch.
   const std::vector<uint64_t> still = cluster.router->shard_epochs();
   for (const uint64_t e : still) EXPECT_EQ(e, 1u);
+}
+
+// ------------------------------------------------------ set-at-a-time
+
+/// Forwards every oracle call to `inner`, counting the set-API calls.
+class CountingOracle final : public ReachabilityOracle {
+ public:
+  explicit CountingOracle(const ReachabilityOracle& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_.name(); }
+  bool Reaches(NodeId from, NodeId to) const override {
+    ++point_calls;
+    return inner_.Reaches(from, to);
+  }
+  std::unique_ptr<SetSummary> SummarizeTargets(
+      std::span<const NodeId> members) const override {
+    ++set_calls;
+    return inner_.SummarizeTargets(members);
+  }
+  std::unique_ptr<SetSummary> SummarizeSources(
+      std::span<const NodeId> members) const override {
+    ++set_calls;
+    return inner_.SummarizeSources(members);
+  }
+  bool ReachesSet(NodeId from, const SetSummary& targets) const override {
+    ++set_calls;
+    return inner_.ReachesSet(from, targets);
+  }
+  bool SetReaches(const SetSummary& sources, NodeId to) const override {
+    ++set_calls;
+    return inner_.SetReaches(sources, to);
+  }
+  void ReachesSetsBatch(std::span<const NodeId> sources,
+                        std::span<const SetSummary* const> target_sets,
+                        std::vector<std::vector<char>>* out) const override {
+    ++set_calls;
+    inner_.ReachesSetsBatch(sources, target_sets, out);
+  }
+  void SetReachesBatch(const SetSummary& sources,
+                       std::span<const NodeId> targets,
+                       std::vector<char>* out) const override {
+    ++set_calls;
+    inner_.SetReachesBatch(sources, targets, out);
+  }
+  std::unique_ptr<SetSummary> PrepareSuccessorTargets(
+      std::span<const NodeId> targets) const override {
+    ++set_calls;
+    return inner_.PrepareSuccessorTargets(targets);
+  }
+  void SuccessorsAmong(NodeId from, const SetSummary& targets,
+                       std::vector<uint32_t>* out) const override {
+    ++set_calls;
+    inner_.SuccessorsAmong(from, targets, out);
+  }
+
+  // Serial evaluation only: plain counters.
+  mutable uint64_t set_calls = 0;
+  mutable uint64_t point_calls = 0;
+
+ private:
+  const ReachabilityOracle& inner_;
+};
+
+/// A non-owning handle, so engines can share the cluster's router.
+std::shared_ptr<const ReachabilityOracle> Borrow(
+    const ReachabilityOracle& oracle) {
+  return std::shared_ptr<const ReachabilityOracle>(
+      &oracle, [](const ReachabilityOracle*) {});
+}
+
+/// Random conjunctive GTPQs over `g`, as the cluster benchmark draws them.
+std::vector<Gtpq> RandomQueries(const DataGraph& g, size_t count,
+                                uint64_t seed) {
+  std::vector<Gtpq> queries;
+  for (uint64_t i = 0; queries.size() < count && i < 64 * count; ++i) {
+    QueryGenOptions options;
+    options.num_nodes = 4 + i % 3;
+    options.pc_probability = 0.2;
+    options.output_fraction = 0.6;
+    options.seed = seed + i;
+    auto q = GenerateRandomQuery(g, options);
+    if (q.has_value()) queries.push_back(std::move(*q));
+  }
+  return queries;
+}
+
+uint64_t ProbesServed(const TestCluster& cluster) {
+  uint64_t total = 0;
+  for (const auto& server : cluster.servers) {
+    total += server->counters().probes_served;
+  }
+  return total;
+}
+
+TEST(ShardRouterTest, GteaOverRouterMatchesUnpartitionedEngine) {
+  TestCluster cluster;
+  BringUp("digraph:240,17,3", "gtea", &cluster, /*health_interval_ms=*/0);
+  if (cluster.router == nullptr) return;  // skipped platform
+
+  const std::vector<Gtpq> queries = RandomQueries(cluster.g, 32, 9001);
+  ASSERT_EQ(queries.size(), 32u);
+  GteaEngine reference(cluster.g);
+  GteaEngine routed(cluster.g, Borrow(*cluster.router));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    GteaOptions options;
+    options.result_limit = 64;
+    const QueryResult expected = reference.Evaluate(queries[i], options);
+    for (const size_t parallelism : {size_t{1}, size_t{4}}) {
+      // Parallel lanes share one router summary across threads.
+      options.parallelism = parallelism;
+      EXPECT_EQ(routed.Evaluate(queries[i], options), expected)
+          << "query " << i << " at parallelism " << parallelism;
+    }
+  }
+}
+
+TEST(ShardRouterTest, OneFramePerShardPerSetCallAndSpansFitTheRing) {
+  TestCluster cluster;
+  BringUp("digraph:300,23,3", "frames", &cluster, /*health_interval_ms=*/0);
+  if (cluster.router == nullptr) return;  // skipped platform
+
+  const std::vector<Gtpq> queries = RandomQueries(cluster.g, 1, 4242);
+  ASSERT_EQ(queries.size(), 1u);
+  CountingOracle counting(*cluster.router);
+  GteaEngine engine(cluster.g, Borrow(counting));
+  GteaOptions options;
+  options.result_limit = 64;
+
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  const uint64_t trace = obs::NewTraceId();
+  const uint64_t probes_before = ProbesServed(cluster);
+  const uint64_t spans_before = recorder.total_recorded();
+  QueryResult traced;
+  {
+    obs::ScopedTraceContext scoped({trace, recorder.NewSpanId()});
+    traced = engine.Evaluate(queries[0], options);
+  }
+  const uint64_t frames = ProbesServed(cluster) - probes_before;
+  const uint64_t spans = recorder.total_recorded() - spans_before;
+
+  GteaEngine reference(cluster.g);
+  EXPECT_EQ(traced, reference.Evaluate(queries[0], options));
+  EXPECT_EQ(counting.point_calls, 0u);
+  ASSERT_GT(counting.set_calls, 0u);
+  EXPECT_GT(frames, 0u);
+  EXPECT_LE(frames, counting.set_calls * cluster.art.map.num_shards())
+      << counting.set_calls << " set calls";
+  // Router and shard spans share this process's ring here: every span
+  // the query recorded is still in it.
+  EXPECT_LE(spans, obs::TraceRecorder::kCapacity);
+  EXPECT_EQ(recorder.SpansForTrace(trace).size(), spans);
+}
+
+TEST(ShardRouterTest, StoppedShardCountsProbeFailures) {
+  TestCluster cluster;
+  BringUp("digraph:150,31,3", "failures", &cluster,
+          /*health_interval_ms=*/0);
+  if (cluster.router == nullptr) return;  // skipped platform
+
+  obs::Counter* failures = obs::Registry::Global().GetCounter(
+      "gtpq_shard_probe_failures_total{shard=\"1\"}");
+  const uint64_t before = failures->Value();
+  cluster.servers[1]->Stop();
+  // Demote the shard first, so each reconnect costs one refused connect.
+  cluster.router->ProbeHealthOnce();
+  cluster.router->ProbeHealthOnce();
+  ASSERT_FALSE(cluster.router->shard_health()[1]);
+
+  const std::vector<Gtpq> queries = RandomQueries(cluster.g, 1, 77);
+  ASSERT_EQ(queries.size(), 1u);
+  GteaEngine routed(cluster.g, Borrow(*cluster.router));
+  routed.Evaluate(queries[0]);
+  // A summary over every vertex needs shard 1's answers.
+  std::vector<NodeId> all(cluster.g.NumNodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  cluster.router->SummarizeTargets(all);
+  EXPECT_GT(failures->Value(), before);
+}
+
+TEST(ShardRouterTest, ShardServerAnswersMatrixAndRejectsOutOfRangePivot) {
+  TestCluster cluster;
+  BringUp("digraph:90,5,3", "probe_server", &cluster,
+          /*health_interval_ms=*/0);
+  if (cluster.router == nullptr) return;  // skipped platform
+
+  const DataGraph& local = cluster.shard_graphs[0];
+  const NodeId n = static_cast<NodeId>(local.NumNodes());
+  const TransitiveClosure closure = TransitiveClosure::Build(local.graph());
+  net::NetClient client;
+  ASSERT_TRUE(net::ConnectWithRetry(&client, "127.0.0.1",
+                                    cluster.servers[0]->port())
+                  .ok());
+  for (const bool reverse : {false, true}) {
+    net::ProbeRequest request;
+    request.reverse = reverse;
+    request.pivots = {0, static_cast<NodeId>(n / 2), n - 1};
+    for (NodeId v = n; v-- > 0;) request.ids.push_back(v);  // unsorted
+    auto result = client.Probe(request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (size_t r = 0; r < request.pivots.size(); ++r) {
+      for (size_t c = 0; c < request.ids.size(); ++c) {
+        const NodeId p = request.pivots[r];
+        const NodeId id = request.ids[c];
+        EXPECT_EQ(result->Get(r, c),
+                  reverse ? closure.Reaches(id, p) : closure.Reaches(p, id))
+            << reverse << " " << p << " " << id;
+      }
+    }
+  }
+  auto rejected = client.Probe({false, {0, n}, {0}});
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("pivot"), std::string::npos);
+  // The connection survives a rejected probe.
+  EXPECT_TRUE(client.Probe({false, {0}, {1}}).ok());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Socket-level tests for the gtpq-wire v1 front-end: codec round trips
+// Socket-level tests for the gtpq-wire v2 front-end: codec round trips
 // for every frame type, malformed/truncated/oversized frame rejection,
 // admission control, pipelined multi-client differentials against the
 // in-process QueryServer, and wire APPLY_UPDATES snapshot consistency
@@ -222,15 +222,18 @@ TEST(WireCodecTest, TraceFieldsStayWireCompatible) {
     EXPECT_EQ(out.trace_id, 0u);
   }
   {
+    // PROBE hand-built in the v2 layout (direction, pivot list, id
+    // list) with no trace pair.
     storage::Writer w;
     w.WriteU8(1);
-    w.WriteU64(3);
+    w.WritePodVec(std::vector<NodeId>{3, 4});
     w.WritePodVec(std::vector<NodeId>{1, 2, 7});
     net::ProbeRequest out;
     out.trace_id = 5;
     ASSERT_TRUE(net::DecodeProbeRequest(w.buffer(), &out).ok());
     EXPECT_TRUE(out.reverse);
-    EXPECT_EQ(out.ids.size(), 3u);
+    EXPECT_EQ(out.pivots, (std::vector<NodeId>{3, 4}));
+    EXPECT_EQ(out.ids, (std::vector<NodeId>{1, 2, 7}));
     EXPECT_EQ(out.trace_id, 0u);
     EXPECT_EQ(out.parent_span, 0u);
   }
@@ -267,12 +270,12 @@ TEST(WireCodecTest, TraceFieldsStayWireCompatible) {
   EXPECT_EQ(traced_batch2.parent_span, 12u);
 
   net::ProbeRequest traced_probe;
-  traced_probe.pivot = 5;
+  traced_probe.pivots = {5};
   traced_probe.ids = {8, 9};
   traced_probe.trace_id = 21;
   traced_probe.parent_span = 22;
   EXPECT_EQ(net::EncodeProbeRequest(traced_probe).size(),
-            net::EncodeProbeRequest({false, 5, {8, 9}}).size() + 16);
+            net::EncodeProbeRequest({false, {5}, {8, 9}}).size() + 16);
   net::ProbeRequest traced_probe2;
   ASSERT_TRUE(net::DecodeProbeRequest(
                   net::EncodeProbeRequest(traced_probe), &traced_probe2)

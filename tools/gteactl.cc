@@ -50,7 +50,7 @@
 // stamped with the updated graph's fingerprint (plus, optionally, the
 // updated graph itself via --graph-out).
 //
-// `serve` exposes the engine over gtpq-wire v1 (net/server.h): an
+// `serve` exposes the engine over gtpq-wire v2 (net/server.h): an
 // epoll front-end coalescing pipelined queries into snapshot-pinned
 // batches, with APPLY_UPDATES folding into the live epoch chain. The
 // `--connect=` subcommands (`query`, `apply`, `stats`, `metrics`,
@@ -656,7 +656,7 @@ int ServeLoop(const DataGraph& g, const net::NetServerOptions& options,
     std::fprintf(stderr, "%s: %s\n", command, started.ToString().c_str());
     return 1;
   }
-  std::printf("gtpq-wire v1 serving on %s:%u — engine %s, %zu worker "
+  std::printf("gtpq-wire v2 serving on %s:%u — engine %s, %zu worker "
               "thread(s)\n",
               options.bind_address.c_str(), server.port(),
               server.runtime().engine_name().c_str(),
