@@ -15,6 +15,7 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
       endpoints_(options.endpoints.empty() ? map_.endpoints
                                            : std::move(options.endpoints)),
       limits_(options.limits),
+      probe_connect_attempts_(options.probe_connect_attempts),
       health_interval_ms_(options.health_interval_ms),
       health_failure_threshold_(options.health_failure_threshold),
       name_("cluster:" + map_.inner_spec) {
@@ -27,7 +28,8 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
   layout.cross_edges = map_.cross_edges;
   layout.contributions = map_.shard_overlay;
   layout.closure = map_.overlay_closure;
-  InitBoundaries(std::move(layout));
+  // Connect() validated the map, cross edges included.
+  GTPQ_CHECK_OK(InitBoundaries(std::move(layout)));
   shard_epochs_.assign(map_.num_shards(), 0);
 
   obs::Registry& reg = obs::Registry::Global();
@@ -91,14 +93,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Connect(
 }
 
 net::NetClient* ShardRouter::Client(size_t shard) const {
-  bool healthy = true;
-  {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    healthy = healthy_[shard];
-  }
-  // A shard the prober holds unhealthy costs one refused connect per
-  // call, not the whole restart budget.
-  return Client(shard, /*attempts=*/healthy ? 50 : 1);
+  return Client(shard, probe_connect_attempts_);
 }
 
 net::NetClient* ShardRouter::Client(size_t shard, int attempts) const {
@@ -166,16 +161,27 @@ Status ShardRouter::ProbeShards(std::span<ShardProbe> probes) const {
   };
   std::vector<Pending> pending(probes.size());
   Status first = Status::OK();
+  // A failure drops the shard's connection, which every other frame to
+  // that shard in this call was pipelined on: those are abandoned too,
+  // and the failure is reported once.
+  std::vector<char> failed(num_shards(), 0);
   const auto fail = [&](size_t i, const Status& status) {
-    OnProbeFailure(probes[i].shard, status);
-    pending[i].client = nullptr;
+    const size_t shard = probes[i].shard;
+    if (!failed[shard]) {
+      failed[shard] = 1;
+      OnProbeFailure(shard, status);
+    }
+    for (size_t j = 0; j < probes.size(); ++j) {
+      if (probes[j].shard == shard) pending[j].client = nullptr;
+    }
     if (first.ok()) first = status;
   };
 
   // Scatter every frame before gathering any: the shards answer
-  // concurrently, one frame each.
+  // concurrently, and frames to one shard pipeline on its connection.
   for (size_t i = 0; i < probes.size(); ++i) {
     const ShardProbe& probe = probes[i];
+    if (failed[probe.shard]) continue;
     net::NetClient* client = Client(probe.shard);
     if (client == nullptr) {
       fail(i, Status::Internal("no connection to shard " +
@@ -230,6 +236,10 @@ Status ShardRouter::ProbeShards(std::span<ShardProbe> probes) const {
     st.elements_looked_up += probe.pivots.size() * probe.ids.size();
   }
   return first;
+}
+
+ProbeLimits ShardRouter::probe_limits() const {
+  return {net::MaxProbeCells(limits_), net::MaxProbeNodes(limits_)};
 }
 
 void ShardRouter::OnProbeFailure(size_t shard, const Status& status) const {

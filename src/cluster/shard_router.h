@@ -25,7 +25,12 @@ struct ShardRouterOptions {
   /// Per-shard "host:port" endpoints; empty uses the ones baked into the
   /// map, otherwise must be sized num_shards.
   std::vector<std::string> endpoints;
+  /// Frame limit of the router's shard connections. A probe whose
+  /// answer or id list would not fit one frame goes out as several.
   net::WireLimits limits;
+  /// ECONNREFUSED attempts a probe's fresh connect makes (bounded
+  /// backoff); the default rides out a shard restart.
+  int probe_connect_attempts = 50;
   /// Health prober cadence (HEALTH round trip to every shard); <= 0
   /// disables the prober thread entirely.
   int health_interval_ms = 500;
@@ -42,19 +47,20 @@ struct ShardRouterOptions {
 /// vertex ids, cross edges, per-shard overlay contributions, and the
 /// overlay transitive closure) in its BoundaryClosure core; per-shard
 /// labelings live in the shard processes. This class is the core's
-/// wire prober: each call's probes (at most one per shard) go out as
-/// gtpq-wire PROBE frames on this thread's connections, all sent before
-/// any answer is read, so the shards work concurrently. Every set call
-/// thus costs at most one PROBE frame per shard holding members or
-/// probed nodes; see BoundaryClosure for the fold.
+/// wire prober: each call's probes go out as gtpq-wire PROBE frames on
+/// this thread's connections, all sent before any answer is read, so
+/// the shards work concurrently. Every set call thus costs one PROBE
+/// frame per shard holding members or probed nodes, or one per tile
+/// when an answer would exceed the frame limit (probe_limits() derives
+/// the tile size from options.limits); see BoundaryClosure for the
+/// fold.
 ///
 /// Wire failures cannot be reported through the bool probe interface.
 /// A failed frame, or one answered at an epoch other than the one the
 /// summary in use recorded, logs a warning, drops the connection (the
 /// next call reconnects), bumps gtpq_shard_probe_failures_total, and
 /// the call answers false. Reconnects ride out a restart with a long
-/// backoff budget, cut to one attempt while the health prober holds the
-/// shard unhealthy.
+/// backoff budget (options.probe_connect_attempts).
 ///
 /// Updates: SupportsNativeUpdates() is true, so the serving layer's
 /// SharedEngineFactory routes APPLY_UPDATES here instead of wrapping
@@ -115,6 +121,8 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
 
  protected:
   Status ProbeShards(std::span<ShardProbe> probes) const override;
+  ProbeLimits probe_limits() const override;
+  bool probes_cost_round_trips() const override { return true; }
   void OnProbeFailure(size_t shard, const Status& status) const override;
 
  private:
@@ -123,10 +131,9 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   /// The calling thread's connection to `shard`, connecting (and
   /// HELLO-validating) on first use; nullptr after a warning when the
   /// shard is unreachable or serves the wrong graph. `attempts` bounds
-  /// the ECONNREFUSED backoff of a fresh connect (probes use the long
-  /// default budget to ride out restarts unless the shard is held
-  /// unhealthy; the health prober and federation scrapes pass 1–2 so a
-  /// dead shard cannot stall them).
+  /// the ECONNREFUSED backoff of a fresh connect (probes use
+  /// probe_connect_attempts to ride out restarts; the health prober and
+  /// federation scrapes pass 1–2 so a dead shard cannot stall them).
   net::NetClient* Client(size_t shard) const;
   net::NetClient* Client(size_t shard, int attempts) const;
   /// Drops the calling thread's connection to `shard` after a wire
@@ -138,6 +145,7 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   PartitionMap map_;
   std::vector<std::string> endpoints_;
   net::WireLimits limits_;
+  int probe_connect_attempts_;
   int health_interval_ms_;
   int health_failure_threshold_;
   std::string name_;

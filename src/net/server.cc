@@ -478,8 +478,8 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       result.cols = static_cast<uint32_t>(request.ids.size());
       const double probe_start_us = obs::NowMicros();
       const Status probed = runtime->ProbeReachability(
-          request.reverse, request.pivots, request.ids, &result.epoch,
-          &result.bits);
+          request.reverse, request.pivots, request.ids,
+          MaxProbeCells(options.limits), &result.epoch, &result.bits);
       if (!probed.ok()) {
         SendError(conn, frame.request_id, probed);
         return;

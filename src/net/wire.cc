@@ -491,7 +491,26 @@ namespace {
 size_t ProbeMatrixBytes(uint32_t rows, uint32_t cols) {
   return (static_cast<size_t>(rows) * cols + 7) / 8;
 }
+
+// Fixed PROBE_RESULT bytes (epoch, rows, cols, bitmask count) and fixed
+// PROBE bytes (direction, two list counts, trace pair).
+constexpr size_t kProbeResultFixed = 8 + 4 + 4 + 8;
+constexpr size_t kProbeRequestFixed = 1 + 8 + 8 + 16;
 }  // namespace
+
+uint64_t MaxProbeCells(const WireLimits& limits) {
+  const size_t fixed = kFrameOverhead + kProbeResultFixed;
+  return limits.max_frame_bytes > fixed
+             ? uint64_t{8} * (limits.max_frame_bytes - fixed)
+             : 0;
+}
+
+size_t MaxProbeNodes(const WireLimits& limits) {
+  const size_t fixed = kFrameOverhead + kProbeRequestFixed;
+  return limits.max_frame_bytes > fixed
+             ? (limits.max_frame_bytes - fixed) / sizeof(NodeId)
+             : 0;
+}
 
 std::string EncodeProbeResult(const ProbeResult& result) {
   GTPQ_CHECK(result.bits.size() == ProbeMatrixBytes(result.rows, result.cols))

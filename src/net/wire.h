@@ -51,8 +51,10 @@ namespace net {
 ///                  POD vector, then the ids as a NodeId POD vector —
 ///                  the set-at-a-time reachability primitive the cluster
 ///                  router sends to each shard server once per set call
-///                  (src/cluster/shard_router.h) — then the same
-///                  optional u64 trace id + u64 parent span
+///                  (src/cluster/shard_router.h), or once per tile when
+///                  the answer would not fit one frame (MaxProbeCells)
+///                  — then the same optional u64 trace id + u64 parent
+///                  span
 ///   OBSERVE        u8 kind (0 = Prometheus metrics, 1 = Chrome trace
 ///                  JSON, 2 = slow-query log, 3 = binary metrics
 ///                  snapshot, 4 = health report, 5 = binary span dump),
@@ -252,6 +254,13 @@ struct ProbeResult {
 };
 std::string EncodeProbeResult(const ProbeResult& result);
 Status DecodeProbeResult(std::string_view payload, ProbeResult* out);
+
+/// What one PROBE round trip can carry under `limits`: the largest
+/// rows x cols a PROBE_RESULT holds, and the largest pivots + ids a
+/// traced PROBE holds. Larger questions must be split across frames;
+/// a server rejects a PROBE whose answer would not fit.
+uint64_t MaxProbeCells(const WireLimits& limits);
+size_t MaxProbeNodes(const WireLimits& limits);
 
 /// What an OBSERVE frame asks the server to export. The rendered kinds
 /// (kMetrics/kTrace) federate across the cluster when the serving

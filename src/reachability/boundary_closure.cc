@@ -13,7 +13,7 @@ namespace {
 constexpr uint32_t kNotBoundary = static_cast<uint32_t>(-1);
 constexpr uint64_t kNoEpoch = static_cast<uint64_t>(-1);
 
-bool TestBit(const std::vector<uint64_t>& bits, uint32_t i) {
+bool TestBit(std::span<const uint64_t> bits, uint32_t i) {
   return (bits[i >> 6] >> (i & 63)) & 1;
 }
 
@@ -21,11 +21,23 @@ void SetBit(std::vector<uint64_t>* bits, uint32_t i) {
   (*bits)[i >> 6] |= uint64_t{1} << (i & 63);
 }
 
-/// ORs row `row` of a words-wide bit matrix into `acc`.
-void OrRow(const std::vector<uint64_t>& matrix, uint32_t row, size_t words,
-           std::vector<uint64_t>* acc) {
-  const uint64_t* src = matrix.data() + row * words;
-  for (size_t w = 0; w < words; ++w) (*acc)[w] |= src[w];
+void OrInto(std::span<const uint64_t> row, std::vector<uint64_t>* acc) {
+  for (size_t w = 0; w < row.size(); ++w) (*acc)[w] |= row[w];
+}
+
+/// Calls f(i) for every set bit i of `bits`.
+template <typename Word, typename F>
+void ForEachBit(std::span<const Word> bits, F&& f) {
+  constexpr size_t kBits = sizeof(Word) * 8;
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      f(static_cast<uint32_t>(w * kBits + __builtin_ctzll(word)));
+    }
+  }
+}
+template <typename Word, typename F>
+void ForEachBit(const std::vector<Word>& bits, F&& f) {
+  ForEachBit(std::span<const Word>(bits), std::forward<F>(f));
 }
 
 }  // namespace
@@ -41,20 +53,27 @@ void AnswerShardProbe(const ReachabilityOracle& oracle, bool reverse,
   // map hits back through the permutation.
   const std::span<const NodeId> reached = reverse ? pivots : ids;
   const std::span<const NodeId> sources = reverse ? ids : pivots;
-  std::vector<uint32_t> order(reached.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return reached[a] < reached[b];
-  });
-  std::vector<NodeId> sorted(reached.size());
-  for (size_t i = 0; i < order.size(); ++i) sorted[i] = reached[order[i]];
-  const auto prepared = oracle.PrepareSuccessorTargets(sorted);
+  std::vector<uint32_t> order;
+  std::vector<NodeId> sorted;
+  const bool in_order = std::is_sorted(reached.begin(), reached.end());
+  if (!in_order) {
+    order.resize(reached.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       return reached[a] < reached[b];
+                     });
+    sorted.resize(reached.size());
+    for (size_t i = 0; i < order.size(); ++i) sorted[i] = reached[order[i]];
+  }
+  const auto prepared =
+      oracle.PrepareSuccessorTargets(in_order ? reached : sorted);
   std::vector<uint32_t> hits;
   for (size_t s = 0; s < sources.size(); ++s) {
     hits.clear();
     oracle.SuccessorsAmong(sources[s], *prepared, &hits);
     for (const uint32_t h : hits) {
-      const size_t t = order[h];
+      const size_t t = in_order ? h : order[h];
       const size_t bit = reverse ? t * cols + s : s * cols + t;
       (*bits)[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
     }
@@ -63,11 +82,44 @@ void AnswerShardProbe(const ReachabilityOracle& oracle, bool reverse,
 
 // ----------------------------------------------------------- internals
 
+/// The overlay closure C over boundary indices, worked on through its
+/// condensation: bitsets over C's components, `words` wide.
 struct BoundaryClosure::Overlay {
   std::shared_ptr<const TransitiveClosure> closure;
-  // Boundary-indexed closure rows, `words_` wide: row b holds every b'
-  // with C(b, b').
-  std::vector<uint64_t> rows;
+  size_t words = 0;
+  // Transposed closure rows, built on the first target summary (point
+  // probes never need them): row c holds every component that reaches
+  // c by a path of length >= 1 (c itself iff it is cyclic).
+  mutable std::once_flag backward_once;
+  mutable std::vector<uint64_t> backward;
+
+  uint32_t Component(uint32_t b) const { return closure->ComponentOf(b); }
+  /// ORs every component reached from (forward) or reaching (backward)
+  /// component c into `acc`.
+  void OrForward(uint32_t c, std::vector<uint64_t>* acc) const {
+    OrInto(closure->ComponentRow(c), acc);
+    if (closure->ComponentCyclic(c)) SetBit(acc, c);
+  }
+  void OrBackward(uint32_t c, std::vector<uint64_t>* acc) const {
+    std::call_once(backward_once, [this] { Transpose(); });
+    OrInto({backward.data() + c * words, words}, acc);
+  }
+  void Transpose() const {
+    const size_t comps = closure->NumComponents();
+    backward.assign(comps * words, 0);
+    for (uint32_t c = 0; c < comps; ++c) {
+      const uint64_t bit = uint64_t{1} << (c & 63);
+      ForEachBit(closure->ComponentRow(c), [&](uint32_t d) {
+        backward[d * words + (c >> 6)] |= bit;
+      });
+      if (closure->ComponentCyclic(c)) backward[c * words + (c >> 6)] |= bit;
+    }
+  }
+  /// The fold: does boundary `entry` lie in `reach`, the components
+  /// ORed forward from a node's exits?
+  bool Reached(std::span<const uint64_t> reach, uint32_t entry) const {
+    return TestBit(reach, Component(entry));
+  }
 };
 
 /// Target or source summary. Members stay in caller order (successor
@@ -79,7 +131,7 @@ class BoundaryClosure::BoundarySet : public ReachabilityOracle::SetSummary {
   std::vector<uint32_t> order;
   std::vector<uint32_t> shard_begin;  // num_shards + 1 offsets into order
   /// Entries closed backward (targets) or exits closed forward
-  /// (sources), as a boundary bitset.
+  /// (sources), as a bitset over the overlay's components.
   std::vector<uint64_t> closed;
   /// Successor targets only: per member, its entries (CSR).
   std::vector<uint32_t> entry_begin;
@@ -87,6 +139,10 @@ class BoundaryClosure::BoundarySet : public ReachabilityOracle::SetSummary {
   /// Per shard, the epoch its probe was answered at (kNoEpoch: none).
   std::vector<uint64_t> epochs;
   std::shared_ptr<const Overlay> overlay;
+
+  bool Closed(uint32_t b) const {
+    return TestBit(closed, overlay->Component(b));
+  }
 };
 
 /// How one planned probe's answers map back: row r answers caller pivot
@@ -99,7 +155,7 @@ struct BoundaryClosure::Columns {
 
 // ------------------------------------------------------------- layout
 
-void BoundaryClosure::InitBoundaries(BoundaryLayout layout) {
+Status BoundaryClosure::InitBoundaries(BoundaryLayout layout) {
   GTPQ_CHECK(layout.shard_starts.size() >= 2);
   shard_starts_ = std::move(layout.shard_starts);
   boundary_ = std::move(layout.boundary);
@@ -116,17 +172,20 @@ void BoundaryClosure::InitBoundaries(BoundaryLayout layout) {
   cross_b_.reserve(cross_edges_.size());
   for (const auto& [x, y] : cross_edges_) {
     cross_b_.emplace_back(BoundaryIndex(x), BoundaryIndex(y));
-    GTPQ_CHECK(cross_b_.back().first != kNotBoundary &&
-               cross_b_.back().second != kNotBoundary)
-        << "cross edge endpoints must be boundary vertices";
+    if (cross_b_.back().first == kNotBoundary ||
+        cross_b_.back().second == kNotBoundary) {
+      return Status::ParseError("cross edge " + std::to_string(x) + " -> " +
+                                std::to_string(y) +
+                                " joins non-boundary vertices");
+    }
   }
-  words_ = (boundary_.size() + 63) / 64;
 
   std::lock_guard<std::mutex> lock(mu_);
   contributions_ = std::move(layout.contributions);
   contributions_.resize(shards);
   overlay_.reset();
   if (layout.closure != nullptr) RebuildOverlayLocked(layout.closure);
+  return Status::OK();
 }
 
 void BoundaryClosure::RebuildOverlayLocked(
@@ -144,7 +203,7 @@ void BoundaryClosure::RebuildOverlayLocked(
     next->closure = std::make_shared<const TransitiveClosure>(
         TransitiveClosure::Build(graph));
   }
-  next->rows = next->closure->NodeRows();
+  next->words = (next->closure->NumComponents() + 63) / 64;
   overlay_ = std::move(next);
 }
 
@@ -180,6 +239,14 @@ uint32_t BoundaryClosure::BoundaryIndex(NodeId v) const {
              : kNotBoundary;
 }
 
+void BoundaryClosure::ShardBoundaryIds(size_t shard,
+                                       std::vector<NodeId>* ids) const {
+  ids->assign(boundary_.begin() + shard_bstart_[shard],
+              boundary_.begin() + shard_bstart_[shard + 1]);
+  const NodeId start = static_cast<NodeId>(shard_starts_[shard]);
+  for (NodeId& id : *ids) id -= start;
+}
+
 Status BoundaryClosure::RefreshContributions(
     std::span<const size_t> shards) const {
   std::vector<ShardProbe> probes;
@@ -187,13 +254,11 @@ Status BoundaryClosure::RefreshContributions(
     if (shard_bstart_[s] == shard_bstart_[s + 1]) continue;
     ShardProbe probe;
     probe.shard = s;
-    for (uint32_t b = shard_bstart_[s]; b < shard_bstart_[s + 1]; ++b) {
-      probe.ids.push_back(LocalId(boundary_[b], s));
-    }
+    ShardBoundaryIds(s, &probe.ids);
     probe.pivots = probe.ids;
     probes.push_back(std::move(probe));
   }
-  if (!probes.empty()) GTPQ_RETURN_NOT_OK(ProbeShards(probes));
+  if (!probes.empty()) GTPQ_RETURN_NOT_OK(Probe(probes));
 
   std::lock_guard<std::mutex> lock(mu_);
   for (const size_t s : shards) contributions_[s].clear();
@@ -243,7 +308,7 @@ std::unique_ptr<ReachabilityOracle::SetSummary> BoundaryClosure::Summarize(
   const size_t shards = NumShards();
   set->overlay = overlay();
   set->members.assign(members.begin(), members.end());
-  set->closed.assign(words_, 0);
+  set->closed.assign(set->overlay->words, 0);
   set->epochs.assign(shards, kNoEpoch);
   // Out-of-range members belong to no shard and reach nothing.
   set->order.reserve(members.size());
@@ -280,9 +345,7 @@ std::unique_ptr<ReachabilityOracle::SetSummary> BoundaryClosure::Summarize(
     for (uint32_t i = set->shard_begin[s]; i < set->shard_begin[s + 1]; ++i) {
       probe.pivots.push_back(LocalId(members[set->order[i]], s));
     }
-    for (uint32_t b = shard_bstart_[s]; b < shard_bstart_[s + 1]; ++b) {
-      probe.ids.push_back(LocalId(boundary_[b], s));
-    }
+    ShardBoundaryIds(s, &probe.ids);
     probes.push_back(std::move(probe));
   }
   // A failed build leaves an empty summary: every probe answers false.
@@ -290,6 +353,7 @@ std::unique_ptr<ReachabilityOracle::SetSummary> BoundaryClosure::Summarize(
 
   // (member, boundary) pairs: the probed ones, plus every boundary
   // member as its own zero-length entry or exit.
+  const Overlay& overlay = *set->overlay;
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   for (const ShardProbe& probe : probes) {
     set->epochs[probe.shard] = probe.epoch;
@@ -306,24 +370,17 @@ std::unique_ptr<ReachabilityOracle::SetSummary> BoundaryClosure::Summarize(
     if (b != kNotBoundary) pairs.emplace_back(i, b);
   }
 
-  // Close the seeds: targets keep every boundary whose closure row
-  // meets an entry, sources every boundary in an exit's closure row.
-  std::vector<uint64_t> seeds(words_, 0);
-  for (const auto& [i, b] : pairs) SetBit(&seeds, b);
-  const std::vector<uint64_t>& rows = set->overlay->rows;
-  for (uint32_t b = 0; b < boundary_.size(); ++b) {
-    if (!targets) {
-      if (TestBit(seeds, b)) OrRow(rows, b, words_, &set->closed);
-      continue;
+  // Close the seeds, one row per seed component: targets keep every
+  // component that reaches an entry, sources every one an exit reaches.
+  std::vector<uint64_t> seeds(overlay.words, 0);
+  for (const auto& [i, b] : pairs) SetBit(&seeds, overlay.Component(b));
+  ForEachBit(seeds, [&](uint32_t c) {
+    if (targets) {
+      overlay.OrBackward(c, &set->closed);
+    } else {
+      overlay.OrForward(c, &set->closed);
     }
-    const uint64_t* row = rows.data() + b * words_;
-    for (size_t w = 0; w < words_; ++w) {
-      if (row[w] & seeds[w]) {
-        SetBit(&set->closed, b);
-        break;
-      }
-    }
-  }
+  });
   if (targets) {
     std::sort(pairs.begin(), pairs.end());
     pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
@@ -339,11 +396,90 @@ std::unique_ptr<ReachabilityOracle::SetSummary> BoundaryClosure::Summarize(
 
 // -------------------------------------------------------------- probes
 
+Status BoundaryClosure::Probe(std::span<ShardProbe> probes) const {
+  // Tile each probe so no tile lists more than max_nodes nodes or asks
+  // more than max_cells answers: columns first (at most half the node
+  // budget), then as many rows as both budgets leave.
+  const ProbeLimits limits = probe_limits();
+  struct Tile {
+    size_t probe, row0, col0;
+  };
+  std::vector<ShardProbe> tiles;
+  std::vector<Tile> origin;
+  bool split = false;
+  for (size_t p = 0; p < probes.size(); ++p) {
+    const ShardProbe& probe = probes[p];
+    const size_t rows = probe.pivots.size();
+    const size_t cols = probe.ids.size();
+    const size_t col_step =
+        std::max<size_t>(1, std::min(cols, limits.max_nodes / 2));
+    const size_t row_room =
+        limits.max_nodes > col_step ? limits.max_nodes - col_step : 1;
+    const size_t row_step = std::max<uint64_t>(
+        1, std::min<uint64_t>({rows, limits.max_cells / col_step, row_room}));
+    split |= row_step < rows || col_step < cols;
+    for (size_t r = 0; r < rows || r == 0; r += row_step) {
+      for (size_t c = 0; c < cols || c == 0; c += col_step) {
+        ShardProbe tile;
+        tile.shard = probe.shard;
+        tile.reverse = probe.reverse;
+        const size_t r_end = std::min(rows, r + row_step);
+        const size_t c_end = std::min(cols, c + col_step);
+        tile.pivots.assign(probe.pivots.begin() + r,
+                           probe.pivots.begin() + r_end);
+        tile.ids.assign(probe.ids.begin() + c, probe.ids.begin() + c_end);
+        tiles.push_back(std::move(tile));
+        origin.push_back({p, r, c});
+        if (cols == 0) break;
+      }
+      if (rows == 0) break;
+    }
+  }
+  if (!split) {
+    GTPQ_RETURN_NOT_OK(ProbeShards(probes));
+  } else {
+    GTPQ_RETURN_NOT_OK(ProbeShards(tiles));
+    for (ShardProbe& probe : probes) {
+      probe.bits.assign((probe.pivots.size() * probe.ids.size() + 7) / 8, 0);
+    }
+    for (size_t t = 0; t < tiles.size(); ++t) {
+      const ShardProbe& tile = tiles[t];
+      ShardProbe& probe = probes[origin[t].probe];
+      for (size_t r = 0; r < tile.pivots.size(); ++r) {
+        for (size_t c = 0; c < tile.ids.size(); ++c) {
+          if (!tile.Get(r, c)) continue;
+          const size_t bit = (origin[t].row0 + r) * probe.ids.size() +
+                             origin[t].col0 + c;
+          probe.bits[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+        }
+      }
+    }
+  }
+
+  // Every answer one shard gave this call must come from one epoch.
+  std::vector<uint64_t> epoch(NumShards(), kNoEpoch);
+  const std::span<const ShardProbe> answered =
+      split ? std::span<const ShardProbe>(tiles) : probes;
+  for (size_t t = 0; t < answered.size(); ++t) {
+    const ShardProbe& a = answered[t];
+    if (epoch[a.shard] != kNoEpoch && epoch[a.shard] != a.epoch) {
+      const Status status = Status::FailedPrecondition(
+          "shard answered one call at epochs " +
+          std::to_string(epoch[a.shard]) + " and " + std::to_string(a.epoch));
+      OnProbeFailure(a.shard, status);
+      return status;
+    }
+    epoch[a.shard] = a.epoch;
+    if (split) probes[origin[t].probe].epoch = a.epoch;
+  }
+  return Status::OK();
+}
+
 bool BoundaryClosure::RunProbes(
     std::span<ShardProbe> probes,
     std::span<const BoundarySet* const> sets) const {
   if (probes.empty()) return true;
-  if (!ProbeShards(probes).ok()) return false;
+  if (!Probe(probes).ok()) return false;
   for (const ShardProbe& probe : probes) {
     for (const BoundarySet* set : sets) {
       const uint64_t recorded = set->epochs[probe.shard];
@@ -381,7 +517,7 @@ void BoundaryClosure::PlanProbes(bool reverse,
     probe.reverse = reverse;
     for (uint32_t b = shard_bstart_[s]; b < shard_bstart_[s + 1]; ++b) {
       for (const BoundarySet* set : sets) {
-        if (TestBit(set->closed, b)) {
+        if (set->Closed(b)) {
           probe.ids.push_back(LocalId(boundary_[b], s));
           break;
         }
@@ -408,7 +544,7 @@ void BoundaryClosure::PlanProbes(bool reverse,
     for (size_t k = 0; k < sets.size(); ++k) {
       const BoundarySet& set = *sets[k];
       for (uint32_t b = shard_bstart_[s]; b < shard_bstart_[s + 1]; ++b) {
-        if (TestBit(set.closed, b)) {
+        if (set.Closed(b)) {
           cols.counts[k][col_of(LocalId(boundary_[b], s))] = 1;
         }
       }
@@ -442,7 +578,7 @@ void BoundaryClosure::ProbeSets(bool reverse, std::span<const NodeId> pivots,
     const uint32_t b = BoundaryIndex(pivots[i]);
     if (b == kNotBoundary) continue;
     for (size_t k = 0; k < sets.size(); ++k) {
-      if (TestBit(sets[k]->closed, b)) (*out)[k][i] = 1;
+      if (sets[k]->Closed(b)) (*out)[k][i] = 1;
     }
   }
   for (size_t p = 0; p < probes.size(); ++p) {
@@ -461,8 +597,76 @@ void BoundaryClosure::ProbeSets(bool reverse, std::span<const NodeId> pivots,
 }
 
 bool BoundaryClosure::Reaches(NodeId from, NodeId to) const {
-  const auto targets = Summarize({&to, 1}, /*targets=*/true);
-  return ReachesSet(from, *targets);
+  ++stats().queries;
+  const size_t sf = ShardOf(from);
+  const size_t st = ShardOf(to);
+  if (sf >= NumShards() || st >= NumShards()) return false;
+  const auto overlay_ptr = overlay();
+  const Overlay& overlay = *overlay_ptr;
+
+  // Two probes: `from` against its shard's boundaries (its exits) and,
+  // on a shared shard, `to` itself; `to` against its shard's boundaries
+  // (its entries). When probes cost round trips both go out at once;
+  // otherwise the entries are probed only if the exits leave the
+  // answer open.
+  ShardProbe probes[2];
+  ShardProbe& forward = probes[0];
+  ShardProbe& reverse = probes[1];
+  forward.shard = sf;
+  forward.pivots = {LocalId(from, sf)};
+  ShardBoundaryIds(sf, &forward.ids);
+  // `to` joins the sorted ids at column to_col (inserted unless it is
+  // a boundary); boundary columns past it shift by one.
+  size_t to_col = 0;
+  bool inserted = false;
+  if (sf == st) {
+    const NodeId local = LocalId(to, st);
+    const auto it =
+        std::lower_bound(forward.ids.begin(), forward.ids.end(), local);
+    to_col = static_cast<size_t>(it - forward.ids.begin());
+    inserted = it == forward.ids.end() || *it != local;
+    if (inserted) forward.ids.insert(it, local);
+  }
+  if (forward.ids.empty()) return false;  // `from` cannot leave
+  reverse.shard = st;
+  reverse.reverse = true;
+  reverse.pivots = {LocalId(to, st)};
+  const bool has_entries = shard_bstart_[st] < shard_bstart_[st + 1];
+  const bool together = has_entries && probes_cost_round_trips();
+  if (together) ShardBoundaryIds(st, &reverse.ids);
+  if (!Probe({probes, together ? 2u : 1u}).ok()) return false;
+  if (sf == st && forward.Get(0, to_col)) return true;
+  if (!has_entries) return false;
+
+  // The fold: OR the overlay rows of every exit, then look for an
+  // entry among them.
+  std::vector<uint64_t> reach(overlay.words, 0);
+  bool any_exit = false;
+  const auto add_exit = [&](uint32_t b) {
+    overlay.OrForward(overlay.Component(b), &reach);
+    any_exit = true;
+  };
+  if (const uint32_t b = BoundaryIndex(from); b != kNotBoundary) add_exit(b);
+  ForEachBit(forward.bits, [&](size_t c) {
+    if (inserted && c == to_col) return;
+    add_exit(shard_bstart_[sf] +
+             static_cast<uint32_t>(inserted && c > to_col ? c - 1 : c));
+  });
+  if (!any_exit) return false;
+  if (const uint32_t b = BoundaryIndex(to);
+      b != kNotBoundary && overlay.Reached(reach, b)) {
+    return true;
+  }
+  if (!together) {
+    ShardBoundaryIds(st, &reverse.ids);
+    if (!Probe({&reverse, 1}).ok()) return false;
+  }
+  bool hit = false;
+  ForEachBit(reverse.bits, [&](size_t c) {
+    hit = hit || overlay.Reached(
+                     reach, shard_bstart_[st] + static_cast<uint32_t>(c));
+  });
+  return hit;
 }
 
 bool BoundaryClosure::ReachesSet(NodeId from,
@@ -517,11 +721,11 @@ void BoundaryClosure::SuccessorsAmong(NodeId from,
   // Boundaries reachable through the overlay from an exit of `from`
   // (only exits in the closed set can reach an entry).
   const Overlay& overlay = *set.overlay;
-  std::vector<uint64_t> reach(words_, 0);
+  std::vector<uint64_t> reach(overlay.words, 0);
   bool any_exit = false;
   const auto add_exit = [&](uint32_t b) {
-    if (b == kNotBoundary || !TestBit(set.closed, b)) return;
-    OrRow(overlay.rows, b, words_, &reach);
+    if (b == kNotBoundary || !set.Closed(b)) return;
+    overlay.OrForward(overlay.Component(b), &reach);
     any_exit = true;
   };
   add_exit(BoundaryIndex(from));
@@ -544,7 +748,7 @@ void BoundaryClosure::SuccessorsAmong(NodeId from,
   for (uint32_t m = 0; m < set.members.size(); ++m) {
     if (!hit[m] && any_exit) {
       for (uint32_t e = set.entry_begin[m]; e < set.entry_begin[m + 1]; ++e) {
-        if (TestBit(reach, set.entries[e])) {
+        if (overlay.Reached(reach, set.entries[e])) {
           hit[m] = 1;
           break;
         }

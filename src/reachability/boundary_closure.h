@@ -2,6 +2,7 @@
 #define GTPQ_REACHABILITY_BOUNDARY_CLOSURE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -32,6 +33,14 @@ struct ShardProbe {
     const size_t i = row * ids.size() + col;
     return (bits[i / 8] >> (i % 8)) & 1;
   }
+};
+
+/// The most one probe may ask: at most `max_cells` answers (pivots x
+/// ids) and `max_nodes` listed nodes (pivots + ids). Larger probes are
+/// split into row and column tiles before they reach the prober.
+struct ProbeLimits {
+  uint64_t max_cells = std::numeric_limits<uint64_t>::max();
+  size_t max_nodes = std::numeric_limits<size_t>::max();
 };
 
 /// Answers a pivots x ids probe against `oracle` through its own set
@@ -80,7 +89,15 @@ struct BoundaryLayout {
 /// (and boundaries). A batched probe sends one probe to each shard
 /// holding probed nodes, whose ids are the shard's boundaries in some
 /// summary's closed set plus its same-shard members; a shard with
-/// neither gets no probe at all. Reaches is the one-pivot case.
+/// neither gets no probe at all. Reaches probes u against its shard's
+/// boundaries and v's shard's boundaries against v (together when
+/// probes_cost_round_trips()) and folds exits x entries. A
+/// probe larger than probe_limits() goes out as several tiles, so
+/// "one probe" means one per tile.
+///
+/// Closed sets and the fold work on the condensation of C: a bitset
+/// over its strongly connected components, grown by ORing one closure
+/// row (forward) or one transposed row (backward) per seed component.
 ///
 /// Failures: bool answers have no error channel. A failed probe, or a
 /// probe answered at an epoch other than the one a summary's probes
@@ -129,8 +146,9 @@ class BoundaryClosure : public ReachabilityOracle {
 
   /// Installs the layout. The overlay is layout.closure; when that is
   /// null, the first RefreshContributions (over every shard) builds it,
-  /// and no probe may run before.
-  void InitBoundaries(BoundaryLayout layout);
+  /// and no probe may run before. ParseError (nothing installed) when a
+  /// cross edge joins non-boundary vertices.
+  Status InitBoundaries(BoundaryLayout layout);
 
   /// Re-probes the boundary-to-boundary reachability of `shards` (one
   /// probe each, pivots = ids = the shard's boundaries), then rebuilds
@@ -141,10 +159,18 @@ class BoundaryClosure : public ReachabilityOracle {
     return v - static_cast<NodeId>(shard_starts_[shard]);
   }
 
-  /// The prober seam: answer every probe (at most one per shard),
-  /// filling its epoch and bits. A failed shard is reported through
-  /// OnProbeFailure by the implementation before it returns the error.
+  /// The prober seam: answer every probe, filling its epoch and bits.
+  /// Several probes may go to one shard; none exceeds probe_limits().
+  /// A failed shard is reported through OnProbeFailure (once per shard
+  /// and call) by the implementation before it returns the error.
   virtual Status ProbeShards(std::span<ShardProbe> probes) const = 0;
+  /// What one probe may carry; unlimited unless a subclass has a frame
+  /// budget.
+  virtual ProbeLimits probe_limits() const { return {}; }
+  /// True when each ProbeShards call costs a round trip, so Reaches
+  /// sends its exit and entry probes together; false (local answers)
+  /// lets it skip the entry probe when the exits decide.
+  virtual bool probes_cost_round_trips() const { return false; }
   /// Called once per failed probe or epoch mismatch. Logs a warning;
   /// the router also drops the connection and counts the failure.
   virtual void OnProbeFailure(size_t shard, const Status& status) const;
@@ -156,6 +182,10 @@ class BoundaryClosure : public ReachabilityOracle {
 
   std::unique_ptr<SetSummary> Summarize(std::span<const NodeId> members,
                                         bool targets) const;
+  /// Tiles `probes` to probe_limits(), runs the tiles through
+  /// ProbeShards in one call, and reassembles the answers. Fails
+  /// (reported) when a shard answered one call at two epochs.
+  Status Probe(std::span<ShardProbe> probes) const;
   /// The batched-probe core: out[k][i] = does pivots[i] reach set k
   /// (forward, target summaries) or does set k reach pivots[i]
   /// (reverse, source summaries)?
@@ -173,9 +203,11 @@ class BoundaryClosure : public ReachabilityOracle {
   bool RunProbes(std::span<ShardProbe> probes,
                  std::span<const BoundarySet* const> sets) const;
   uint32_t BoundaryIndex(NodeId v) const;  // kNotBoundary when none
+  /// The local ids of `shard`'s boundaries, ascending.
+  void ShardBoundaryIds(size_t shard, std::vector<NodeId>* ids) const;
   std::shared_ptr<const Overlay> overlay() const;
   /// Installs `closure`, or the closure of cross edges + contributions
-  /// when null, with its boundary-indexed rows. Requires mu_.
+  /// when null. Requires mu_.
   void RebuildOverlayLocked(
       std::shared_ptr<const TransitiveClosure> closure) const;
 
@@ -186,7 +218,6 @@ class BoundaryClosure : public ReachabilityOracle {
   std::vector<uint32_t> shard_bstart_;
   std::vector<std::pair<NodeId, NodeId>> cross_edges_;
   std::vector<std::pair<uint32_t, uint32_t>> cross_b_;
-  size_t words_ = 0;  // uint64 words per boundary bitset
 
   mutable std::mutex mu_;  // guards contributions_ and overlay_
   mutable std::vector<std::vector<std::pair<uint32_t, uint32_t>>>

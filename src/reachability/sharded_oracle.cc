@@ -57,7 +57,7 @@ ShardedOracle::ShardedOracle(const Digraph& g, ShardedOracleOptions options)
   for (NodeId v = 0; v < n; ++v) {
     if (is_boundary[v]) layout.boundary.push_back(v);
   }
-  InitBoundaries(std::move(layout));
+  GTPQ_CHECK_OK(InitBoundaries(std::move(layout)));
 
   sub_.resize(num_shards);
   for (size_t s = 0; s < num_shards; ++s) BuildShard(g, s);
@@ -119,7 +119,8 @@ std::vector<uint32_t> FlattenPairs(
   return flat;
 }
 
-Status UnflattenPairs(std::vector<uint32_t> flat,
+/// `bound` caps every value (exclusive).
+Status UnflattenPairs(std::vector<uint32_t> flat, uint64_t bound,
                       std::vector<std::pair<uint32_t, uint32_t>>* out) {
   if (flat.size() % 2 != 0) {
     return Status::ParseError("odd-length pair run in sharded section");
@@ -127,6 +128,9 @@ Status UnflattenPairs(std::vector<uint32_t> flat,
   out->clear();
   out->reserve(flat.size() / 2);
   for (size_t i = 0; i < flat.size(); i += 2) {
+    if (flat[i] >= bound || flat[i + 1] >= bound) {
+      return Status::ParseError("pair value out of range in sharded section");
+    }
     out->emplace_back(flat[i], flat[i + 1]);
   }
   return Status::OK();
@@ -184,7 +188,8 @@ Result<std::unique_ptr<ShardedOracle>> ShardedOracle::LoadBody(
   GTPQ_RETURN_NOT_OK(r->ReadNestedVec(&shard_boundaries));
   std::vector<uint32_t> flat;
   GTPQ_RETURN_NOT_OK(r->ReadPodVec(&flat));
-  GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &layout.cross_edges));
+  GTPQ_RETURN_NOT_OK(
+      UnflattenPairs(std::move(flat), uint64_t{1} << 32, &layout.cross_edges));
   uint64_t num_overlays = 0;
   GTPQ_RETURN_NOT_OK(r->ReadU64(&num_overlays));
   if (num_overlays != num_shards) {
@@ -194,14 +199,16 @@ Result<std::unique_ptr<ShardedOracle>> ShardedOracle::LoadBody(
   for (auto& contribution : layout.contributions) {
     flat.clear();
     GTPQ_RETURN_NOT_OK(r->ReadPodVec(&flat));
-    GTPQ_RETURN_NOT_OK(UnflattenPairs(std::move(flat), &contribution));
+    GTPQ_RETURN_NOT_OK(
+        UnflattenPairs(std::move(flat), layout.boundary.size(), &contribution));
   }
   auto closure = TransitiveClosure::LoadBody(r);
   GTPQ_RETURN_NOT_OK(closure.status());
   layout.closure =
       std::make_shared<const TransitiveClosure>(closure.TakeValue());
 
-  // Everything InitBoundaries and the probes index without checks.
+  // What InitBoundaries and the probes index without checks (cross
+  // edges InitBoundaries checks itself, contributions the unflatten).
   const size_t b = layout.boundary.size();
   bool ok = num_shards > 0 && starts.size() == num_shards + 1 &&
             starts.front() == 0 &&
@@ -213,17 +220,8 @@ Result<std::unique_ptr<ShardedOracle>> ShardedOracle::LoadBody(
                                std::greater_equal<NodeId>()) ==
                 layout.boundary.end() &&
             (b == 0 || layout.boundary.back() < starts.back());
-  for (const auto& [x, y] : layout.cross_edges) {
-    ok = ok && std::binary_search(layout.boundary.begin(),
-                                  layout.boundary.end(), x) &&
-         std::binary_search(layout.boundary.begin(), layout.boundary.end(),
-                            y);
-  }
-  for (const auto& contribution : layout.contributions) {
-    for (const auto& [x, y] : contribution) ok = ok && x < b && y < b;
-  }
   if (!ok) return Status::ParseError("inconsistent sharded section layout");
-  oracle->InitBoundaries(std::move(layout));
+  GTPQ_RETURN_NOT_OK(oracle->InitBoundaries(std::move(layout)));
   oracle->sub_.resize(static_cast<size_t>(num_shards));
   for (auto& sub : oracle->sub_) {
     auto loaded = storage::LoadOracleBody(oracle->inner_spec_, r);

@@ -1,7 +1,5 @@
 #include "reachability/transitive_closure.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "storage/index_io.h"
 
@@ -41,35 +39,6 @@ bool TransitiveClosure::Reaches(NodeId from, NodeId to) const {
   if (cu == cv) return scc_.cyclic[cu];
   ++st.elements_looked_up;  // one bitset-row probe
   return CondReaches(cu, cv);
-}
-
-std::vector<uint64_t> TransitiveClosure::NodeRows() const {
-  const size_t n = NumNodes();
-  const size_t words = (n + 63) / 64;
-  std::vector<std::vector<NodeId>> members(scc_.num_components);
-  for (NodeId v = 0; v < n; ++v) members[scc_.component_of[v]].push_back(v);
-  // One row per component, expanded from its condensation row, then
-  // copied to each member.
-  std::vector<uint64_t> rows(n * words, 0);
-  std::vector<uint64_t> row(words);
-  const auto set_members = [&](size_t c) {
-    for (const NodeId w : members[c]) row[w >> 6] |= uint64_t{1} << (w & 63);
-  };
-  for (size_t c = 0; c < scc_.num_components; ++c) {
-    if (members[c].empty()) continue;
-    std::fill(row.begin(), row.end(), 0);
-    if (scc_.cyclic[c]) set_members(c);
-    const auto& crow = rows_[c];
-    for (size_t i = 0; i < words_per_row_; ++i) {
-      for (uint64_t bits = crow[i]; bits != 0; bits &= bits - 1) {
-        set_members(i * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
-      }
-    }
-    for (const NodeId v : members[c]) {
-      std::copy(row.begin(), row.end(), rows.begin() + v * words);
-    }
-  }
-  return rows;
 }
 
 void TransitiveClosure::SaveBody(storage::Writer* w) const {

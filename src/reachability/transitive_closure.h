@@ -1,6 +1,7 @@
 #ifndef GTPQ_REACHABILITY_TRANSITIVE_CLOSURE_H_
 #define GTPQ_REACHABILITY_TRANSITIVE_CLOSURE_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -30,11 +31,16 @@ class TransitiveClosure : public ReachabilityOracle {
 
   size_t NumNodes() const { return scc_.component_of.size(); }
 
-  /// The closure as node-level bit rows: NumNodes() rows of
-  /// (NumNodes() + 63) / 64 words each; bit w of row v is
-  /// Reaches(v, w). For callers that fold many rows; not counted in
-  /// stats().
-  std::vector<uint64_t> NodeRows() const;
+  /// Condensation view, for callers that fold many rows at once (not
+  /// counted in stats()). ComponentRow(c) is a bitset over components
+  /// holding every component reachable from c by a path of length >= 1
+  /// that leaves c; c itself reaches itself iff ComponentCyclic(c).
+  NodeId ComponentOf(NodeId v) const { return scc_.component_of[v]; }
+  size_t NumComponents() const { return scc_.num_components; }
+  bool ComponentCyclic(NodeId c) const { return scc_.cyclic[c] != 0; }
+  std::span<const uint64_t> ComponentRow(NodeId c) const {
+    return {rows_[c].data(), words_per_row_};
+  }
 
   /// Persistence hooks (storage/index_io.h).
   void SaveBody(storage::Writer* w) const;

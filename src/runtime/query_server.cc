@@ -264,8 +264,17 @@ std::future<QueryResult> QueryServer::Submit(Gtpq query) {
 Status QueryServer::ProbeReachability(bool reverse,
                                       std::span<const NodeId> pivots,
                                       std::span<const NodeId> ids,
-                                      uint64_t* epoch,
+                                      uint64_t max_cells, uint64_t* epoch,
                                       std::vector<uint8_t>* bits) const {
+  // Repeated pivots and ids are legal, so the answer's size is bounded
+  // only by this check, not by the graph.
+  const uint64_t cells = uint64_t{pivots.size()} * ids.size();
+  if (cells > max_cells) {
+    return Status::InvalidArgument(
+        "probe of " + std::to_string(pivots.size()) + " pivots x " +
+        std::to_string(ids.size()) + " ids exceeds the " +
+        std::to_string(max_cells) + "-cell answer limit; split the pivots");
+  }
   const std::shared_ptr<const EngineSnapshot> snap = factory_->snapshot();
   const ReachabilityOracle* oracle = snap->oracle();
   if (oracle == nullptr) {

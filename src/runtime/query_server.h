@@ -164,10 +164,12 @@ class QueryServer {
   /// (bit r * ids.size() + c of (*bits)[i / 8]) and reports the pinned
   /// epoch. Answered inline on the calling thread — no pool dispatch.
   /// FailedPrecondition when the engine spec has no oracle (tuple
-  /// baselines); InvalidArgument when a pivot or id is outside the
-  /// snapshot graph.
+  /// baselines); InvalidArgument, before anything is allocated, when
+  /// the answer would exceed `max_cells` (the caller's frame budget) or
+  /// a pivot or id is outside the snapshot graph.
   Status ProbeReachability(bool reverse, std::span<const NodeId> pivots,
-                           std::span<const NodeId> ids, uint64_t* epoch,
+                           std::span<const NodeId> ids, uint64_t max_cells,
+                           uint64_t* epoch,
                            std::vector<uint8_t>* bits) const;
 
   /// Epoch of the snapshot new queries would see (0 before any update).

@@ -376,7 +376,8 @@ struct TestCluster {
 };
 
 void BringUp(const std::string& gen_spec, const std::string& name,
-             TestCluster* cluster, int health_interval_ms = 500) {
+             TestCluster* cluster, int health_interval_ms = 500,
+             cluster::ShardRouterOptions router_options = {}) {
   auto graph = workload::GenerateGraphFromSpec(gen_spec);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   cluster->g = graph.TakeValue();
@@ -407,7 +408,6 @@ void BringUp(const std::string& gen_spec, const std::string& name,
                         std::to_string(cluster->servers[s]->port()));
   }
 
-  cluster::ShardRouterOptions router_options;
   router_options.endpoints = std::move(endpoints);
   router_options.health_interval_ms = health_interval_ms;
   auto router = ShardRouter::Connect(cluster->art.map, router_options);
@@ -1030,19 +1030,19 @@ TEST(ShardRouterTest, OneFramePerShardPerSetCallAndSpansFitTheRing) {
 }
 
 TEST(ShardRouterTest, StoppedShardCountsProbeFailures) {
+  // One connect attempt per probe, so each reconnect to the stopped
+  // shard costs one refused connect instead of the restart budget.
+  cluster::ShardRouterOptions options;
+  options.probe_connect_attempts = 1;
   TestCluster cluster;
   BringUp("digraph:150,31,3", "failures", &cluster,
-          /*health_interval_ms=*/0);
+          /*health_interval_ms=*/0, options);
   if (cluster.router == nullptr) return;  // skipped platform
 
   obs::Counter* failures = obs::Registry::Global().GetCounter(
       "gtpq_shard_probe_failures_total{shard=\"1\"}");
   const uint64_t before = failures->Value();
   cluster.servers[1]->Stop();
-  // Demote the shard first, so each reconnect costs one refused connect.
-  cluster.router->ProbeHealthOnce();
-  cluster.router->ProbeHealthOnce();
-  ASSERT_FALSE(cluster.router->shard_health()[1]);
 
   const std::vector<Gtpq> queries = RandomQueries(cluster.g, 1, 77);
   ASSERT_EQ(queries.size(), 1u);
@@ -1090,6 +1090,93 @@ TEST(ShardRouterTest, ShardServerAnswersMatrixAndRejectsOutOfRangePivot) {
   EXPECT_NE(rejected.status().message().find("pivot"), std::string::npos);
   // The connection survives a rejected probe.
   EXPECT_TRUE(client.Probe({false, {0}, {1}}).ok());
+
+  // Repeated ids are legal, so an 8 MiB request can ask 2^40 answers
+  // (128 GiB of bitmask). The server must refuse it before allocating.
+  net::ProbeRequest huge;
+  huge.pivots.assign(size_t{1} << 20, 0);
+  huge.ids.assign(size_t{1} << 20, 0);
+  auto oversized = client.Probe(huge);
+  EXPECT_EQ(oversized.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(oversized.status().message().find("answer limit"),
+            std::string::npos)
+      << oversized.status().ToString();
+  EXPECT_TRUE(client.Probe({false, {0}, {1}}).ok());
+}
+
+TEST(ShardRouterTest, SplitsProbesLargerThanTheFrameLimit) {
+  // A 512-byte frame holds 3800 answers and 116 listed nodes, so a
+  // summary over every vertex needs several tiles per shard.
+  cluster::ShardRouterOptions options;
+  options.limits.max_frame_bytes = 512;
+  TestCluster cluster;
+  BringUp("digraph:300,23,3", "tiles", &cluster, /*health_interval_ms=*/0,
+          options);
+  if (cluster.router == nullptr) return;  // skipped platform
+  const ShardRouter& router = *cluster.router;
+  const TransitiveClosure closure =
+      TransitiveClosure::Build(cluster.g.graph());
+  const NodeId n = static_cast<NodeId>(cluster.g.NumNodes());
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
+
+  const uint64_t frames_before = ProbesServed(cluster);
+  const auto targets = router.SummarizeTargets(all);
+  EXPECT_GT(ProbesServed(cluster) - frames_before,
+            cluster.art.map.num_shards())
+      << "the summary fit one frame per shard; nothing was tiled";
+  const auto sources = router.SummarizeSources(all);
+  const auto prepared = router.PrepareSuccessorTargets(all);
+  const ReachabilityOracle::SetSummary* sets[] = {targets.get()};
+  std::vector<std::vector<char>> down;
+  router.ReachesSetsBatch(all, sets, &down);
+  std::vector<char> up;
+  router.SetReachesBatch(*sources, all, &up);
+  for (NodeId v = 0; v < n; ++v) {
+    bool reaches_any = false;
+    bool reached_by_any = false;
+    for (NodeId w = 0; w < n; ++w) {
+      reaches_any |= closure.Reaches(v, w);
+      reached_by_any |= closure.Reaches(w, v);
+    }
+    ASSERT_EQ(down[0][v] != 0, reaches_any) << "ReachesSetsBatch at " << v;
+    ASSERT_EQ(up[v] != 0, reached_by_any) << "SetReachesBatch at " << v;
+  }
+  for (NodeId v = 0; v < n; v += 7) {
+    std::vector<uint32_t> successors;
+    router.SuccessorsAmong(v, *prepared, &successors);
+    std::vector<uint32_t> expected;
+    for (NodeId w = 0; w < n; ++w) {
+      if (closure.Reaches(v, w)) expected.push_back(w);
+    }
+    ASSERT_EQ(successors, expected) << "SuccessorsAmong at " << v;
+  }
+  ExpectSetApiMatches(router, closure, cluster.art.map, 0x711e5, 12);
+  // Routed updates re-probe a shard's contribution under the same
+  // limit: drop an intra-shard edge and put it back.
+  const ShardRange& range = cluster.art.map.ranges[0];
+  UpdateBatch drop;
+  for (NodeId v = range.begin; v < range.end && drop.NumOps() == 0; ++v) {
+    for (const NodeId w : cluster.g.graph().OutNeighbors(v)) {
+      if (w >= range.begin && w < range.end) {
+        drop.remove_edges.push_back({v, w});
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(drop.NumOps(), 1u);
+  UpdateBatch restore;
+  restore.add_edges = drop.remove_edges;
+  const uint64_t refresh_before = ProbesServed(cluster);
+  ASSERT_TRUE(router.ApplyNativeUpdate(drop).ok());
+  ASSERT_TRUE(router.ApplyNativeUpdate(restore).ok());
+  EXPECT_GT(ProbesServed(cluster) - refresh_before, 2u);
+  for (NodeId v = 0; v < n; v += 11) {
+    for (NodeId w = 0; w < n; w += 5) {
+      ASSERT_EQ(router.Reaches(v, w), closure.Reaches(v, w))
+          << v << " -> " << w;
+    }
+  }
 }
 
 }  // namespace
