@@ -15,7 +15,6 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
       endpoints_(options.endpoints.empty() ? map_.endpoints
                                            : std::move(options.endpoints)),
       limits_(options.limits),
-      probe_connect_attempts_(options.probe_connect_attempts),
       health_interval_ms_(options.health_interval_ms),
       health_failure_threshold_(options.health_failure_threshold),
       name_("cluster:" + map_.inner_spec) {

@@ -28,9 +28,6 @@ struct ShardRouterOptions {
   /// Frame limit of the router's shard connections. A probe whose
   /// answer or id list would not fit one frame goes out as several.
   net::WireLimits limits;
-  /// ECONNREFUSED attempts a probe's fresh connect makes (bounded
-  /// backoff); the default rides out a shard restart.
-  int probe_connect_attempts = 50;
   /// Health prober cadence (HEALTH round trip to every shard); <= 0
   /// disables the prober thread entirely.
   int health_interval_ms = 500;
@@ -60,7 +57,7 @@ struct ShardRouterOptions {
 /// summary in use recorded, logs a warning, drops the connection (the
 /// next call reconnects), bumps gtpq_shard_probe_failures_total, and
 /// the call answers false. Reconnects ride out a restart with a long
-/// backoff budget (options.probe_connect_attempts).
+/// backoff budget.
 ///
 /// Updates: SupportsNativeUpdates() is true, so the serving layer's
 /// SharedEngineFactory routes APPLY_UPDATES here instead of wrapping
@@ -132,8 +129,9 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   /// HELLO-validating) on first use; nullptr after a warning when the
   /// shard is unreachable or serves the wrong graph. `attempts` bounds
   /// the ECONNREFUSED backoff of a fresh connect (probes use
-  /// probe_connect_attempts to ride out restarts; the health prober and
-  /// federation scrapes pass 1–2 so a dead shard cannot stall them).
+  /// probe_connect_attempts_ to ride out restarts; the health prober
+  /// and federation scrapes pass 1–2 so a dead shard cannot stall
+  /// them).
   net::NetClient* Client(size_t shard) const;
   net::NetClient* Client(size_t shard, int attempts) const;
   /// Drops the calling thread's connection to `shard` after a wire
@@ -145,7 +143,11 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   PartitionMap map_;
   std::vector<std::string> endpoints_;
   net::WireLimits limits_;
-  int probe_connect_attempts_;
+  // Fresh-connect attempts of a probe: about 23 s of bounded backoff,
+  // enough to ride out a shard restart. Tests lower it through
+  // ShardRouterTestPeer.
+  friend struct ShardRouterTestPeer;
+  int probe_connect_attempts_ = 50;
   int health_interval_ms_;
   int health_failure_threshold_;
   std::string name_;

@@ -45,6 +45,17 @@
 #include "workload/graph_gen_spec.h"
 
 namespace gtpq {
+namespace cluster {
+
+/// Reaches the ShardRouter internals its public API leaves out.
+struct ShardRouterTestPeer {
+  static void SetProbeConnectAttempts(ShardRouter& router, int attempts) {
+    router.probe_connect_attempts_ = attempts;
+  }
+};
+
+}  // namespace cluster
+
 namespace {
 
 using cluster::BuildPartition;
@@ -55,6 +66,7 @@ using cluster::PlanContiguousCuts;
 using cluster::SavePartitionMap;
 using cluster::ShardRange;
 using cluster::ShardRouter;
+using cluster::ShardRouterTestPeer;
 using cluster::VerifyShardIndex;
 
 std::string TempDirFor(const std::string& name) {
@@ -1030,14 +1042,13 @@ TEST(ShardRouterTest, OneFramePerShardPerSetCallAndSpansFitTheRing) {
 }
 
 TEST(ShardRouterTest, StoppedShardCountsProbeFailures) {
-  // One connect attempt per probe, so each reconnect to the stopped
-  // shard costs one refused connect instead of the restart budget.
-  cluster::ShardRouterOptions options;
-  options.probe_connect_attempts = 1;
   TestCluster cluster;
   BringUp("digraph:150,31,3", "failures", &cluster,
-          /*health_interval_ms=*/0, options);
+          /*health_interval_ms=*/0);
   if (cluster.router == nullptr) return;  // skipped platform
+  // One connect attempt per probe, so each reconnect to the stopped
+  // shard costs one refused connect instead of the restart budget.
+  ShardRouterTestPeer::SetProbeConnectAttempts(*cluster.router, 1);
 
   obs::Counter* failures = obs::Registry::Global().GetCounter(
       "gtpq_shard_probe_failures_total{shard=\"1\"}");
