@@ -397,80 +397,85 @@ std::unique_ptr<ReachabilityOracle::SetSummary> BoundaryClosure::Summarize(
 // -------------------------------------------------------------- probes
 
 Status BoundaryClosure::Probe(std::span<ShardProbe> probes) const {
-  // Tile each probe so no tile lists more than max_nodes nodes or asks
-  // more than max_cells answers: columns first (at most half the node
-  // budget), then as many rows as both budgets leave.
+  // Every answer one shard gives a call must come from one epoch.
+  const auto check_epochs = [&](std::span<const ShardProbe> answered) {
+    std::vector<uint64_t> epoch(NumShards(), kNoEpoch);
+    for (const ShardProbe& a : answered) {
+      if (epoch[a.shard] != kNoEpoch && epoch[a.shard] != a.epoch) {
+        const Status status = Status::FailedPrecondition(
+            "shard answered one call at epochs " +
+            std::to_string(epoch[a.shard]) + " and " +
+            std::to_string(a.epoch));
+        OnProbeFailure(a.shard, status);
+        return status;
+      }
+      epoch[a.shard] = a.epoch;
+    }
+    return Status::OK();
+  };
+  // Tile shape: at most half the node budget in columns, then as many
+  // rows as both budgets leave.
   const ProbeLimits limits = probe_limits();
+  const auto steps = [&limits](const ShardProbe& probe) {
+    const size_t col_step = std::max<size_t>(
+        1, std::min(probe.ids.size(), limits.max_nodes / 2));
+    const size_t row_room =
+        limits.max_nodes > col_step ? limits.max_nodes - col_step : 1;
+    const size_t row_step = std::max<uint64_t>(
+        1, std::min<uint64_t>({probe.pivots.size(),
+                               limits.max_cells / col_step, row_room}));
+    return std::pair{row_step, col_step};
+  };
+  bool split = false;
+  for (const ShardProbe& probe : probes) {
+    const auto [row_step, col_step] = steps(probe);
+    split |= row_step < probe.pivots.size() || col_step < probe.ids.size();
+  }
+  if (!split) {
+    GTPQ_RETURN_NOT_OK(ProbeShards(probes));
+    return check_epochs(probes);
+  }
+
   struct Tile {
     size_t probe, row0, col0;
   };
   std::vector<ShardProbe> tiles;
   std::vector<Tile> origin;
-  bool split = false;
   for (size_t p = 0; p < probes.size(); ++p) {
     const ShardProbe& probe = probes[p];
-    const size_t rows = probe.pivots.size();
-    const size_t cols = probe.ids.size();
-    const size_t col_step =
-        std::max<size_t>(1, std::min(cols, limits.max_nodes / 2));
-    const size_t row_room =
-        limits.max_nodes > col_step ? limits.max_nodes - col_step : 1;
-    const size_t row_step = std::max<uint64_t>(
-        1, std::min<uint64_t>({rows, limits.max_cells / col_step, row_room}));
-    split |= row_step < rows || col_step < cols;
-    for (size_t r = 0; r < rows || r == 0; r += row_step) {
-      for (size_t c = 0; c < cols || c == 0; c += col_step) {
+    const auto [row_step, col_step] = steps(probe);
+    for (size_t r = 0; r < probe.pivots.size(); r += row_step) {
+      for (size_t c = 0; c < probe.ids.size(); c += col_step) {
         ShardProbe tile;
         tile.shard = probe.shard;
         tile.reverse = probe.reverse;
-        const size_t r_end = std::min(rows, r + row_step);
-        const size_t c_end = std::min(cols, c + col_step);
-        tile.pivots.assign(probe.pivots.begin() + r,
-                           probe.pivots.begin() + r_end);
-        tile.ids.assign(probe.ids.begin() + c, probe.ids.begin() + c_end);
+        const auto pivots = probe.pivots.begin() + r;
+        const auto ids = probe.ids.begin() + c;
+        tile.pivots.assign(pivots,
+                           pivots + std::min(row_step, probe.pivots.size() - r));
+        tile.ids.assign(ids, ids + std::min(col_step, probe.ids.size() - c));
         tiles.push_back(std::move(tile));
         origin.push_back({p, r, c});
-        if (cols == 0) break;
-      }
-      if (rows == 0) break;
-    }
-  }
-  if (!split) {
-    GTPQ_RETURN_NOT_OK(ProbeShards(probes));
-  } else {
-    GTPQ_RETURN_NOT_OK(ProbeShards(tiles));
-    for (ShardProbe& probe : probes) {
-      probe.bits.assign((probe.pivots.size() * probe.ids.size() + 7) / 8, 0);
-    }
-    for (size_t t = 0; t < tiles.size(); ++t) {
-      const ShardProbe& tile = tiles[t];
-      ShardProbe& probe = probes[origin[t].probe];
-      for (size_t r = 0; r < tile.pivots.size(); ++r) {
-        for (size_t c = 0; c < tile.ids.size(); ++c) {
-          if (!tile.Get(r, c)) continue;
-          const size_t bit = (origin[t].row0 + r) * probe.ids.size() +
-                             origin[t].col0 + c;
-          probe.bits[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
-        }
       }
     }
   }
-
-  // Every answer one shard gave this call must come from one epoch.
-  std::vector<uint64_t> epoch(NumShards(), kNoEpoch);
-  const std::span<const ShardProbe> answered =
-      split ? std::span<const ShardProbe>(tiles) : probes;
-  for (size_t t = 0; t < answered.size(); ++t) {
-    const ShardProbe& a = answered[t];
-    if (epoch[a.shard] != kNoEpoch && epoch[a.shard] != a.epoch) {
-      const Status status = Status::FailedPrecondition(
-          "shard answered one call at epochs " +
-          std::to_string(epoch[a.shard]) + " and " + std::to_string(a.epoch));
-      OnProbeFailure(a.shard, status);
-      return status;
+  GTPQ_RETURN_NOT_OK(ProbeShards(tiles));
+  GTPQ_RETURN_NOT_OK(check_epochs(tiles));
+  for (ShardProbe& probe : probes) {
+    probe.bits.assign((probe.pivots.size() * probe.ids.size() + 7) / 8, 0);
+  }
+  for (size_t t = 0; t < tiles.size(); ++t) {
+    const ShardProbe& tile = tiles[t];
+    ShardProbe& probe = probes[origin[t].probe];
+    probe.epoch = tile.epoch;
+    for (size_t r = 0; r < tile.pivots.size(); ++r) {
+      for (size_t c = 0; c < tile.ids.size(); ++c) {
+        if (!tile.Get(r, c)) continue;
+        const size_t bit =
+            (origin[t].row0 + r) * probe.ids.size() + origin[t].col0 + c;
+        probe.bits[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+      }
     }
-    epoch[a.shard] = a.epoch;
-    if (split) probes[origin[t].probe].epoch = a.epoch;
   }
   return Status::OK();
 }
