@@ -145,11 +145,11 @@ std::vector<uint64_t> ShardRouter::shard_epochs() const {
 
 Status ShardRouter::ProbeShards(std::span<ShardProbe> probes) const {
   // The ambient trace was installed thread-locally by the query worker
-  // (QueryServer::EvaluateOnWorker): frames sent on its behalf carry
-  // the trace on the wire and record child spans here. Each frame gets
-  // a PRE-ALLOCATED span id sent as the wire parent, so the shard's
-  // server-side "serve probe" span nests under the router's
-  // "probe shard=N" span in the stitched cross-process trace.
+  // (QueryServer::EvaluateOnWorker), and child spans are recorded here.
+  // Each frame is sent under a PRE-ALLOCATED span id installed as the
+  // parent the frame header carries, so the shard's server-side
+  // "serve probe" span nests under the router's "probe shard=N" span in
+  // the stitched cross-process trace.
   const obs::TraceContext trace = obs::CurrentTrace();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   struct Pending {
@@ -191,10 +191,9 @@ Status ShardRouter::ProbeShards(std::span<ShardProbe> probes) const {
     request.reverse = probe.reverse;
     request.pivots = probe.pivots;
     request.ids = probe.ids;
-    request.trace_id = trace.trace_id;
     pending[i].span_id = trace.active() ? recorder.NewSpanId() : 0;
-    request.parent_span = pending[i].span_id;
     pending[i].start_us = obs::NowMicros();
+    const obs::ScopedTraceContext scope({trace.trace_id, pending[i].span_id});
     auto id = client->SendProbe(request);
     if (!id.ok()) {
       fail(i, id.status());

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "dynamic/update_io.h"
+#include "obs/trace.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
@@ -118,8 +119,7 @@ Status NetClient::Connect(const std::string& host, uint16_t port,
   return st;
 }
 
-Status NetClient::SendFrame(FrameType type, uint64_t request_id,
-                            std::string_view payload) {
+Result<uint64_t> NetClient::Send(FrameType type, std::string_view payload) {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
   if (payload.size() + kFrameOverhead > limits_.max_frame_bytes) {
     return Status::OutOfRange(
@@ -127,8 +127,9 @@ Status NetClient::SendFrame(FrameType type, uint64_t request_id,
         " bytes exceeds the " + std::to_string(limits_.max_frame_bytes) +
         "-byte frame limit");
   }
+  const uint64_t id = next_request_id_++;
   std::string bytes;
-  EncodeFrame(type, request_id, payload, &bytes);
+  EncodeFrame(type, id, obs::CurrentTrace(), payload, &bytes);
   size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n =
@@ -139,7 +140,7 @@ Status NetClient::SendFrame(FrameType type, uint64_t request_id,
     }
     sent += static_cast<size_t>(n);
   }
-  return Status::OK();
+  return id;
 }
 
 Result<Frame> NetClient::ReadFrame() {
@@ -160,6 +161,54 @@ Result<Frame> NetClient::ReadFrame() {
     decoder_.Append(buf, static_cast<size_t>(n));
   }
 }
+
+Status ConnectWithRetry(NetClient* client, const std::string& host,
+                        uint16_t port, WireLimits limits, int attempts,
+                        int backoff_ms) {
+  Status last = Status::OK();
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    if (attempt > 0) {
+      timespec ts;
+      ts.tv_sec = backoff_ms / 1000;
+      ts.tv_nsec = static_cast<long>(backoff_ms % 1000) * 1000000L;
+      ::nanosleep(&ts, nullptr);
+      if (backoff_ms < 500) backoff_ms = std::min(backoff_ms * 2, 500);
+    }
+    last = client->Connect(host, port, limits);
+    if (last.ok()) return last;
+    // Only a refused/timed-out connect means "the server is still
+    // binding"; anything else (bad host, handshake failure) is final.
+    const bool listening_race =
+        last.message().find(std::strerror(ECONNREFUSED)) !=
+            std::string::npos ||
+        last.message().find(std::strerror(ETIMEDOUT)) != std::string::npos;
+    if (!listening_race) return last;
+  }
+  return last;
+}
+
+#else  // !GTPQ_NET_CLIENT_POSIX
+
+NetClient::~NetClient() = default;
+void NetClient::Close() {}
+Status NetClient::Connect(const std::string&, uint16_t, WireLimits) {
+  return Status::Unimplemented("NetClient requires POSIX sockets");
+}
+Result<uint64_t> NetClient::Send(FrameType, std::string_view) {
+  return Status::Unimplemented("NetClient requires POSIX sockets");
+}
+Result<Frame> NetClient::ReadFrame() {
+  return Status::Unimplemented("NetClient requires POSIX sockets");
+}
+Status ConnectWithRetry(NetClient*, const std::string&, uint16_t,
+                        WireLimits, int, int) {
+  return Status::Unimplemented("NetClient requires POSIX sockets");
+}
+
+#endif  // GTPQ_NET_CLIENT_POSIX
+
+// Everything below speaks through Send and ReadFrame, so it is the same
+// on every platform.
 
 Result<Frame> NetClient::Receive() {
   if (!parked_.empty()) {
@@ -204,24 +253,17 @@ Result<std::string> NetClient::WaitForResponse(uint64_t request_id,
 Result<std::string> NetClient::RoundTrip(FrameType type,
                                          std::string_view payload,
                                          FrameType expect) {
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(SendFrame(type, id, payload));
-  return WaitForResponse(id, expect);
+  auto id = Send(type, payload);
+  if (!id.ok()) return id.status();
+  return WaitForResponse(*id, expect);
 }
 
 Result<WireResult> NetClient::Query(const std::string& text,
                                     uint64_t result_limit,
-                                    uint32_t parallelism,
-                                    uint64_t trace_id,
-                                    uint64_t parent_span) {
-  QueryRequest request;
-  request.result_limit = result_limit;
-  request.text = text;
-  request.parallelism = parallelism;
-  request.trace_id = trace_id;
-  request.parent_span = parent_span;
-  auto payload = RoundTrip(FrameType::kQuery,
-                           EncodeQueryRequest(request), FrameType::kResult);
+                                    uint32_t parallelism) {
+  auto id = SendQuery(text, result_limit, parallelism);
+  if (!id.ok()) return id.status();
+  auto payload = WaitForResponse(*id, FrameType::kResult);
   if (!payload.ok()) return payload.status();
   WireResult out;
   GTPQ_RETURN_NOT_OK(DecodeResult(*payload, &out));
@@ -230,16 +272,10 @@ Result<WireResult> NetClient::Query(const std::string& text,
 
 Result<WireBatchResult> NetClient::QueryBatch(
     const std::vector<std::string>& texts, uint64_t result_limit,
-    uint32_t parallelism, uint64_t trace_id, uint64_t parent_span) {
-  BatchRequest request;
-  request.result_limit = result_limit;
-  request.texts = texts;
-  request.parallelism = parallelism;
-  request.trace_id = trace_id;
-  request.parent_span = parent_span;
-  auto payload =
-      RoundTrip(FrameType::kBatch, EncodeBatchRequest(request),
-                FrameType::kBatchResult);
+    uint32_t parallelism) {
+  auto id = SendBatch(texts, result_limit, parallelism);
+  if (!id.ok()) return id.status();
+  auto payload = WaitForResponse(*id, FrameType::kBatchResult);
   if (!payload.ok()) return payload.status();
   WireBatchResult out;
   GTPQ_RETURN_NOT_OK(DecodeBatchResult(*payload, &out));
@@ -271,8 +307,9 @@ Result<ServingStats> NetClient::Stats() {
 }
 
 Result<ProbeResult> NetClient::Probe(const ProbeRequest& request) {
-  auto payload = RoundTrip(FrameType::kProbe, EncodeProbeRequest(request),
-                           FrameType::kProbeResult);
+  auto id = SendProbe(request);
+  if (!id.ok()) return id.status();
+  auto payload = WaitForResponse(*id, FrameType::kProbeResult);
   if (!payload.ok()) return payload.status();
   ProbeResult out;
   GTPQ_RETURN_NOT_OK(DecodeProbeResult(*payload, &out));
@@ -288,9 +325,9 @@ Result<ProbeResult> NetClient::Probe(const ProbeRequest& request) {
 
 Result<std::string> NetClient::Observe(ObserveKind kind,
                                        uint64_t trace_id) {
-  auto payload = RoundTrip(FrameType::kObserve,
-                           EncodeObserveRequest(kind, trace_id),
-                           FrameType::kObserveResult);
+  auto id = SendObserve(kind, trace_id);
+  if (!id.ok()) return id.status();
+  auto payload = WaitForResponse(*id, FrameType::kObserveResult);
   if (!payload.ok()) return payload.status();
   std::string out;
   GTPQ_RETURN_NOT_OK(DecodeObserveResult(*payload, &out));
@@ -307,148 +344,26 @@ Result<HealthReport> NetClient::Health() {
 
 Result<uint64_t> NetClient::SendQuery(const std::string& text,
                                       uint64_t result_limit,
-                                      uint32_t parallelism,
-                                      uint64_t trace_id,
-                                      uint64_t parent_span) {
-  QueryRequest request;
-  request.result_limit = result_limit;
-  request.text = text;
-  request.parallelism = parallelism;
-  request.trace_id = trace_id;
-  request.parent_span = parent_span;
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(
-      SendFrame(FrameType::kQuery, id, EncodeQueryRequest(request)));
-  return id;
+                                      uint32_t parallelism) {
+  return Send(FrameType::kQuery,
+              EncodeQueryRequest({result_limit, text, parallelism}));
 }
 
 Result<uint64_t> NetClient::SendBatch(const std::vector<std::string>& texts,
                                       uint64_t result_limit,
-                                      uint32_t parallelism,
-                                      uint64_t trace_id,
-                                      uint64_t parent_span) {
-  BatchRequest request;
-  request.result_limit = result_limit;
-  request.texts = texts;
-  request.parallelism = parallelism;
-  request.trace_id = trace_id;
-  request.parent_span = parent_span;
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(
-      SendFrame(FrameType::kBatch, id, EncodeBatchRequest(request)));
-  return id;
+                                      uint32_t parallelism) {
+  return Send(FrameType::kBatch,
+              EncodeBatchRequest({result_limit, texts, parallelism}));
 }
 
 Result<uint64_t> NetClient::SendProbe(const ProbeRequest& request) {
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(
-      SendFrame(FrameType::kProbe, id, EncodeProbeRequest(request)));
-  return id;
+  return Send(FrameType::kProbe, EncodeProbeRequest(request));
 }
 
 Result<uint64_t> NetClient::SendObserve(ObserveKind kind,
                                         uint64_t trace_id) {
-  const uint64_t id = next_request_id_++;
-  GTPQ_RETURN_NOT_OK(SendFrame(FrameType::kObserve, id,
-                               EncodeObserveRequest(kind, trace_id)));
-  return id;
+  return Send(FrameType::kObserve, EncodeObserveRequest(kind, trace_id));
 }
-
-Status ConnectWithRetry(NetClient* client, const std::string& host,
-                        uint16_t port, WireLimits limits, int attempts,
-                        int backoff_ms) {
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      timespec ts;
-      ts.tv_sec = backoff_ms / 1000;
-      ts.tv_nsec = static_cast<long>(backoff_ms % 1000) * 1000000L;
-      ::nanosleep(&ts, nullptr);
-      if (backoff_ms < 500) backoff_ms = std::min(backoff_ms * 2, 500);
-    }
-    last = client->Connect(host, port, limits);
-    if (last.ok()) return last;
-    // Only a refused/timed-out connect means "the server is still
-    // binding"; anything else (bad host, handshake failure) is final.
-    const bool listening_race =
-        last.message().find(std::strerror(ECONNREFUSED)) !=
-            std::string::npos ||
-        last.message().find(std::strerror(ETIMEDOUT)) != std::string::npos;
-    if (!listening_race) return last;
-  }
-  return last;
-}
-
-#else  // !GTPQ_NET_CLIENT_POSIX
-
-NetClient::~NetClient() = default;
-void NetClient::Close() {}
-Status NetClient::Connect(const std::string&, uint16_t, WireLimits) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Status NetClient::SendFrame(FrameType, uint64_t, std::string_view) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<Frame> NetClient::ReadFrame() {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<Frame> NetClient::Receive() { return ReadFrame(); }
-Result<Frame> NetClient::WaitFor(uint64_t) { return ReadFrame(); }
-Result<std::string> NetClient::WaitForResponse(uint64_t, FrameType) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<std::string> NetClient::RoundTrip(FrameType, std::string_view,
-                                         FrameType) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<WireResult> NetClient::Query(const std::string&, uint64_t, uint32_t,
-                                    uint64_t, uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<WireBatchResult> NetClient::QueryBatch(
-    const std::vector<std::string>&, uint64_t, uint32_t, uint64_t,
-    uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<ApplyOk> NetClient::ApplyUpdates(const std::string&) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<ApplyOk> NetClient::ApplyUpdates(std::span<const UpdateBatch>) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<ServingStats> NetClient::Stats() {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<std::string> NetClient::Observe(ObserveKind, uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<HealthReport> NetClient::Health() {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<uint64_t> NetClient::SendQuery(const std::string&, uint64_t,
-                                      uint32_t, uint64_t, uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<uint64_t> NetClient::SendBatch(const std::vector<std::string>&,
-                                      uint64_t, uint32_t, uint64_t,
-                                      uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<ProbeResult> NetClient::Probe(const ProbeRequest&) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<uint64_t> NetClient::SendProbe(const ProbeRequest&) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Result<uint64_t> NetClient::SendObserve(ObserveKind, uint64_t) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-Status ConnectWithRetry(NetClient*, const std::string&, uint16_t,
-                        WireLimits, int, int) {
-  return Status::Unimplemented("NetClient requires POSIX sockets");
-}
-
-#endif  // GTPQ_NET_CLIENT_POSIX
 
 }  // namespace net
 }  // namespace gtpq

@@ -14,7 +14,7 @@
 namespace gtpq {
 namespace net {
 
-/// Blocking gtpq-wire v2 client over one TCP connection, shared by the
+/// Blocking gtpq-wire client over one TCP connection, shared by the
 /// gteactl query/apply subcommands, bench_net_throughput, and the
 /// socket-level tests.
 ///
@@ -27,6 +27,11 @@ namespace net {
 ///    return the request id; Receive() yields the next response frame
 ///    (parked first, then off the socket), which the caller correlates
 ///    via Frame::request_id.
+///
+/// Every request's frame header carries the calling thread's
+/// obs::CurrentTrace(): install an obs::ScopedTraceContext around a
+/// call to trace it (the server parents its spans under
+/// parent_span); with none installed the request is untraced.
 ///
 /// One NetClient is thread-confined. Open several clients for
 /// concurrent load (see bench_net_throughput).
@@ -52,18 +57,13 @@ class NetClient {
   /// defers to the server's configured cap. `parallelism` requests
   /// intra-query lanes (0 = serial); the server grants it — clamped by
   /// its max_query_parallelism — only when the query is dispatched
-  /// alone, and answers are byte-identical either way. A non-zero
-  /// `trace_id` (obs::NewTraceId) rides the wire and correlates the
-  /// server-side spans; `parent_span` parents them under a caller span.
+  /// alone, and answers are byte-identical either way.
   Result<WireResult> Query(const std::string& text,
                            uint64_t result_limit = 0,
-                           uint32_t parallelism = 0,
-                           uint64_t trace_id = 0, uint64_t parent_span = 0);
+                           uint32_t parallelism = 0);
   Result<WireBatchResult> QueryBatch(const std::vector<std::string>& texts,
                                      uint64_t result_limit = 0,
-                                     uint32_t parallelism = 0,
-                                     uint64_t trace_id = 0,
-                                     uint64_t parent_span = 0);
+                                     uint32_t parallelism = 0);
   /// Applies "gtpq-updates v1" text (dynamic/update_io.h) atomically
   /// batch by batch on the server's live snapshot chain.
   Result<ApplyOk> ApplyUpdates(const std::string& updates_text);
@@ -74,7 +74,7 @@ class NetClient {
   Result<ProbeResult> Probe(const ProbeRequest& request);
   /// One observability export (OBSERVE frame): Prometheus metrics,
   /// Chrome trace JSON, the slow-query log, or a binary
-  /// snapshot/span/health export. The optional trace_id filters
+  /// snapshot/span/health export. A non-zero trace_id filters
   /// kTrace/kSpans to one trace (0 = whole ring).
   Result<std::string> Observe(ObserveKind kind, uint64_t trace_id = 0);
   /// Observe(kHealth), decoded. Answered inline on the server's IO
@@ -87,14 +87,10 @@ class NetClient {
   /// eventual response.
   Result<uint64_t> SendQuery(const std::string& text,
                              uint64_t result_limit = 0,
-                             uint32_t parallelism = 0,
-                             uint64_t trace_id = 0,
-                             uint64_t parent_span = 0);
+                             uint32_t parallelism = 0);
   Result<uint64_t> SendBatch(const std::vector<std::string>& texts,
                              uint64_t result_limit = 0,
-                             uint32_t parallelism = 0,
-                             uint64_t trace_id = 0,
-                             uint64_t parent_span = 0);
+                             uint32_t parallelism = 0);
   Result<uint64_t> SendProbe(const ProbeRequest& request);
   /// Pipelined OBSERVE — the router fans one export request out to
   /// every shard, then collects by id.
@@ -111,13 +107,13 @@ class NetClient {
                                       FrameType expect);
 
  private:
-  Status SendFrame(FrameType type, uint64_t request_id,
-                   std::string_view payload);
+  /// Sends one request frame under a fresh request id, stamped with
+  /// obs::CurrentTrace(); returns the id.
+  Result<uint64_t> Send(FrameType type, std::string_view payload);
   /// Blocking read of the response carrying `request_id`; responses to
   /// other requests are parked for later Receive() calls.
   Result<Frame> WaitFor(uint64_t request_id);
-  /// Send + WaitFor + unwrap: an ERROR frame becomes its carried
-  /// status, a type other than `expect` a protocol error.
+  /// Send + WaitForResponse.
   Result<std::string> RoundTrip(FrameType type, std::string_view payload,
                                 FrameType expect);
   Result<Frame> ReadFrame();

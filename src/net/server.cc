@@ -20,6 +20,7 @@
 #include "obs/slowlog.h"
 #include "obs/trace.h"
 #include "query/query_parser.h"
+#include "storage/index_io.h"
 
 #if defined(__linux__)
 #include <arpa/inet.h>
@@ -56,6 +57,7 @@ struct PendingRequest {
   uint64_t conn_id = 0;
   uint64_t request_id = 0;
   FrameType type = FrameType::kQuery;
+  obs::TraceContext trace;
   std::string payload;
 };
 
@@ -72,6 +74,16 @@ struct NetMetrics {
   static const NetMetrics& Get() {
     static const NetMetrics m = [] {
       obs::Registry& reg = obs::Registry::Global();
+      // gtpq_build_info is the standard info-series idiom: value
+      // constant 1, the payload lives in the labels (wire protocol
+      // revision, .gtpqidx format revision).
+      reg.GetGauge(obs::LabeledName(
+                       "gtpq_build_info",
+                       {{"version",
+                         "gtpq-wire v" + std::to_string(kWireVersion)},
+                        {"format", "gtpqidx v" + std::to_string(
+                                       storage::kIndexFormatVersion)}}))
+          ->Set(1);
       return NetMetrics{
           reg.GetCounter("gtpq_connections_total"),
           reg.GetCounter("gtpq_net_bytes_received_total"),
@@ -84,6 +96,28 @@ struct NetMetrics {
     return m;
   }
 };
+
+/// Appends the frame answering `request_id` to `*out`. Never emits a
+/// frame the peer's decoder is entitled to treat as a fatal framing
+/// error: an over-limit response degrades to a typed OutOfRange ERROR
+/// the client can recover from, and the connection stays usable.
+void EncodeResponse(const WireLimits& limits, FrameType type,
+                    uint64_t request_id, std::string_view payload,
+                    std::string* out) {
+  if (payload.size() + kFrameOverhead > limits.max_frame_bytes &&
+      type != FrameType::kError) {
+    EncodeFrame(FrameType::kError, request_id, {},
+                EncodeError(Status::OutOfRange(
+                    "response of " + std::to_string(payload.size()) +
+                    " bytes exceeds the " +
+                    std::to_string(limits.max_frame_bytes) +
+                    "-byte frame limit; lower the result limit, split "
+                    "the request or raise the limit")),
+                out);
+    return;
+  }
+  EncodeFrame(type, request_id, {}, payload, out);
+}
 
 /// One encoded response frame headed back to a connection. Each
 /// dispatched request produces exactly one response, so delivery also
@@ -488,9 +522,9 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       // A traced probe leaves a server-side span parented under the
       // caller's wire span id — the shard's leg of the stitched
       // cross-process timeline.
-      if (request.trace_id != 0) {
+      if (frame.trace.active()) {
         obs::TraceRecorder::Global().Record(
-            request.trace_id, request.parent_span, "serve probe",
+            frame.trace.trace_id, frame.trace.parent_span, "serve probe",
             probe_start_us, obs::NowMicros() - probe_start_us);
       }
       SendOn(conn, FrameType::kProbeResult, frame.request_id,
@@ -626,6 +660,7 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
         request.conn_id = conn.id;
         request.request_id = frame.request_id;
         request.type = frame.type;
+        request.trace = frame.trace;
         request.payload = std::move(frame.payload);
         queue.push_back(std::move(request));
         NetMetrics::Get().dispatch_queue_depth->Set(
@@ -648,7 +683,7 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
 void NetServer::Impl::SendOn(Connection& conn, FrameType type,
                              uint64_t request_id,
                              std::string_view payload) {
-  EncodeFrame(type, request_id, payload, &conn.out);
+  EncodeResponse(options.limits, type, request_id, payload, &conn.out);
   FlushConnection(conn);
 }
 
@@ -783,12 +818,10 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
     std::vector<Gtpq> queries;
     std::vector<QueryResult> results;
     uint64_t epoch = 0;
-    // Trace correlation carried on the wire; the dispatch span covers
-    // this request from decode to response and parents the per-query
-    // evaluate spans.
-    uint64_t trace_id = 0;
+    // The dispatch span of a traced request covers it from decode to
+    // response, parents the per-query evaluate spans, and is parented
+    // by the frame header's parent_span.
     uint64_t dispatch_span = 0;
-    uint64_t parent_span = 0;
     double dispatch_start_us = 0;
   };
   std::vector<Parsed> parsed;
@@ -816,8 +849,6 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
       }
       p.result_limit = decoded.result_limit;
       p.parallelism = decoded.parallelism;
-      p.trace_id = decoded.trace_id;
-      p.parent_span = decoded.parent_span;
       texts.push_back(std::move(decoded.text));
     } else {
       BatchRequest decoded;
@@ -830,11 +861,9 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
       p.is_batch = true;
       p.result_limit = decoded.result_limit;
       p.parallelism = decoded.parallelism;
-      p.trace_id = decoded.trace_id;
-      p.parent_span = decoded.parent_span;
       texts = std::move(decoded.texts);
     }
-    if (p.trace_id != 0) {
+    if (request.trace.active()) {
       p.dispatch_span = obs::TraceRecorder::Global().NewSpanId();
       p.dispatch_start_us = obs::NowMicros();
     }
@@ -882,8 +911,8 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
       members.push_back(i);
       for (size_t q = 0; q < parsed[i].queries.size(); ++q) {
         queries.push_back(std::move(parsed[i].queries[q]));
-        traces.push_back(
-            obs::TraceContext{parsed[i].trace_id, parsed[i].dispatch_span});
+        traces.push_back(obs::TraceContext{parsed[i].request->trace.trace_id,
+                                           parsed[i].dispatch_span});
         origin.emplace_back(i, q);
       }
       parsed[i].results.resize(parsed[i].queries.size());
@@ -913,9 +942,10 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
   }
 
   for (Parsed& p : parsed) {
-    if (p.trace_id != 0) {
+    const obs::TraceContext& trace = p.request->trace;
+    if (trace.active()) {
       obs::TraceRecorder::Global().Record(
-          p.trace_id, p.dispatch_span, p.parent_span, "dispatch",
+          trace.trace_id, p.dispatch_span, trace.parent_span, "dispatch",
           p.dispatch_start_us, obs::NowMicros() - p.dispatch_start_us);
     }
     if (p.is_batch) {
@@ -963,24 +993,10 @@ void NetServer::Impl::ProcessApply(const PendingRequest& request) {
 void NetServer::Impl::Respond(uint64_t conn_id, FrameType type,
                               uint64_t request_id,
                               std::string_view payload) {
-  // Never emit a frame the peer's decoder is entitled to treat as a
-  // fatal framing error: an over-limit response degrades to a typed
-  // ERROR the client can recover from (lower the result limit, raise
-  // WireLimits, or split the batch).
-  if (payload.size() + kFrameOverhead > options.limits.max_frame_bytes &&
-      type != FrameType::kError) {
-    Respond(conn_id, FrameType::kError, request_id,
-            EncodeError(Status::OutOfRange(
-                "response of " + std::to_string(payload.size()) +
-                " bytes exceeds the " +
-                std::to_string(options.limits.max_frame_bytes) +
-                "-byte frame limit; lower the result limit or split "
-                "the batch")));
-    return;
-  }
   Response response;
   response.conn_id = conn_id;
-  EncodeFrame(type, request_id, payload, &response.bytes);
+  EncodeResponse(options.limits, type, request_id, payload,
+                 &response.bytes);
   {
     std::lock_guard<std::mutex> lock(response_mu);
     responses.push_back(std::move(response));

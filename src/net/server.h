@@ -33,7 +33,7 @@ struct NetServerOptions {
   double coalesce_window_us = 200.0;
 
   /// Cap on the intra-query parallelism a client may request via the
-  /// optional QUERY/BATCH wire field. The dispatcher's policy: a
+  /// QUERY/BATCH parallelism field. The dispatcher's policy: a
   /// dispatch that ends up holding a SINGLE query gets the requested
   /// lane budget (clamped to this cap) — that is the case where the
   /// pool cannot fan out across queries and one big query dominates
@@ -61,7 +61,7 @@ struct NetServerOptions {
 };
 
 /// The network serving front-end: a non-blocking epoll event loop
-/// accepting gtpq-wire v2 connections (net/wire.h), feeding a single
+/// accepting gtpq-wire connections (net/wire.h), feeding a single
 /// dispatcher that coalesces concurrently-arriving queries into
 /// snapshot-consistent QueryServer batches, with live APPLY_UPDATES
 /// folding into the epoch-snapshot path so in-flight responses never
@@ -83,7 +83,12 @@ struct NetServerOptions {
 /// Malformed frames (bad length, unknown type, CRC mismatch) invalidate
 /// the stream: the server sends a final ERROR frame and closes that
 /// connection. Admission rejections are per-request typed ERRORs and
-/// keep the connection alive.
+/// keep the connection alive, as do responses over the frame limit
+/// (OutOfRange), whichever thread answers them.
+///
+/// Tracing: a request whose frame header carries a trace context gets
+/// a "dispatch" span (queries) or "serve probe" span (PROBE) parented
+/// under the header's parent_span.
 ///
 /// Only compiled on Linux (epoll); elsewhere Start() returns
 /// Unimplemented.

@@ -134,10 +134,13 @@ const char* FrameTypeName(FrameType type) {
 }
 
 void EncodeFrame(FrameType type, uint64_t request_id,
-                 std::string_view payload, std::string* out) {
+                 obs::TraceContext trace, std::string_view payload,
+                 std::string* out) {
   Writer body;
   body.WriteU8(static_cast<uint8_t>(type));
   body.WriteU64(request_id);
+  body.WriteU64(trace.trace_id);
+  body.WriteU64(trace.parent_span);
   body.WriteBytes(payload.data(), payload.size());
   const uint32_t crc =
       storage::Crc32(body.buffer().data(), body.buffer().size());
@@ -166,7 +169,9 @@ Result<std::optional<Frame>> FrameDecoder::Next() {
   GTPQ_CHECK(len_reader.ReadU32(&length).ok());
   if (length < kFrameOverhead) {
     return Status::ParseError("frame length " + std::to_string(length) +
-                              " below the 13-byte minimum");
+                              " below the " +
+                              std::to_string(kFrameOverhead) +
+                              "-byte minimum");
   }
   if (length > limits_.max_frame_bytes) {
     return Status::ParseError(
@@ -190,11 +195,13 @@ Result<std::optional<Frame>> FrameDecoder::Next() {
   uint8_t type = 0;
   GTPQ_CHECK(r.ReadU8(&type).ok());
   GTPQ_CHECK(r.ReadU64(&frame.request_id).ok());
+  GTPQ_CHECK(r.ReadU64(&frame.trace.trace_id).ok());
+  GTPQ_CHECK(r.ReadU64(&frame.trace.parent_span).ok());
   if (!IsKnownType(type)) {
     return Status::ParseError("unknown frame type " + std::to_string(type));
   }
   frame.type = static_cast<FrameType>(type);
-  frame.payload.assign(body.substr(1 + 8));
+  frame.payload.assign(body.substr(1 + 8 + 16));
   consumed_ += 4 + static_cast<size_t>(length);
   return std::optional<Frame>(std::move(frame));
 }
@@ -241,16 +248,7 @@ std::string EncodeQueryRequest(const QueryRequest& request) {
   Writer w;
   w.WriteU64(request.result_limit);
   w.WriteString(request.text);
-  // Optional trailing fields: a serial, untraced request stays
-  // byte-identical to the original v1 layout. A traced request encodes
-  // parallelism even when 0 so the trace pair keeps its position.
-  if (request.parallelism != 0 || request.trace_id != 0) {
-    w.WriteU32(request.parallelism);
-  }
-  if (request.trace_id != 0) {
-    w.WriteU64(request.trace_id);
-    w.WriteU64(request.parent_span);
-  }
+  w.WriteU32(request.parallelism);
   return w.buffer();
 }
 
@@ -259,19 +257,9 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
       payload, "QUERY",
       [](Reader* r, void* opaque) -> Status {
         auto* request = static_cast<QueryRequest*>(opaque);
-        request->parallelism = 0;
-        request->trace_id = 0;
-        request->parent_span = 0;
         GTPQ_RETURN_NOT_OK(r->ReadU64(&request->result_limit));
         GTPQ_RETURN_NOT_OK(r->ReadString(&request->text));
-        if (r->remaining() > 0) {
-          GTPQ_RETURN_NOT_OK(r->ReadU32(&request->parallelism));
-        }
-        if (r->remaining() > 0) {
-          GTPQ_RETURN_NOT_OK(r->ReadU64(&request->trace_id));
-          GTPQ_RETURN_NOT_OK(r->ReadU64(&request->parent_span));
-        }
-        return Status::OK();
+        return r->ReadU32(&request->parallelism);
       },
       out);
 }
@@ -281,13 +269,7 @@ std::string EncodeBatchRequest(const BatchRequest& request) {
   w.WriteU64(request.result_limit);
   w.WriteU32(static_cast<uint32_t>(request.texts.size()));
   for (const std::string& text : request.texts) w.WriteString(text);
-  if (request.parallelism != 0 || request.trace_id != 0) {
-    w.WriteU32(request.parallelism);
-  }
-  if (request.trace_id != 0) {
-    w.WriteU64(request.trace_id);
-    w.WriteU64(request.parent_span);
-  }
+  w.WriteU32(request.parallelism);
   return w.buffer();
 }
 
@@ -295,9 +277,6 @@ Status DecodeBatchRequest(std::string_view payload,
                           const WireLimits& limits, BatchRequest* out) {
   Reader r(payload);
   out->texts.clear();
-  out->parallelism = 0;
-  out->trace_id = 0;
-  out->parent_span = 0;
   Status st = [&]() -> Status {
     GTPQ_RETURN_NOT_OK(r.ReadU64(&out->result_limit));
     uint32_t count = 0;
@@ -313,13 +292,7 @@ Status DecodeBatchRequest(std::string_view payload,
       GTPQ_RETURN_NOT_OK(r.ReadString(&text));
       out->texts.push_back(std::move(text));
     }
-    if (r.remaining() > 0) {
-      GTPQ_RETURN_NOT_OK(r.ReadU32(&out->parallelism));
-    }
-    if (r.remaining() > 0) {
-      GTPQ_RETURN_NOT_OK(r.ReadU64(&out->trace_id));
-      GTPQ_RETURN_NOT_OK(r.ReadU64(&out->parent_span));
-    }
+    GTPQ_RETURN_NOT_OK(r.ReadU32(&out->parallelism));
     return r.ExpectEnd();
   }();
   if (!st.ok() && st.code() == StatusCode::kParseError) {
@@ -407,9 +380,6 @@ std::string EncodeServingStats(const ServingStats& stats) {
   w.WriteU64(stats.intermediate_size);
   w.WriteU64(stats.join_ops);
   WriteDouble(&w, stats.busy_ms);
-  // Per-stage engine timings (PR-6 fields). Always encoded; old peers
-  // simply never ask new servers, and new clients decode them as 0 when
-  // talking to an old server that stops at busy_ms.
   WriteDouble(&w, stats.match_ms);
   WriteDouble(&w, stats.prune_down_ms);
   WriteDouble(&w, stats.prime_ms);
@@ -435,18 +405,12 @@ Status DecodeServingStats(std::string_view payload, ServingStats* out) {
         GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->intermediate_size));
         GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->join_ops));
         GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->busy_ms));
-        stats->match_ms = stats->prune_down_ms = stats->prime_ms = 0;
-        stats->prune_up_ms = stats->matching_graph_ms = 0;
-        stats->enumerate_ms = 0;
-        if (r->remaining() > 0) {
-          GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->match_ms));
-          GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prune_down_ms));
-          GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prime_ms));
-          GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prune_up_ms));
-          GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->matching_graph_ms));
-          GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->enumerate_ms));
-        }
-        return Status::OK();
+        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->match_ms));
+        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prune_down_ms));
+        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prime_ms));
+        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prune_up_ms));
+        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->matching_graph_ms));
+        return ReadDouble(r, &stats->enumerate_ms);
       },
       out);
 }
@@ -456,10 +420,6 @@ std::string EncodeProbeRequest(const ProbeRequest& request) {
   w.WriteU8(request.reverse ? 1 : 0);
   w.WritePodVec(request.pivots);
   w.WritePodVec(request.ids);
-  if (request.trace_id != 0) {
-    w.WriteU64(request.trace_id);
-    w.WriteU64(request.parent_span);
-  }
   return w.buffer();
 }
 
@@ -474,15 +434,8 @@ Status DecodeProbeRequest(std::string_view payload, ProbeRequest* out) {
           return Status::ParseError("probe direction must be 0 or 1");
         }
         request->reverse = direction == 1;
-        request->trace_id = 0;
-        request->parent_span = 0;
         GTPQ_RETURN_NOT_OK(r->ReadPodVec(&request->pivots));
-        GTPQ_RETURN_NOT_OK(r->ReadPodVec(&request->ids));
-        if (r->remaining() > 0) {
-          GTPQ_RETURN_NOT_OK(r->ReadU64(&request->trace_id));
-          GTPQ_RETURN_NOT_OK(r->ReadU64(&request->parent_span));
-        }
-        return Status::OK();
+        return r->ReadPodVec(&request->ids);
       },
       out);
 }
@@ -493,9 +446,9 @@ size_t ProbeMatrixBytes(uint32_t rows, uint32_t cols) {
 }
 
 // Fixed PROBE_RESULT bytes (epoch, rows, cols, bitmask count) and fixed
-// PROBE bytes (direction, two list counts, trace pair).
+// PROBE bytes (direction, two list counts).
 constexpr size_t kProbeResultFixed = 8 + 4 + 4 + 8;
-constexpr size_t kProbeRequestFixed = 1 + 8 + 8 + 16;
+constexpr size_t kProbeRequestFixed = 1 + 8 + 8;
 }  // namespace
 
 uint64_t MaxProbeCells(const WireLimits& limits) {
@@ -547,9 +500,7 @@ Status DecodeProbeResult(std::string_view payload, ProbeResult* out) {
 std::string EncodeObserveRequest(ObserveKind kind, uint64_t trace_id) {
   Writer w;
   w.WriteU8(static_cast<uint8_t>(kind));
-  // Optional trailing filter, encoded only when non-zero so filterless
-  // requests stay byte-identical to PR 9 frames.
-  if (trace_id != 0) w.WriteU64(trace_id);
+  w.WriteU64(trace_id);
   return w.buffer();
 }
 
@@ -574,11 +525,7 @@ Status DecodeObserveRequest(std::string_view payload, ObserveKind* kind,
                                     std::to_string(raw));
         }
         *request->kind = static_cast<ObserveKind>(raw);
-        *request->trace_id = 0;
-        if (r->remaining() > 0) {
-          GTPQ_RETURN_NOT_OK(r->ReadU64(request->trace_id));
-        }
-        return Status::OK();
+        return r->ReadU64(request->trace_id);
       },
       &out);
 }

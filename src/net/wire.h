@@ -9,41 +9,40 @@
 
 #include "common/status.h"
 #include "core/eval_types.h"
+#include "obs/trace.h"
 #include "runtime/query_server.h"
 
 namespace gtpq {
 namespace net {
 
-/// "gtpq-wire v2": the length-prefixed binary protocol the network
+/// "gtpq-wire v3": the length-prefixed binary protocol the network
 /// front-end (net/server.h) speaks. Every frame is
 ///
-///   u32 length       bytes that follow (type + request id + payload
-///                    + trailer), bounds-checked against
-///                    WireLimits::max_frame_bytes before any allocation
+///   u32 length       bytes that follow (header + payload + trailer),
+///                    bounds-checked against WireLimits::max_frame_bytes
+///                    before any allocation
 ///   u8  type         FrameType
 ///   u64 request_id   caller-chosen correlation id, echoed verbatim in
 ///                    the response; responses may arrive out of order
-///   ...              payload (length - 13 bytes), per-type layout below
-///   u32 crc32        storage::Crc32 over [type, request_id, payload]
+///   u64 trace_id     distributed-trace context (obs/trace.h) of the
+///   u64 parent_span  request; 0 when untraced, always 0 on responses
+///   ...              payload (length - kFrameOverhead bytes), per-type
+///                    layout below
+///   u32 crc32        storage::Crc32 over [header, payload]
 ///
 /// all little-endian via the storage Writer/Reader primitives, so the
 /// codec shares its byte order, bounds checking, and checksum flavour
-/// with the .gtpqidx on-disk format.
+/// with the .gtpqidx on-disk format. Every payload has exactly one
+/// layout: a decoder rejects a payload that is short or has bytes left
+/// over.
 ///
 /// Request payloads:
 ///   HELLO          u32 magic "GTPW", u32 version
 ///   QUERY          u64 result_limit, string query text
-///                  (query/query_parser.h line format), then an
-///                  OPTIONAL u32 parallelism budget (0 when absent) —
-///                  emitted only when non-zero so v1 peers that stop at
-///                  the query text still interoperate — then an OPTIONAL
-///                  u64 trace id + u64 parent span id pair, emitted only
-///                  when the request is traced (parallelism is encoded
-///                  whenever the trace fields are, keeping the layout
-///                  positional)
+///                  (query/query_parser.h line format), u32 parallelism
+///                  budget (0 = serial)
 ///   BATCH          u64 result_limit, u32 count, count query strings,
-///                  then the same optional trailing u32 parallelism and
-///                  optional u64 trace id + u64 parent span pair
+///                  u32 parallelism budget
 ///   APPLY_UPDATES  string "gtpq-updates v1" text (dynamic/update_io.h)
 ///   STATS          empty
 ///   PROBE          u8 direction (0 = does pivots[r] reach ids[c], 1 =
@@ -53,13 +52,10 @@ namespace net {
 ///                  router sends to each shard server once per set call
 ///                  (src/cluster/shard_router.h), or once per tile when
 ///                  the answer would not fit one frame (MaxProbeCells)
-///                  — then the same optional u64 trace id + u64 parent
-///                  span
 ///   OBSERVE        u8 kind (0 = Prometheus metrics, 1 = Chrome trace
 ///                  JSON, 2 = slow-query log, 3 = binary metrics
 ///                  snapshot, 4 = health report, 5 = binary span dump),
-///                  then an optional trailing u64 trace-id filter
-///                  (encoded only when non-zero; absent for old peers)
+///                  u64 trace-id filter (0 = every trace)
 ///
 /// Response payloads (type = request type | 0x80, or ERROR):
 ///   HELLO_OK       u32 magic, u32 version, u64 epoch, u64 graph nodes,
@@ -67,7 +63,8 @@ namespace net {
 ///   RESULT         u64 epoch, QueryResult (EncodeQueryResult)
 ///   BATCH_RESULT   u64 epoch, u32 count, count QueryResults
 ///   APPLY_OK       u64 epoch, u64 batches applied
-///   STATS_RESULT   ServingStats (EncodeServingStats)
+///   STATS_RESULT   ServingStats (EncodeServingStats): engine string,
+///                  nine u64 counters, seven f64 timings
 ///   PROBE_RESULT   u64 epoch, u32 rows, u32 cols, then the packed
 ///                  rows x cols answer matrix, row-major (bit r * cols + c
 ///                  answers (pivots[r], ids[c])), as a u8 POD vector of
@@ -75,14 +72,14 @@ namespace net {
 ///   OBSERVE_RESULT string body (text exposition / JSON / log dump)
 ///   ERROR          u8 StatusCode, string message
 inline constexpr uint32_t kWireMagic = 0x57505447;  // "GTPW" LE
-/// v2 replaced PROBE's single pivot with a pivot list and made
-/// PROBE_RESULT a matrix; HELLO rejects a v1 peer instead of letting it
-/// misread a PROBE.
-inline constexpr uint32_t kWireVersion = 2;
+/// v3 moved the trace context into the frame header and gave every
+/// payload one fixed layout; HELLO rejects any other version, so a
+/// peer never misreads a frame.
+inline constexpr uint32_t kWireVersion = 3;
 
-/// Frame header bytes after the length prefix: type + request id +
-/// crc trailer.
-inline constexpr size_t kFrameOverhead = 1 + 8 + 4;
+/// Frame bytes after the length prefix that are not payload: type +
+/// request id + trace context + crc trailer.
+inline constexpr size_t kFrameOverhead = 1 + 8 + 16 + 4;
 
 enum class FrameType : uint8_t {
   kHello = 0x01,
@@ -105,7 +102,7 @@ enum class FrameType : uint8_t {
 
 /// True for the seven request (client -> server) frame types.
 bool IsRequestType(uint8_t type);
-/// True for any frame type defined by gtpq-wire v2.
+/// True for any frame type gtpq-wire defines.
 bool IsKnownType(uint8_t type);
 const char* FrameTypeName(FrameType type);
 
@@ -121,13 +118,17 @@ struct WireLimits {
 struct Frame {
   FrameType type = FrameType::kError;
   uint64_t request_id = 0;
+  /// The sender's trace context; zero on untraced requests and on
+  /// every response.
+  obs::TraceContext trace;
   std::string payload;
 };
 
 /// Appends one encoded frame to `*out` (length prefix, header, payload,
 /// CRC trailer).
 void EncodeFrame(FrameType type, uint64_t request_id,
-                 std::string_view payload, std::string* out);
+                 obs::TraceContext trace, std::string_view payload,
+                 std::string* out);
 
 /// Incremental frame decoder over one connection's byte stream. Append
 /// received bytes, then call Next() until it yields nullopt (need more
@@ -171,16 +172,7 @@ struct QueryRequest {
   uint64_t result_limit = 0;
   std::string text;
   /// Requested intra-query lanes (GteaOptions::parallelism); 0 = serial.
-  /// Optional on the wire: encoded only when non-zero, decoded as 0
-  /// when the trailing field is absent.
   uint32_t parallelism = 0;
-  /// Optional distributed-trace correlation (obs/trace.h): encoded as a
-  /// trailing u64 pair only when trace_id is non-zero (parallelism is
-  /// then encoded too, even when 0, so positional decoding holds);
-  /// decoded as 0 when absent. Untraced requests stay byte-identical to
-  /// the original v1 layout.
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
 };
 std::string EncodeQueryRequest(const QueryRequest& request);
 Status DecodeQueryRequest(std::string_view payload, QueryRequest* out);
@@ -188,10 +180,8 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequest* out);
 struct BatchRequest {
   uint64_t result_limit = 0;
   std::vector<std::string> texts;
-  /// Same optional trailing fields as QueryRequest.
+  /// As on QueryRequest.
   uint32_t parallelism = 0;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
 };
 std::string EncodeBatchRequest(const BatchRequest& request);
 Status DecodeBatchRequest(std::string_view payload, const WireLimits& limits,
@@ -229,11 +219,6 @@ struct ProbeRequest {
   bool reverse = false;
   std::vector<NodeId> pivots;
   std::vector<NodeId> ids;
-  /// Optional trailing trace correlation, as on QueryRequest: a u64
-  /// pair appended only when trace_id is non-zero, decoded as 0 when
-  /// absent.
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
 };
 std::string EncodeProbeRequest(const ProbeRequest& request);
 Status DecodeProbeRequest(std::string_view payload, ProbeRequest* out);
@@ -257,7 +242,7 @@ Status DecodeProbeResult(std::string_view payload, ProbeResult* out);
 
 /// What one PROBE round trip can carry under `limits`: the largest
 /// rows x cols a PROBE_RESULT holds, and the largest pivots + ids a
-/// traced PROBE holds. Larger questions must be split across frames;
+/// PROBE holds. Larger questions must be split across frames;
 /// a server rejects a PROBE whose answer would not fit.
 uint64_t MaxProbeCells(const WireLimits& limits);
 size_t MaxProbeNodes(const WireLimits& limits);
@@ -276,9 +261,7 @@ enum class ObserveKind : uint8_t {
   kHealth = 4,           // binary HealthReport
   kSpans = 5,            // binary span dump (obs/federation.h)
 };
-/// The optional trailing `trace_id` filters kTrace/kSpans exports to
-/// one trace. Like every optional wire field it is encoded only when
-/// non-zero, so frames without it stay byte-identical to PR 9 peers.
+/// A non-zero `trace_id` filters kTrace/kSpans exports to one trace.
 std::string EncodeObserveRequest(ObserveKind kind, uint64_t trace_id = 0);
 Status DecodeObserveRequest(std::string_view payload, ObserveKind* kind,
                             uint64_t* trace_id);

@@ -12,11 +12,12 @@ namespace gtpq {
 namespace obs {
 
 /// Request tracing across the serving stack. A trace id is minted by
-/// the first hop (gteactl query --trace, or a test), carried as
-/// optional trailing wire fields on QUERY/BATCH/PROBE frames, and
-/// installed thread-locally while a request is being served — so code
-/// deep in the engine (the cluster router's probes, most importantly)
-/// can attach child spans without any parameter plumbing. Completed
+/// the first hop (gteactl query --trace, or a test), carried in the
+/// header of every gtpq-wire request frame (net/wire.h), and installed
+/// thread-locally while a request is being served — so code deep in
+/// the engine (the cluster router's probes, most importantly) can
+/// attach child spans, and send traced frames, without any parameter
+/// plumbing. Completed
 /// spans land in a fixed-size recorder ring and export as Chrome
 /// trace-event JSON (chrome://tracing, Perfetto).
 

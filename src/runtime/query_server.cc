@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
 #include "reachability/boundary_closure.h"
-#include "storage/index_io.h"
 
 namespace gtpq {
 
@@ -29,16 +28,6 @@ struct QueryMetrics {
   static const QueryMetrics& Get() {
     static const QueryMetrics m = [] {
       obs::Registry& reg = obs::Registry::Global();
-      // gtpq_build_info is the standard info-series idiom: value
-      // constant 1, the payload lives in the labels (wire protocol
-      // revision, .gtpqidx format revision). Registered here so every
-      // serving process exports it without touching the hot path again.
-      const std::string format =
-          "gtpqidx v" + std::to_string(storage::kIndexFormatVersion);
-      reg.GetGauge(obs::LabeledName("gtpq_build_info",
-                                    {{"version", "gtpq-wire v2"},
-                                     {"format", format}}))
-          ->Set(1);
       return QueryMetrics{reg.GetCounter("gtpq_queries_total"),
                           reg.GetCounter("gtpq_updates_applied_total"),
                           reg.GetCounter("gtpq_update_rows_total"),
@@ -310,26 +299,6 @@ Status QueryServer::ApplyUpdates(const UpdateBatch& batch) {
   return st;
 }
 
-QueryServer::Snapshot QueryServer::stats() const {
-  Snapshot total;
-  for (const auto& worker : workers_) {
-    std::lock_guard<std::mutex> lock(worker->mu);
-    total.queries += worker->served.queries;
-    total.input_nodes += worker->served.input_nodes;
-    total.index_lookups += worker->served.index_lookups;
-    total.intermediate_size += worker->served.intermediate_size;
-    total.join_ops += worker->served.join_ops;
-    total.busy_ms += worker->served.busy_ms;
-    total.match_ms += worker->served.match_ms;
-    total.prune_down_ms += worker->served.prune_down_ms;
-    total.prime_ms += worker->served.prime_ms;
-    total.prune_up_ms += worker->served.prune_up_ms;
-    total.matching_graph_ms += worker->served.matching_graph_ms;
-    total.enumerate_ms += worker->served.enumerate_ms;
-  }
-  return total;
-}
-
 ServingStats QueryServer::serving_stats() const {
   ServingStats out;
   out.engine = engine_name();
@@ -337,19 +306,22 @@ ServingStats QueryServer::serving_stats() const {
   out.threads = num_threads();
   out.batches = batches_.load(std::memory_order_relaxed);
   out.updates_applied = updates_applied_.load(std::memory_order_relaxed);
-  const Snapshot counters = stats();
-  out.queries = counters.queries;
-  out.input_nodes = counters.input_nodes;
-  out.index_lookups = counters.index_lookups;
-  out.intermediate_size = counters.intermediate_size;
-  out.join_ops = counters.join_ops;
-  out.busy_ms = counters.busy_ms;
-  out.match_ms = counters.match_ms;
-  out.prune_down_ms = counters.prune_down_ms;
-  out.prime_ms = counters.prime_ms;
-  out.prune_up_ms = counters.prune_up_ms;
-  out.matching_graph_ms = counters.matching_graph_ms;
-  out.enumerate_ms = counters.enumerate_ms;
+  for (const auto& worker : workers_) {
+    std::lock_guard<std::mutex> lock(worker->mu);
+    const ServingStats& served = worker->served;
+    out.queries += served.queries;
+    out.input_nodes += served.input_nodes;
+    out.index_lookups += served.index_lookups;
+    out.intermediate_size += served.intermediate_size;
+    out.join_ops += served.join_ops;
+    out.busy_ms += served.busy_ms;
+    out.match_ms += served.match_ms;
+    out.prune_down_ms += served.prune_down_ms;
+    out.prime_ms += served.prime_ms;
+    out.prune_up_ms += served.prune_up_ms;
+    out.matching_graph_ms += served.matching_graph_ms;
+    out.enumerate_ms += served.enumerate_ms;
+  }
   return out;
 }
 

@@ -41,8 +41,7 @@ struct ServingStats {
   /// Sum of per-query evaluation times (not wall clock).
   double busy_ms = 0;
   /// Per-stage engine time sums (EngineStats accumulated across every
-  /// query served). Optional trailing fields on the wire; 0 when
-  /// reported by an older server.
+  /// query served).
   double match_ms = 0;
   double prune_down_ms = 0;
   double prime_ms = 0;
@@ -179,40 +178,22 @@ class QueryServer {
     return factory_->snapshot();
   }
 
-  /// Cumulative serving counters, aggregated across workers.
-  struct Snapshot {
-    uint64_t queries = 0;
-    uint64_t input_nodes = 0;
-    uint64_t index_lookups = 0;
-    uint64_t intermediate_size = 0;
-    uint64_t join_ops = 0;
-    /// Sum of per-query evaluation times (not wall clock).
-    double busy_ms = 0;
-    /// Per-stage engine time sums (see ServingStats).
-    double match_ms = 0;
-    double prune_down_ms = 0;
-    double prime_ms = 0;
-    double prune_up_ms = 0;
-    double matching_graph_ms = 0;
-    double enumerate_ms = 0;
-  };
-  Snapshot stats() const;
-
   /// One coherent aggregate of identity + counters (see ServingStats).
   /// Safe to call concurrently with queries and updates.
   ServingStats serving_stats() const;
 
  private:
   // Per-worker slot: engine (bound to `snap`, re-stamped on epoch
-  // change) plus its share of the serving counters, guarded by a
-  // (virtually uncontended) per-worker mutex and padded onto its own
-  // cache line. `snap`/`engine` are only touched by the owning pool
+  // change) plus its share of the serving counters (the work counters
+  // and timings of ServingStats; identity fields stay unset), guarded
+  // by a (virtually uncontended) per-worker mutex and padded onto its
+  // own cache line. `snap`/`engine` are only touched by the owning pool
   // thread after construction.
   struct alignas(64) Worker {
     std::shared_ptr<const EngineSnapshot> snap;
     std::unique_ptr<Evaluator> engine;
     mutable std::mutex mu;
-    Snapshot served;
+    ServingStats served;
   };
 
   QueryResult EvaluateOnWorker(

@@ -1,8 +1,10 @@
-// Socket-level tests for the gtpq-wire v2 front-end: codec round trips
-// for every frame type, malformed/truncated/oversized frame rejection,
-// admission control, pipelined multi-client differentials against the
-// in-process QueryServer, and wire APPLY_UPDATES snapshot consistency
-// under concurrent query load (this last one runs in the TSan CI job).
+// Socket-level tests for the gtpq-wire front-end: codec round trips
+// for every frame type (trace context in the header, one fixed layout
+// per payload), malformed/truncated/oversized frame rejection,
+// admission control, over-limit responses degrading to typed errors,
+// pipelined multi-client differentials against the in-process
+// QueryServer, and wire APPLY_UPDATES snapshot consistency under
+// concurrent query load (this last one runs in the TSan CI job).
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -81,11 +83,16 @@ TEST(WireCodecTest, FrameRoundTripsEveryType) {
        }())},
   };
   // One buffer carrying all frames, drip-fed a byte at a time, checks
-  // both pipelining and resumable partial decode.
+  // both pipelining and resumable partial decode. Each frame carries its
+  // own trace context in the header.
+  const auto trace_of = [](uint64_t id) {
+    return obs::TraceContext{id * 1000 + 1, id * 1000 + 2};
+  };
   std::string bytes;
   uint64_t id = 100;
   for (const auto& c : cases) {
-    net::EncodeFrame(c.type, id++, c.payload, &bytes);
+    net::EncodeFrame(c.type, id, trace_of(id), c.payload, &bytes);
+    ++id;
   }
   FrameDecoder decoder;
   std::vector<Frame> decoded;
@@ -102,8 +109,11 @@ TEST(WireCodecTest, FrameRoundTripsEveryType) {
   id = 100;
   for (size_t i = 0; i < decoded.size(); ++i) {
     EXPECT_EQ(decoded[i].type, cases[i].type);
-    EXPECT_EQ(decoded[i].request_id, id++);
+    EXPECT_EQ(decoded[i].request_id, id);
+    EXPECT_EQ(decoded[i].trace.trace_id, trace_of(id).trace_id);
+    EXPECT_EQ(decoded[i].trace.parent_span, trace_of(id).parent_span);
     EXPECT_EQ(decoded[i].payload, cases[i].payload);
+    ++id;
   }
   EXPECT_EQ(decoder.buffered(), 0u);
 }
@@ -126,9 +136,6 @@ TEST(WireCodecTest, PayloadCodecsRoundTrip) {
   EXPECT_EQ(query2.text, query.text);
   EXPECT_EQ(query2.parallelism, 0u);
 
-  // The optional parallelism field round-trips, and a serial request
-  // encodes byte-identically to the pre-parallelism layout (the field
-  // is only appended when nonzero, keeping old decoders compatible).
   net::QueryRequest parallel_query = query;
   parallel_query.parallelism = 8;
   net::QueryRequest parallel_query2;
@@ -138,8 +145,6 @@ TEST(WireCodecTest, PayloadCodecsRoundTrip) {
                   .ok());
   EXPECT_EQ(parallel_query2.parallelism, 8u);
   EXPECT_EQ(parallel_query2.text, query.text);
-  EXPECT_EQ(net::EncodeQueryRequest(parallel_query).size(),
-            net::EncodeQueryRequest(query).size() + 4);
 
   net::BatchRequest batch{0, {"a\n", "b\n"}};
   net::BatchRequest batch2;
@@ -182,107 +187,122 @@ TEST(WireCodecTest, PayloadCodecsRoundTrip) {
       net::DecodeError(net::EncodeError(Status::NotFound("gone")));
   EXPECT_EQ(carried.code(), StatusCode::kNotFound);
   EXPECT_EQ(carried.message(), "gone");
+}
 
-  // Truncated payloads surface as parse errors, not crashes.
-  const std::string encoded = net::EncodeResult(result);
-  for (size_t cut : {size_t{0}, size_t{3}, encoded.size() - 1}) {
-    net::WireResult scratch;
-    EXPECT_FALSE(
-        net::DecodeResult(encoded.substr(0, cut), &scratch).ok());
+// Every payload has exactly one layout: each strict prefix of an
+// encoded payload, and the payload with one byte appended, must be
+// rejected.
+TEST(WireCodecTest, FixedLayoutsRejectPrefixesAndTrailingBytes) {
+  ServingStats stats;
+  stats.engine = "gtea";
+  stats.queries = 3;
+  stats.enumerate_ms = 0.5;
+  net::ProbeResult probe_result;
+  probe_result.rows = 2;
+  probe_result.cols = 5;
+  probe_result.bits = {0xff, 0x03};
+  const struct {
+    const char* name;
+    std::string payload;
+    Status (*decode)(std::string_view);
+  } cases[] = {
+      {"QUERY", net::EncodeQueryRequest({42, "backbone a root *\n", 2}),
+       [](std::string_view p) {
+         net::QueryRequest out;
+         return net::DecodeQueryRequest(p, &out);
+       }},
+      {"BATCH", net::EncodeBatchRequest({7, {"q0\n", "q1\n"}, 3}),
+       [](std::string_view p) {
+         net::BatchRequest out;
+         return net::DecodeBatchRequest(p, {}, &out);
+       }},
+      {"PROBE", net::EncodeProbeRequest({true, {5, 6}, {1, 2, 3}}),
+       [](std::string_view p) {
+         net::ProbeRequest out;
+         return net::DecodeProbeRequest(p, &out);
+       }},
+      {"OBSERVE", net::EncodeObserveRequest(net::ObserveKind::kSpans, 9),
+       [](std::string_view p) {
+         net::ObserveKind kind;
+         uint64_t filter = 0;
+         return net::DecodeObserveRequest(p, &kind, &filter);
+       }},
+      {"STATS_RESULT", net::EncodeServingStats(stats),
+       [](std::string_view p) {
+         ServingStats out;
+         return net::DecodeServingStats(p, &out);
+       }},
+      {"RESULT", net::EncodeResult({5, {{0, 2}, {{1, 4}}}}),
+       [](std::string_view p) {
+         net::WireResult out;
+         return net::DecodeResult(p, &out);
+       }},
+      {"BATCH_RESULT",
+       net::EncodeBatchResult({6, {{{0}, {{1}, {2}}}, {{1}, {}}}}),
+       [](std::string_view p) {
+         net::WireBatchResult out;
+         return net::DecodeBatchResult(p, &out);
+       }},
+      {"HELLO_OK", net::EncodeHelloOk({3, 999, "gtea[contour]"}),
+       [](std::string_view p) {
+         net::HelloOk out;
+         return net::DecodeHelloOk(p, &out);
+       }},
+      {"APPLY_OK", net::EncodeApplyOk({9, 4}),
+       [](std::string_view p) {
+         net::ApplyOk out;
+         return net::DecodeApplyOk(p, &out);
+       }},
+      {"PROBE_RESULT", net::EncodeProbeResult(probe_result),
+       [](std::string_view p) {
+         net::ProbeResult out;
+         return net::DecodeProbeResult(p, &out);
+       }},
+  };
+  for (const auto& c : cases) {
+    ASSERT_TRUE(c.decode(c.payload).ok()) << c.name;
+    for (size_t cut = 0; cut < c.payload.size(); ++cut) {
+      EXPECT_FALSE(c.decode(c.payload.substr(0, cut)).ok())
+          << c.name << " cut at " << cut << " of " << c.payload.size();
+    }
+    EXPECT_FALSE(c.decode(c.payload + '\0').ok())
+        << c.name << " with a trailing byte";
   }
 }
 
-TEST(WireCodecTest, TraceFieldsStayWireCompatible) {
-  // Frames hand-built in the original v1 layout (no parallelism, no
-  // trace pair) must decode with every optional field zeroed — an old
-  // peer keeps talking to a new server unchanged.
-  {
-    storage::Writer w;
-    w.WriteU64(9);
-    w.WriteString("a\n");
-    net::QueryRequest out{1, "x", 5, 5, 5};  // poisoned optionals
-    ASSERT_TRUE(net::DecodeQueryRequest(w.buffer(), &out).ok());
-    EXPECT_EQ(out.result_limit, 9u);
-    EXPECT_EQ(out.text, "a\n");
-    EXPECT_EQ(out.parallelism, 0u);
-    EXPECT_EQ(out.trace_id, 0u);
-    EXPECT_EQ(out.parent_span, 0u);
-  }
-  {
-    storage::Writer w;
-    w.WriteU64(0);
-    w.WriteU32(2);
-    w.WriteString("a\n");
-    w.WriteString("b\n");
-    net::BatchRequest out;
-    out.trace_id = 5;
-    ASSERT_TRUE(net::DecodeBatchRequest(w.buffer(), {}, &out).ok());
-    EXPECT_EQ(out.texts.size(), 2u);
-    EXPECT_EQ(out.parallelism, 0u);
-    EXPECT_EQ(out.trace_id, 0u);
-  }
-  {
-    // PROBE hand-built in the v2 layout (direction, pivot list, id
-    // list) with no trace pair.
-    storage::Writer w;
-    w.WriteU8(1);
-    w.WritePodVec(std::vector<NodeId>{3, 4});
-    w.WritePodVec(std::vector<NodeId>{1, 2, 7});
-    net::ProbeRequest out;
-    out.trace_id = 5;
-    ASSERT_TRUE(net::DecodeProbeRequest(w.buffer(), &out).ok());
-    EXPECT_TRUE(out.reverse);
-    EXPECT_EQ(out.pivots, (std::vector<NodeId>{3, 4}));
-    EXPECT_EQ(out.ids, (std::vector<NodeId>{1, 2, 7}));
-    EXPECT_EQ(out.trace_id, 0u);
-    EXPECT_EQ(out.parent_span, 0u);
-  }
+// MaxProbeNodes/MaxProbeCells size BoundaryClosure's probe tiles, so
+// they must agree with the real encoder and decoder: a PROBE carrying
+// MaxProbeNodes ids and a PROBE_RESULT carrying MaxProbeCells cells
+// each fit one frame, and one more does not.
+TEST(WireCodecTest, ProbeLimitsMatchTheEncoder) {
+  net::WireLimits limits;
+  limits.max_frame_bytes = 4096;
+  const auto decodes = [&limits](FrameType type, const std::string& payload) {
+    std::string bytes;
+    net::EncodeFrame(type, 1, {2, 3}, payload, &bytes);
+    FrameDecoder decoder(limits);
+    decoder.Append(bytes.data(), bytes.size());
+    auto frame = decoder.Next();
+    return frame.ok() && frame->has_value();
+  };
 
-  // Untraced requests still encode byte-identically to the old layout;
-  // a traced request appends parallelism (even when 0, to keep the
-  // positional decode) plus the 16-byte trace pair.
-  net::QueryRequest plain{4, "q\n"};
-  net::QueryRequest traced = plain;
-  traced.trace_id = 0xabcdef01;
-  traced.parent_span = 77;
-  EXPECT_EQ(net::EncodeQueryRequest(traced).size(),
-            net::EncodeQueryRequest(plain).size() + 4 + 16);
-  net::QueryRequest traced2;
-  ASSERT_TRUE(
-      net::DecodeQueryRequest(net::EncodeQueryRequest(traced), &traced2)
-          .ok());
-  EXPECT_EQ(traced2.trace_id, 0xabcdef01u);
-  EXPECT_EQ(traced2.parent_span, 77u);
-  EXPECT_EQ(traced2.parallelism, 0u);
-  EXPECT_EQ(traced2.text, plain.text);
+  net::ProbeRequest request;
+  request.pivots = {0};
+  request.ids.assign(net::MaxProbeNodes(limits) - 1, 0);
+  EXPECT_TRUE(decodes(FrameType::kProbe, net::EncodeProbeRequest(request)));
+  request.ids.push_back(0);
+  EXPECT_FALSE(decodes(FrameType::kProbe, net::EncodeProbeRequest(request)));
 
-  net::BatchRequest traced_batch{0, {"a\n"}};
-  traced_batch.parallelism = 3;
-  traced_batch.trace_id = 11;
-  traced_batch.parent_span = 12;
-  net::BatchRequest traced_batch2;
-  ASSERT_TRUE(net::DecodeBatchRequest(
-                  net::EncodeBatchRequest(traced_batch), {},
-                  &traced_batch2)
-                  .ok());
-  EXPECT_EQ(traced_batch2.parallelism, 3u);
-  EXPECT_EQ(traced_batch2.trace_id, 11u);
-  EXPECT_EQ(traced_batch2.parent_span, 12u);
-
-  net::ProbeRequest traced_probe;
-  traced_probe.pivots = {5};
-  traced_probe.ids = {8, 9};
-  traced_probe.trace_id = 21;
-  traced_probe.parent_span = 22;
-  EXPECT_EQ(net::EncodeProbeRequest(traced_probe).size(),
-            net::EncodeProbeRequest({false, {5}, {8, 9}}).size() + 16);
-  net::ProbeRequest traced_probe2;
-  ASSERT_TRUE(net::DecodeProbeRequest(
-                  net::EncodeProbeRequest(traced_probe), &traced_probe2)
-                  .ok());
-  EXPECT_EQ(traced_probe2.ids, traced_probe.ids);
-  EXPECT_EQ(traced_probe2.trace_id, 21u);
-  EXPECT_EQ(traced_probe2.parent_span, 22u);
+  net::ProbeResult result;
+  result.rows = 1;
+  result.cols = static_cast<uint32_t>(net::MaxProbeCells(limits));
+  result.bits.assign((result.cols + 7) / 8, 0);
+  EXPECT_TRUE(
+      decodes(FrameType::kProbeResult, net::EncodeProbeResult(result)));
+  ++result.cols;
+  result.bits.assign((result.cols + 7) / 8, 0);
+  EXPECT_FALSE(
+      decodes(FrameType::kProbeResult, net::EncodeProbeResult(result)));
 }
 
 TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
@@ -296,33 +316,26 @@ TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
                                           &out, &filter)
                     .ok());
     EXPECT_EQ(out, kind);
-    // No trailing filter encoded -> decoded as 0, never left stale.
     EXPECT_EQ(filter, 0u);
   }
   {
     storage::Writer w;
     w.WriteU8(6);  // out of range
+    w.WriteU64(0);
     net::ObserveKind out;
     uint64_t filter = 0;
     EXPECT_EQ(net::DecodeObserveRequest(w.buffer(), &out, &filter).code(),
               StatusCode::kParseError);
   }
   {
-    // The trace-id filter round-trips as the optional trailing field...
+    // The trace-id filter round-trips.
     const std::string encoded =
         net::EncodeObserveRequest(net::ObserveKind::kSpans, 0xabcdef);
-    EXPECT_EQ(encoded.size(),
-              net::EncodeObserveRequest(net::ObserveKind::kSpans).size() +
-                  8);
     net::ObserveKind out;
     uint64_t filter = 0;
     ASSERT_TRUE(net::DecodeObserveRequest(encoded, &out, &filter).ok());
     EXPECT_EQ(out, net::ObserveKind::kSpans);
     EXPECT_EQ(filter, 0xabcdefu);
-    // ...and a filter of 0 encodes the original single-byte layout, so
-    // unfiltered requests stay byte-identical for old peers.
-    EXPECT_EQ(net::EncodeObserveRequest(net::ObserveKind::kTrace, 0).size(),
-              1u);
   }
   const std::string body = "# TYPE x counter\nx 1\n";
   std::string body2;
@@ -390,7 +403,7 @@ TEST(WireCodecTest, ServingStatsCarriesStageTimings) {
 
 TEST(WireCodecTest, DecoderRejectsMalformedFrames) {
   std::string good;
-  net::EncodeFrame(FrameType::kStats, 1, "", &good);
+  net::EncodeFrame(FrameType::kStats, 1, {}, "", &good);
 
   // Truncation is not an error — the decoder just waits for more.
   {
@@ -434,7 +447,7 @@ TEST(WireCodecTest, DecoderRejectsMalformedFrames) {
   // Unknown frame type (valid CRC).
   {
     std::string bad;
-    net::EncodeFrame(static_cast<FrameType>(0x33), 1, "", &bad);
+    net::EncodeFrame(static_cast<FrameType>(0x33), 1, {}, "", &bad);
     FrameDecoder decoder;
     decoder.Append(bad.data(), bad.size());
     EXPECT_FALSE(decoder.Next().ok());
@@ -571,10 +584,13 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   }
   const uint64_t trace_id = obs::NewTraceId();
   std::vector<uint64_t> ids;
-  for (const std::string& text : texts) {
-    auto id = client.SendQuery(text, 0, 0, trace_id, 1);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    ids.push_back(*id);
+  {
+    const obs::ScopedTraceContext traced({trace_id, 1});
+    for (const std::string& text : texts) {
+      auto id = client.SendQuery(text);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ids.push_back(*id);
+    }
   }
   // Collect in reverse order to exercise response parking.
   for (size_t i = ids.size(); i-- > 0;) {
@@ -586,7 +602,10 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
     EXPECT_EQ(result.result, untraced[i].result) << "query " << i;
   }
   // A traced BATCH rides the same connection.
-  auto batch = client.QueryBatch(texts, 0, 0, trace_id, 1);
+  auto batch = [&] {
+    const obs::ScopedTraceContext traced({trace_id, 1});
+    return client.QueryBatch(texts);
+  }();
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->results.size(), texts.size());
 
@@ -658,9 +677,17 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   std::vector<obs::Span> spans;
   ASSERT_TRUE(obs::DecodeSpans(*spans_body, &spans).ok());
   ASSERT_FALSE(spans.empty());
+  size_t dispatch_spans = 0;
   for (const obs::Span& span : spans) {
     EXPECT_EQ(span.trace_id, trace_id);
+    if (span.name == "dispatch") {
+      // Parented by the header's parent_span.
+      EXPECT_EQ(span.parent_span, 1u);
+      ++dispatch_spans;
+    }
   }
+  // One per traced QUERY plus the traced BATCH.
+  EXPECT_EQ(dispatch_spans, texts.size() + 1);
 
   server.Stop();
 }
@@ -734,7 +761,7 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
     RawConn conn(server.port());
     ASSERT_TRUE(conn.connected());
     std::string bytes;
-    net::EncodeFrame(FrameType::kQuery, 9,
+    net::EncodeFrame(FrameType::kQuery, 9, {},
                      net::EncodeQueryRequest({0, "backbone a root *\n"}),
                      &bytes);
     conn.Send(bytes);
@@ -747,7 +774,7 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
 
     // The connection still answers a proper handshake afterwards.
     bytes.clear();
-    net::EncodeFrame(FrameType::kHello, 10, net::EncodeHello(), &bytes);
+    net::EncodeFrame(FrameType::kHello, 10, {}, net::EncodeHello(), &bytes);
     conn.Send(bytes);
     frame = conn.ReadFrame();
     ASSERT_TRUE(frame.ok());
@@ -759,7 +786,7 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
     RawConn conn(server.port());
     ASSERT_TRUE(conn.connected());
     std::string bytes;
-    net::EncodeFrame(FrameType::kResult, 3, "", &bytes);
+    net::EncodeFrame(FrameType::kResult, 3, {}, "", &bytes);
     conn.Send(bytes);
     auto frame = conn.ReadFrame();
     ASSERT_TRUE(frame.ok());
@@ -772,7 +799,7 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
     RawConn conn(server.port());
     ASSERT_TRUE(conn.connected());
     std::string bytes;
-    net::EncodeFrame(FrameType::kHello, 1, net::EncodeHello(), &bytes);
+    net::EncodeFrame(FrameType::kHello, 1, {}, net::EncodeHello(), &bytes);
     bytes[bytes.size() - 1] ^= 0x11;
     conn.Send(bytes);
     auto frame = conn.ReadFrame();
@@ -852,6 +879,37 @@ TEST(NetServerTest, AdmissionControlRejectsWithTypedErrors) {
   ASSERT_TRUE(client2.Connect("127.0.0.1", full.port()).ok());
   auto result = client2.Query(texts[0]);
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Answers sent inline from the IO thread (OBSERVE here) pass the same
+// frame-limit check as dispatched ones: an over-limit answer becomes a
+// typed OutOfRange ERROR instead of a frame the client must reject as
+// a framing error, and the connection keeps serving.
+TEST(NetServerTest, OverLimitInlineResponseIsATypedError) {
+  DataGraph g = RandomDag({.num_nodes = 40,
+                           .avg_degree = 2.0,
+                           .num_labels = 5,
+                           .locality = 1.0,
+                           .seed = 3});
+  const std::vector<Gtpq> queries = MakeQueries(g, 1, 700);
+  ASSERT_EQ(queries.size(), 1u);
+  const std::string text = ToTexts(g, queries)[0];
+
+  net::NetServerOptions options;
+  options.runtime.num_threads = 1;
+  options.limits.max_frame_bytes = 2048;
+  net::NetServer server(g, options);
+  START_OR_SKIP(server);
+
+  net::NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), options.limits).ok());
+  ASSERT_TRUE(client.Query(text).ok());
+  auto metrics = client.Observe(net::ObserveKind::kMetrics);
+  EXPECT_EQ(metrics.status().code(), StatusCode::kOutOfRange)
+      << metrics.status().ToString();
+  auto again = client.Query(text);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->result, server.runtime().EvaluateBatch(queries)[0]);
 }
 
 TEST(NetServerTest, EightPipelinedClientsMatchInProcessServer) {
@@ -1196,8 +1254,8 @@ TEST(NetServerTest, SlowReaderWithTinyWindowGetsCompleteResponses) {
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   std::string bytes;
-  net::EncodeFrame(FrameType::kHello, 1, net::EncodeHello(), &bytes);
-  net::EncodeFrame(FrameType::kBatch, 2,
+  net::EncodeFrame(FrameType::kHello, 1, {}, net::EncodeHello(), &bytes);
+  net::EncodeFrame(FrameType::kBatch, 2, {},
                    net::EncodeBatchRequest({0, texts}), &bytes);
   size_t sent = 0;
   while (sent < bytes.size()) {

@@ -125,7 +125,7 @@ TEST(QueryServerTest, BatchMatchesSequentialEngine) {
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(results[i], reference.Evaluate(queries[i])) << "query " << i;
   }
-  EXPECT_EQ(server.stats().queries, queries.size());
+  EXPECT_EQ(server.serving_stats().queries, queries.size());
 }
 
 TEST(QueryServerTest, ServesEverySpecFamily) {
@@ -158,7 +158,7 @@ TEST(QueryServerTest, SubmitResolvesFutures) {
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(futures[i].get(), reference.Evaluate(queries[i]));
   }
-  EXPECT_EQ(server.stats().queries, queries.size());
+  EXPECT_EQ(server.serving_stats().queries, queries.size());
 }
 
 TEST(QueryServerTest, StatsAggregateAcrossWorkers) {
@@ -172,7 +172,7 @@ TEST(QueryServerTest, StatsAggregateAcrossWorkers) {
 
   QueryServer server(g, {.num_threads = 4});
   server.EvaluateBatch(queries);
-  auto snapshot = server.stats();
+  const ServingStats snapshot = server.serving_stats();
   EXPECT_EQ(snapshot.queries, queries.size());
   EXPECT_GT(snapshot.input_nodes, 0u);
   EXPECT_GT(snapshot.index_lookups, 0u);

@@ -50,7 +50,7 @@
 // stamped with the updated graph's fingerprint (plus, optionally, the
 // updated graph itself via --graph-out).
 //
-// `serve` exposes the engine over gtpq-wire v2 (net/server.h): an
+// `serve` exposes the engine over gtpq-wire (net/server.h): an
 // epoll front-end coalescing pipelined queries into snapshot-pinned
 // batches, with APPLY_UPDATES folding into the live epoch chain. The
 // `--connect=` subcommands (`query`, `apply`, `stats`, `metrics`,
@@ -656,9 +656,9 @@ int ServeLoop(const DataGraph& g, const net::NetServerOptions& options,
     std::fprintf(stderr, "%s: %s\n", command, started.ToString().c_str());
     return 1;
   }
-  std::printf("gtpq-wire v2 serving on %s:%u — engine %s, %zu worker "
+  std::printf("gtpq-wire v%u serving on %s:%u — engine %s, %zu worker "
               "thread(s)\n",
-              options.bind_address.c_str(), server.port(),
+              net::kWireVersion, options.bind_address.c_str(), server.port(),
               server.runtime().engine_name().c_str(),
               server.runtime().num_threads());
   std::fflush(stdout);
@@ -845,9 +845,10 @@ int RunRemoteQuery(int argc, char** argv) {
   // of a later `gteactl trace` dump.
   uint64_t trace_id = 0;
   if (HasFlag(argc, argv, "--trace")) trace_id = obs::NewTraceId();
+  const obs::ScopedTraceContext trace_scope({trace_id, 0});
 
   Timer timer;
-  auto result = client->Query(text, limit, parallelism, trace_id);
+  auto result = client->Query(text, limit, parallelism);
   if (!result.ok()) {
     std::fprintf(stderr, "query: %s\n",
                  result.status().ToString().c_str());
