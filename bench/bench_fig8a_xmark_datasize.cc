@@ -2,9 +2,6 @@
 // data size grows, across GTEA, TwigStackD, HGJoin+, TwigStack and
 // Twig2Stack.
 //
-//   --parallelism=0,8   sweep GTEA's intra-query lane budget (the
-//                       baselines are single-threaded and run once);
-//                       the first value fills the engine table
 //   --json=<path>       machine-readable rows for the CI perf-diff
 #include "bench/harness.h"
 #include "common/rng.h"
@@ -17,8 +14,6 @@ int main(int argc, char** argv) {
   const double s = BenchScale();
   const int reps = BenchReps();
   const auto json_path = JsonFlag(argc, argv);
-  const std::vector<size_t> lane_sweep =
-      SizeListFlag(argc, argv, "--parallelism=", "0");
   JsonReport report("fig8a_xmark_datasize");
   report.AddMeta("scale", s);
   std::printf("Fig 8(a): Q1 query time (ms) vs data size "
@@ -31,19 +26,13 @@ int main(int argc, char** argv) {
     DataGraph g = workload::GenerateXmark(o);
     EngineBench engines(g);
     Rng rng(11);
-    double t_tsd = 0, t_hg = 0, t_ts = 0, t_t2s = 0;
-    std::vector<double> t_gtea(lane_sweep.size(), 0.0);
+    double t_gtea = 0, t_tsd = 0, t_hg = 0, t_ts = 0, t_t2s = 0;
     const int kQueries = 5;
     for (int i = 0; i < kQueries; ++i) {
       int pg = static_cast<int>(rng.NextBounded(10));
       auto wq = workload::BuildXmarkQ1(g, pg);
       auto cross = EngineBench::CrossIds(wq.query, wq.cross_node_names);
-      for (size_t li = 0; li < lane_sweep.size(); ++li) {
-        GteaOptions opts;
-        opts.parallelism = lane_sweep[li];
-        t_gtea[li] +=
-            MinTimeMs([&] { engines.RunGtea(wq.query, opts); }, reps);
-      }
+      t_gtea += MinTimeMs([&] { engines.RunGtea(wq.query); }, reps);
       t_tsd += MinTimeMs([&] { engines.RunTwigStackD(wq.query); }, reps);
       t_hg += MinTimeMs([&] { engines.RunHgJoinPlus(wq.query); }, reps);
       t_ts += MinTimeMs([&] { engines.RunTwigStack(wq.query, cross); },
@@ -52,20 +41,15 @@ int main(int argc, char** argv) {
           [&] { engines.RunTwig2Stack(wq.query, cross); }, reps);
     }
     std::printf("%-10g %12.2f %12.2f %12.2f %12.2f %12.2f\n", f,
-                t_gtea[0] / kQueries, t_tsd / kQueries, t_hg / kQueries,
+                t_gtea / kQueries, t_tsd / kQueries, t_hg / kQueries,
                 t_ts / kQueries, t_t2s / kQueries);
     // String-typed so the perf-diff keys rows on it (doubles are
     // treated as metrics, not identity).
     char scale_key[32];
     std::snprintf(scale_key, sizeof(scale_key), "%g", f);
-    for (size_t li = 0; li < lane_sweep.size(); ++li) {
-      report.AddRow()
-          .Add("data_scale", std::string(scale_key))
-          .Add("parallelism", static_cast<uint64_t>(lane_sweep[li]))
-          .Add("gtea_ms", t_gtea[li] / kQueries);
-    }
     report.AddRow()
         .Add("data_scale", std::string(scale_key))
+        .Add("gtea_ms", t_gtea / kQueries)
         .Add("twigstackd_ms", t_tsd / kQueries)
         .Add("hgjoin_plus_ms", t_hg / kQueries)
         .Add("twigstack_ms", t_ts / kQueries)

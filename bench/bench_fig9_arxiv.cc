@@ -4,9 +4,6 @@
 //  (c) query time, large-result group (200..1200 results),
 //  (d) GTEA pruning time vs TwigStackD pre-filtering time.
 //
-//   --parallelism=0,8   sweep GTEA's intra-query lane budget in (b)/(c)
-//                       (the baselines are single-threaded and run
-//                       once); the first value fills the tables
 //   --json=<path>       machine-readable rows for the CI perf-diff
 #include <map>
 #include <string>
@@ -31,8 +28,6 @@ struct Group {
 int main(int argc, char** argv) {
   const int reps = BenchReps();
   const auto json_path = JsonFlag(argc, argv);
-  const std::vector<size_t> lane_sweep =
-      SizeListFlag(argc, argv, "--parallelism=", "0");
   workload::ArxivOptions ao;
   DataGraph g = workload::GenerateArxiv(ao);
   std::printf("arXiv graph: %zu nodes, %zu edges, %zu labels\n",
@@ -92,32 +87,21 @@ int main(int argc, char** argv) {
     for (size_t qsize : kSizes) {
       const auto& queries = group->by_size.at(qsize);
       if (queries.empty()) continue;
-      std::vector<double> t_gtea(lane_sweep.size(), 0.0);
-      double t_star = 0, t_plus = 0, t_tsd = 0;
+      double t_gtea = 0, t_star = 0, t_plus = 0, t_tsd = 0;
       for (const auto& q : queries) {
-        for (size_t li = 0; li < lane_sweep.size(); ++li) {
-          GteaOptions opts;
-          opts.parallelism = lane_sweep[li];
-          t_gtea[li] += MinTimeMs([&] { engines.RunGtea(q, opts); }, reps);
-        }
+        t_gtea += MinTimeMs([&] { engines.RunGtea(q); }, reps);
         t_star += MinTimeMs([&] { engines.RunHgJoinStar(q); }, reps);
         t_plus += MinTimeMs([&] { engines.RunHgJoinPlus(q); }, reps);
         t_tsd += MinTimeMs([&] { engines.RunTwigStackD(q); }, reps);
       }
       const double n = static_cast<double>(queries.size());
       std::printf("%-6zu %12.3f %12.3f %12.3f %12.3f\n", qsize,
-                  t_gtea[0] / n, t_star / n, t_plus / n, t_tsd / n);
+                  t_gtea / n, t_star / n, t_plus / n, t_tsd / n);
       const std::string size_key = std::to_string(qsize);
-      for (size_t li = 0; li < lane_sweep.size(); ++li) {
-        report.AddRow()
-            .Add("group", group_name)
-            .Add("query_size", size_key)
-            .Add("parallelism", static_cast<uint64_t>(lane_sweep[li]))
-            .Add("gtea_ms", t_gtea[li] / n);
-      }
       report.AddRow()
           .Add("group", group_name)
           .Add("query_size", size_key)
+          .Add("gtea_ms", t_gtea / n)
           .Add("hgjoin_star_ms", t_star / n)
           .Add("hgjoin_plus_ms", t_plus / n)
           .Add("twigstackd_ms", t_tsd / n);

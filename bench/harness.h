@@ -85,7 +85,7 @@ inline size_t SizeFlag(int argc, char** argv, const char* prefix,
 
 /// Comma-separated integers of a "--prefix=a,b,c" flag (last occurrence
 /// wins, `fallback` when absent); exits 2 on malformed input. Used for
-/// sweep axes such as --parallelism=0,2,8.
+/// sweep axes such as --shards=1,3.
 inline std::vector<size_t> SizeListFlag(int argc, char** argv,
                                         const char* prefix,
                                         const std::string& fallback) {
@@ -269,15 +269,6 @@ class EngineBench {
     GteaEngine& engine = gtea();
     last_stats_ = &engine.stats();
     return engine.Evaluate(q);
-  }
-
-  /// As RunGtea, with explicit options — how benches sweep
-  /// GteaOptions::parallelism (answers are byte-identical, only the
-  /// timing moves).
-  QueryResult RunGtea(const Gtpq& q, const GteaOptions& options) {
-    GteaEngine& engine = gtea();
-    last_stats_ = &engine.stats();
-    return engine.Evaluate(q, options);
   }
 
   QueryResult RunTwigStackD(const Gtpq& q) {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "runtime/parallel.h"
 
 namespace gtpq {
 
@@ -24,8 +23,8 @@ void SortDedup(std::vector<Partial>* tuples) {
 class Enumerator {
  public:
   Enumerator(const Gtpq& q, const MatchingGraph& mg,
-             const GteaOptions& options, ParallelEvalContext* ctx)
-      : q_(q), mg_(mg), options_(options), ctx_(ctx) {
+             const GteaOptions& options)
+      : q_(q), mg_(mg), options_(options) {
     outputs_ = q.outputs();
     std::sort(outputs_.begin(), outputs_.end());
     slot_of_.assign(q.NumNodes(), SIZE_MAX);
@@ -153,44 +152,24 @@ class Enumerator {
     }
   }
 
-  // Fills the CollectResults memo bottom-up, one forest level at a
-  // time. The reduced matching graph guarantees every candidate of
-  // every included node is referenced by some live parent branch, so
-  // eager evaluation computes exactly the entries the old lazy
-  // recursion would have — each a pure function of (node, candidate).
-  // Within a level, entries are work-stealing units (subtree sizes are
-  // skewed); each writes only its own memo_[u][i] slot and reads
-  // deeper-level slots published by the previous level's barrier.
+  // Fills the CollectResults memo in one bottom-up pass over the query.
+  // The reduced matching graph guarantees every candidate of every
+  // included node is referenced by some live parent branch, so eager
+  // evaluation computes exactly the entries a lazy recursion would.
   void FillMemo() {
-    const size_t n = q_.NumNodes();
-    memo_.assign(n, {});
-    std::vector<size_t> depth(n, 0);
-    std::vector<std::vector<QNodeId>> levels;
-    for (QNodeId u : q_.TopDownOrder()) {
+    memo_.assign(q_.NumNodes(), {});
+    for (QNodeId u : q_.BottomUpOrder()) {
       if (!included_[u]) continue;
-      const QNodeId p = q_.node(u).parent;
-      depth[u] = (p != kInvalidQNode && included_[p]) ? depth[p] + 1 : 0;
-      if (depth[u] >= levels.size()) levels.resize(depth[u] + 1);
-      levels[depth[u]].push_back(u);
-    }
-    for (size_t d = levels.size(); d-- > 0;) {
-      std::vector<std::pair<QNodeId, uint32_t>> entries;
-      for (QNodeId u : levels[d]) {
-        memo_[u].resize(mg_.Candidates(u).size());
-        for (uint32_t i = 0; i < mg_.Candidates(u).size(); ++i) {
-          entries.emplace_back(u, i);
-        }
+      memo_[u].resize(mg_.Candidates(u).size());
+      for (uint32_t i = 0; i < mg_.Candidates(u).size(); ++i) {
+        ComputeEntry(u, i);
       }
-      ParallelForWorkStealing(
-          entries.size(), ctx_->lanes, [&](size_t e, size_t /*lane*/) {
-            ComputeEntry(entries[e].first, entries[e].second);
-          });
     }
   }
 
   // CollectResults for one memo entry: tuples over the outputs of u's
   // included subtree for candidate #i of u. Child entries are already
-  // complete (deeper forest level).
+  // complete (children come first in bottom-up order).
   void ComputeEntry(QNodeId u, uint32_t cand_index) {
     std::vector<Partial> acc{Partial(outputs_.size(), kInvalidNode)};
     if (q_.IsOutput(u)) {
@@ -234,7 +213,6 @@ class Enumerator {
   const Gtpq& q_;
   const MatchingGraph& mg_;
   const GteaOptions& options_;
-  ParallelEvalContext* ctx_;
   std::vector<QNodeId> outputs_;
   std::vector<size_t> slot_of_;
   std::vector<char> included_;
@@ -248,9 +226,10 @@ class Enumerator {
 
 QueryResult EnumerateResults(const Gtpq& q, const MatchingGraph& mg,
                              const GteaOptions& options,
-                             ParallelEvalContext* ctx, EngineStats* stats) {
+                             ParallelEvalContext* /*ctx*/,
+                             EngineStats* stats) {
   (void)stats;
-  Enumerator e(q, mg, options, ctx);
+  Enumerator e(q, mg, options);
   return e.Run();
 }
 

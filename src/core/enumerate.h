@@ -22,14 +22,6 @@ namespace gtpq {
 ///
 /// Results are deduplicated (duplicates can arise when non-output nodes
 /// remain in the shrunk subtree, as the paper notes).
-///
-/// The per-(query node, candidate) memo is filled bottom-up, one forest
-/// level at a time; with ctx->lanes > 1 the entries of a level are
-/// work-stealing units (subtree sizes are highly skewed). Every entry
-/// is a pure function of (node, candidate, result_limit) written to its
-/// own index-addressed slot, and the final cross-subtree merge is
-/// single-threaded, so output order and result_limit truncation are
-/// byte-identical to the serial run.
 QueryResult EnumerateResults(const Gtpq& q, const MatchingGraph& mg,
                              const GteaOptions& options,
                              ParallelEvalContext* ctx, EngineStats* stats);

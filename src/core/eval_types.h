@@ -67,22 +67,11 @@ struct GteaOptions {
   /// pruning, as the paper's Procedure 7 does: a lone survivor either
   /// reaches the matching graph, where the fixpoint reduction re-checks
   /// it, or the query node is outside the prime subtree and the
-  /// refinement was moot. The decision is taken on the node's FULL
-  /// candidate set before it is partitioned across parallel lanes — a
-  /// size-1 lane partition of a larger set is always refined. Off by
-  /// default because the refinement pass is cheap on singletons anyway.
+  /// refinement was moot. Off by default because the refinement pass is
+  /// cheap on singletons anyway.
   bool skip_singleton_upward = false;
   /// Cap on enumerated result tuples (0 = unlimited).
   size_t result_limit = 0;
-  /// Intra-query parallelism budget: 0 = fully serial (no helper-pool
-  /// traffic at all), N > 1 = fan pruning probes, matching-graph tiles,
-  /// and enumeration subtrees across up to N lanes on the shared helper
-  /// pool (more lanes than cores is allowed and just time-slices; see
-  /// runtime/parallel.h). Results are byte-identical at every setting — partition
-  /// outputs are concatenated in lane order and enumeration memo slots
-  /// are index-addressed, so order and result_limit semantics match the
-  /// serial run exactly. 1 behaves like 0.
-  size_t parallelism = 0;
 };
 
 }  // namespace gtpq

@@ -1,12 +1,13 @@
 #include "core/gtea.h"
 
+#include <algorithm>
+
 #include "common/timer.h"
 #include "core/enumerate.h"
 #include "core/match.h"
 #include "core/matching_graph.h"
 #include "core/parallel_eval.h"
 #include "core/prune.h"
-#include "runtime/parallel.h"
 
 namespace gtpq {
 
@@ -30,14 +31,8 @@ QueryResult GteaEngine::Evaluate(const Gtpq& q, const GteaOptions& options) {
   idx_->stats().Reset();
   Timer total;
 
-  // Lane budget for this query; 1 means fully serial (no helper-pool
-  // traffic). Helper lanes export their oracle counter deltas into the
-  // context sinks, folded back into this thread's slot by Finish so
-  // idx_->stats() describes the whole query again.
   ParallelEvalContext ctx;
-  ctx.lanes = std::max<size_t>(1, EffectiveParallelism(options.parallelism));
   auto finish = [&] {
-    ctx.FlushInto(&idx_->stats());
     stats_.index_lookups = idx_->stats().elements_looked_up;
     stats_.total_ms = total.ElapsedMillis();
   };

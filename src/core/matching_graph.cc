@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "runtime/parallel.h"
 
 namespace gtpq {
 
@@ -33,7 +32,7 @@ MatchingGraph BuildMatchingGraph(const DataGraph& g,
                                  const std::vector<char>& in_prime,
                                  const std::vector<std::vector<NodeId>>& mat,
                                  const GteaOptions& options,
-                                 ParallelEvalContext* ctx,
+                                 ParallelEvalContext* /*ctx*/,
                                  EngineStats* stats) {
   MatchingGraph mg;
   const size_t n = q.NumNodes();
@@ -65,60 +64,46 @@ MatchingGraph BuildMatchingGraph(const DataGraph& g,
       const QNodeId c = kids[slot];
       const auto& child_cand = mg.cand_[c];
 
-      // Each (parent candidate × this edge) tile is one work unit;
-      // tiles write disjoint branch lists, so lane assignment cannot
-      // change the built graph.
-      const size_t lanes = ctx->lanes;
-
       if (q.node(c).incoming == EdgeType::kChild) {
-        // PC edge: adjacency intersection over a candidate index map
-        // (built once, read-only across lanes).
+        // PC edge: adjacency intersection over a candidate index map.
         std::unordered_map<NodeId, uint32_t> index_of;
         index_of.reserve(child_cand.size());
         for (uint32_t i = 0; i < child_cand.size(); ++i) {
           index_of.emplace(child_cand[i], i);
         }
-        std::vector<uint64_t> lane_nodes(std::max<size_t>(lanes, 1), 0);
-        ParallelForWorkStealing(
-            parents.size(), lanes, [&](size_t pi, size_t lane) {
-              auto& branch = mg.branches_[u][pi][slot];
-              for (NodeId w : g.OutNeighbors(parents[pi])) {
-                ++lane_nodes[lane];
-                auto it = index_of.find(w);
-                if (it != index_of.end()) branch.push_back(it->second);
-              }
-            });
-        for (uint64_t n_in : lane_nodes) stats->input_nodes += n_in;
+        for (size_t pi = 0; pi < parents.size(); ++pi) {
+          auto& branch = mg.branches_[u][pi][slot];
+          for (NodeId w : g.OutNeighbors(parents[pi])) {
+            ++stats->input_nodes;
+            auto it = index_of.find(w);
+            if (it != index_of.end()) branch.push_back(it->second);
+          }
+        }
         continue;
       }
 
       if (!options.contour_matching_graph) {
         // Straightforward pairwise reachability (Section 4.3 baseline).
-        ParallelForWorkStealing(
-            parents.size(), lanes, [&](size_t pi, size_t lane) {
-              OracleLaneScope scope(idx, lane, ctx);
-              auto& branch = mg.branches_[u][pi][slot];
-              for (uint32_t wi = 0; wi < child_cand.size(); ++wi) {
-                if (idx.Reaches(parents[pi], child_cand[wi])) {
-                  branch.push_back(wi);
-                }
-              }
-            });
+        for (size_t pi = 0; pi < parents.size(); ++pi) {
+          auto& branch = mg.branches_[u][pi][slot];
+          for (uint32_t wi = 0; wi < child_cand.size(); ++wi) {
+            if (idx.Reaches(parents[pi], child_cand[wi])) {
+              branch.push_back(wi);
+            }
+          }
+        }
         continue;
       }
 
       // Batched scan: prepare the child candidates once, then find each
       // parent candidate's successors among them in one oracle call
       // (per-candidate successor contours with the ascending-chain
-      // early break on contour-capable backends). The prepared summary
-      // is immutable and shared read-only by all lanes.
+      // early break on contour-capable backends).
       auto prepared = idx.PrepareSuccessorTargets(child_cand);
-      ParallelForWorkStealing(
-          parents.size(), lanes, [&](size_t pi, size_t lane) {
-            OracleLaneScope scope(idx, lane, ctx);
-            idx.SuccessorsAmong(parents[pi], *prepared,
-                                &mg.branches_[u][pi][slot]);
-          });
+      for (size_t pi = 0; pi < parents.size(); ++pi) {
+        idx.SuccessorsAmong(parents[pi], *prepared,
+                            &mg.branches_[u][pi][slot]);
+      }
     }
   }
   stats->intermediate_size = 2 * (mg.TotalNodes() + mg.TotalEdges());

@@ -69,12 +69,6 @@ class MatchingGraph {
 /// backends, with the ascending-chain early break); otherwise
 /// straightforward pairwise reachability probes. PC edges use
 /// adjacency.
-///
-/// With ctx->lanes > 1 each (query edge × parent candidate) tile is a
-/// work-stealing unit: the prepared child-target summary is built once
-/// and shared read-only, and every tile writes only its own branch list
-/// (branches_[u][pi][slot]), so the built graph is identical to serial
-/// no matter which lane claimed which tile.
 MatchingGraph BuildMatchingGraph(const DataGraph& g,
                                  const ReachabilityOracle& idx,
                                  const Gtpq& q,

@@ -1,83 +1,15 @@
 #ifndef GTPQ_CORE_PARALLEL_EVAL_H_
 #define GTPQ_CORE_PARALLEL_EVAL_H_
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <utility>
-
-#include "reachability/reachability_index.h"
-
 namespace gtpq {
 
-/// Per-Evaluate parallel execution state, created once at the top of
-/// GteaEngine::Evaluate and threaded through the pipeline stages.
-///
-/// `lanes` is the resolved budget (GteaOptions::parallelism clamped to
-/// the hardware; 1 = serial). The atomic sinks collect the oracle
-/// counter deltas caused by helper lanes: helper-pool threads own their
-/// own PerThread IndexStats slots, which are never reset per query, so
-/// each helper-lane task exports only the delta it produced (see
-/// OracleLaneScope). Lane 0 always runs on the calling thread, whose
-/// slot the engine resets and reads directly — its work must NOT be
-/// exported or it would be counted twice. At the end of Evaluate the
-/// sinks are folded back into the calling thread's slot (FlushInto), so
-/// idx.stats() again describes the whole query no matter how many
-/// threads executed it.
-struct ParallelEvalContext {
-  size_t lanes = 1;
-  std::atomic<uint64_t> oracle_elements{0};
-  std::atomic<uint64_t> oracle_queries{0};
-  std::atomic<uint64_t> oracle_cache_hits{0};
-  std::atomic<uint64_t> oracle_cache_misses{0};
-
-  void FlushInto(IndexStats* stats) {
-    stats->elements_looked_up += oracle_elements.exchange(0);
-    stats->queries += oracle_queries.exchange(0);
-    stats->cache_hits += oracle_cache_hits.exchange(0);
-    stats->cache_misses += oracle_cache_misses.exchange(0);
-  }
-};
-
-/// RAII capture of the oracle counters one helper-lane task produces:
-/// snapshots the calling thread's slot on entry, exports the delta to
-/// the context sinks on exit. A no-op for lane 0 (the Evaluate caller,
-/// whose slot is read directly) and when ctx is null (serial call
-/// sites).
-class OracleLaneScope {
- public:
-  OracleLaneScope(const ReachabilityOracle& idx, size_t lane,
-                  ParallelEvalContext* ctx)
-      : idx_(idx),
-        ctx_(lane == 0 ? nullptr : ctx),
-        before_(ctx_ ? idx.stats() : IndexStats{}) {}
-
-  ~OracleLaneScope() {
-    if (ctx_ == nullptr) return;
-    const IndexStats& after = idx_.stats();
-    ctx_->oracle_elements +=
-        after.elements_looked_up - before_.elements_looked_up;
-    ctx_->oracle_queries += after.queries - before_.queries;
-    ctx_->oracle_cache_hits += after.cache_hits - before_.cache_hits;
-    ctx_->oracle_cache_misses += after.cache_misses - before_.cache_misses;
-  }
-
-  OracleLaneScope(const OracleLaneScope&) = delete;
-  OracleLaneScope& operator=(const OracleLaneScope&) = delete;
-
- private:
-  const ReachabilityOracle& idx_;
-  ParallelEvalContext* ctx_;
-  IndexStats before_;
-};
-
-/// The contiguous [begin, end) chunk lane `lane` owns when n items are
-/// split across `lanes` lanes. Concatenating per-lane outputs in lane
-/// order therefore reproduces the serial iteration order exactly.
-inline std::pair<size_t, size_t> LaneChunk(size_t n, size_t lane,
-                                           size_t lanes) {
-  return {lane * n / lanes, (lane + 1) * n / lanes};
-}
+/// Per-Evaluate context, created once at the top of GteaEngine::Evaluate
+/// and passed to PruneDownward, PruneUpward, BuildMatchingGraph and
+/// EnumerateResults. It is empty: GTEA runs serially on the calling
+/// thread (QueryServer parallelizes across queries, not within one).
+/// It is the slot the ROADMAP's error-channel item fills with per-query
+/// state the stages report into.
+struct ParallelEvalContext {};
 
 }  // namespace gtpq
 

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 
 #include "common/logging.h"
-#include "runtime/parallel.h"
 
 namespace gtpq {
 
 namespace {
-
-// Lanes actually worth spinning up for a candidate set of size n: never
-// more than one item per lane, never more than the query budget.
-size_t LanesFor(const ParallelEvalContext* ctx, size_t n) {
-  return std::min(ctx->lanes, n);
-}
 
 // True when the PC child must be evaluated exactly during pruning:
 // predicate-role PC children never reach the matching graph, so the
@@ -45,7 +37,7 @@ std::vector<NodeId> CollectParents(const DataGraph& g,
 
 void PruneDownward(const DataGraph& g, const ReachabilityOracle& idx,
                    const Gtpq& q, std::vector<std::vector<NodeId>>* mat,
-                   ParallelEvalContext* ctx, EngineStats* stats) {
+                   ParallelEvalContext* /*ctx*/, EngineStats* stats) {
   using SetSummary = ReachabilityOracle::SetSummary;
 
   for (QNodeId u : q.BottomUpOrder()) {
@@ -62,9 +54,8 @@ void PruneDownward(const DataGraph& g, const ReachabilityOracle& idx,
       parent_sets[i] = CollectParents(g, (*mat)[pc_exact_children[i]], stats);
     }
 
-    // Summarize each AD child's (already pruned) candidate set once;
-    // the summaries are immutable after construction and shared
-    // read-only by every probing lane.
+    // Summarize each AD child's (already pruned) candidate set once,
+    // then probe every candidate against all summaries in one batch.
     std::vector<std::unique_ptr<SetSummary>> summaries;
     std::vector<const SetSummary*> summary_ptrs;
     summaries.reserve(ad_children.size());
@@ -72,60 +63,30 @@ void PruneDownward(const DataGraph& g, const ReachabilityOracle& idx,
       summaries.push_back(idx.SummarizeTargets((*mat)[c]));
       summary_ptrs.push_back(summaries.back().get());
     }
+    std::vector<std::vector<char>> reach;
+    idx.ReachesSetsBatch(candidates, summary_ptrs, &reach);
 
     const logic::FormulaRef fext = q.ExtendedPredicate(u);
-    // One batched probe per candidate chunk, then the per-candidate
-    // formula evaluation into the chunk's keep-list.
-    auto process_chunk = [&](size_t begin, size_t end,
-                             std::vector<NodeId>* kept,
-                             uint64_t* input_nodes) {
-      std::span<const NodeId> chunk(candidates.data() + begin, end - begin);
-      std::vector<std::vector<char>> reach;
-      idx.ReachesSetsBatch(chunk, summary_ptrs, &reach);
-      std::vector<char> val(q.NumNodes(), 0);
-      kept->reserve(chunk.size());
-      for (size_t i = 0; i < chunk.size(); ++i) {
-        const NodeId v = chunk[i];
-        ++*input_nodes;
-        for (size_t k = 0; k < ad_children.size(); ++k) {
-          val[ad_children[k]] = reach[k][i];
-        }
-        for (size_t k = 0; k < pc_exact_children.size(); ++k) {
-          val[pc_exact_children[k]] =
-              std::binary_search(parent_sets[k].begin(),
-                                 parent_sets[k].end(), v)
-                  ? 1
-                  : 0;
-        }
-        const bool ok = logic::Evaluate(
-            fext, [&](int var) { return val[static_cast<QNodeId>(var)]; });
-        if (ok) kept->push_back(v);
-      }
-    };
-
-    const size_t lanes = LanesFor(ctx, candidates.size());
-    if (lanes <= 1) {
-      std::vector<NodeId> kept;
-      uint64_t input_nodes = 0;
-      process_chunk(0, candidates.size(), &kept, &input_nodes);
-      stats->input_nodes += input_nodes;
-      candidates = std::move(kept);
-      continue;
-    }
-
-    std::vector<std::vector<NodeId>> lane_kept(lanes);
-    std::vector<uint64_t> lane_nodes(lanes, 0);
-    ParallelRun(lanes, [&](size_t lane) {
-      OracleLaneScope scope(idx, lane, ctx);
-      auto [begin, end] = LaneChunk(candidates.size(), lane, lanes);
-      process_chunk(begin, end, &lane_kept[lane], &lane_nodes[lane]);
-    });
+    std::vector<char> val(q.NumNodes(), 0);
     std::vector<NodeId> kept;
     kept.reserve(candidates.size());
-    for (size_t lane = 0; lane < lanes; ++lane) {
-      kept.insert(kept.end(), lane_kept[lane].begin(), lane_kept[lane].end());
-      stats->input_nodes += lane_nodes[lane];
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const NodeId v = candidates[i];
+      for (size_t k = 0; k < ad_children.size(); ++k) {
+        val[ad_children[k]] = reach[k][i];
+      }
+      for (size_t k = 0; k < pc_exact_children.size(); ++k) {
+        val[pc_exact_children[k]] =
+            std::binary_search(parent_sets[k].begin(), parent_sets[k].end(),
+                               v)
+                ? 1
+                : 0;
+      }
+      const bool ok = logic::Evaluate(
+          fext, [&](int var) { return val[static_cast<QNodeId>(var)]; });
+      if (ok) kept.push_back(v);
     }
+    stats->input_nodes += candidates.size();
     candidates = std::move(kept);
   }
 }
@@ -152,7 +113,7 @@ std::vector<char> ComputePrimeSubtree(const Gtpq& q) {
 bool PruneUpward(const DataGraph& g, const ReachabilityOracle& idx,
                  const Gtpq& q, const std::vector<char>& in_prime,
                  std::vector<std::vector<NodeId>>* mat,
-                 const GteaOptions& options, ParallelEvalContext* ctx,
+                 const GteaOptions& options, ParallelEvalContext* /*ctx*/,
                  EngineStats* stats) {
   using SetSummary = ReachabilityOracle::SetSummary;
   std::vector<std::unique_ptr<SetSummary>> succ(q.NumNodes());
@@ -165,94 +126,38 @@ bool PruneUpward(const DataGraph& g, const ReachabilityOracle& idx,
     for (QNodeId c : q.node(u).children) {
       if (!in_prime[c]) continue;
       auto& cand = (*mat)[c];
-      // Decided on the FULL candidate set, before any lane
-      // partitioning: a chunk that happens to hold one candidate must
-      // still be refined when the global set is larger.
       const bool singleton_skip =
           options.skip_singleton_upward && cand.size() <= 1;
 
       if (!singleton_skip) {
+        std::vector<NodeId> kept;
         if (q.node(c).incoming == EdgeType::kChild) {
           // Exact PC refinement: candidates must be children of some
-          // candidate of u (Section 4.4 first strategy). Lanes expand
-          // disjoint chunks of the parent set; the union is sorted
-          // afterwards, so chunk boundaries cannot change the result.
-          const auto& parents = (*mat)[u];
-          const size_t lanes = LanesFor(ctx, parents.size());
-          std::vector<std::vector<NodeId>> lane_union(
-              std::max<size_t>(lanes, 1));
-          std::vector<uint64_t> lane_nodes(std::max<size_t>(lanes, 1), 0);
-          auto expand_chunk = [&](size_t begin, size_t end,
-                                  std::vector<NodeId>* out,
-                                  uint64_t* input_nodes) {
-            for (size_t i = begin; i < end; ++i) {
-              auto out_nbrs = g.OutNeighbors(parents[i]);
-              *input_nodes += out_nbrs.size();
-              out->insert(out->end(), out_nbrs.begin(), out_nbrs.end());
-            }
-          };
-          if (lanes <= 1) {
-            expand_chunk(0, parents.size(), &lane_union[0], &lane_nodes[0]);
-          } else {
-            ParallelRun(lanes, [&](size_t lane) {
-              auto [begin, end] = LaneChunk(parents.size(), lane, lanes);
-              expand_chunk(begin, end, &lane_union[lane], &lane_nodes[lane]);
-            });
-          }
+          // candidate of u (Section 4.4 first strategy).
           std::vector<NodeId> child_union;
-          for (size_t lane = 0; lane < lane_union.size(); ++lane) {
-            child_union.insert(child_union.end(), lane_union[lane].begin(),
-                               lane_union[lane].end());
-            stats->input_nodes += lane_nodes[lane];
+          for (NodeId p : (*mat)[u]) {
+            auto out_nbrs = g.OutNeighbors(p);
+            stats->input_nodes += out_nbrs.size();
+            child_union.insert(child_union.end(), out_nbrs.begin(),
+                               out_nbrs.end());
           }
           std::sort(child_union.begin(), child_union.end());
-          std::vector<NodeId> kept;
           std::set_intersection(cand.begin(), cand.end(),
                                 child_union.begin(), child_union.end(),
                                 std::back_inserter(kept));
           kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
-          cand = std::move(kept);
         } else {
-          // AD refinement: batched probes of candidate chunks against
-          // the parent's summarized (pruned) candidate set, which is
-          // shared read-only across lanes.
-          auto refine_chunk = [&](size_t begin, size_t end,
-                                  std::vector<NodeId>* kept,
-                                  uint64_t* input_nodes) {
-            std::span<const NodeId> chunk(cand.data() + begin, end - begin);
-            std::vector<char> reached;
-            idx.SetReachesBatch(*succ[u], chunk, &reached);
-            *input_nodes += chunk.size();
-            kept->reserve(chunk.size());
-            for (size_t i = 0; i < chunk.size(); ++i) {
-              if (reached[i]) kept->push_back(chunk[i]);
-            }
-          };
-          const size_t lanes = LanesFor(ctx, cand.size());
-          if (lanes <= 1) {
-            std::vector<NodeId> kept;
-            uint64_t input_nodes = 0;
-            refine_chunk(0, cand.size(), &kept, &input_nodes);
-            stats->input_nodes += input_nodes;
-            cand = std::move(kept);
-          } else {
-            std::vector<std::vector<NodeId>> lane_kept(lanes);
-            std::vector<uint64_t> lane_nodes(lanes, 0);
-            ParallelRun(lanes, [&](size_t lane) {
-              OracleLaneScope scope(idx, lane, ctx);
-              auto [begin, end] = LaneChunk(cand.size(), lane, lanes);
-              refine_chunk(begin, end, &lane_kept[lane], &lane_nodes[lane]);
-            });
-            std::vector<NodeId> kept;
-            kept.reserve(cand.size());
-            for (size_t lane = 0; lane < lanes; ++lane) {
-              kept.insert(kept.end(), lane_kept[lane].begin(),
-                          lane_kept[lane].end());
-              stats->input_nodes += lane_nodes[lane];
-            }
-            cand = std::move(kept);
+          // AD refinement: one batched probe of the candidates against
+          // the parent's summarized (pruned) candidate set.
+          std::vector<char> reached;
+          idx.SetReachesBatch(*succ[u], cand, &reached);
+          stats->input_nodes += cand.size();
+          kept.reserve(cand.size());
+          for (size_t i = 0; i < cand.size(); ++i) {
+            if (reached[i]) kept.push_back(cand[i]);
           }
         }
+        cand = std::move(kept);
         if (cand.empty()) return false;
       }
       // The child needs a source summary iff it has prime children.

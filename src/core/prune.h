@@ -27,11 +27,6 @@ namespace gtpq {
 ///    corrupt negation/disjunction semantics;
 ///  * PC children into backbone nodes: treated as AD here and repaired
 ///    on the maximal matching graph.
-///
-/// With ctx->lanes > 1 each node's candidate set is partitioned into
-/// contiguous chunks probed by parallel lanes against the shared
-/// summaries; per-lane keep-lists are concatenated in lane order, so
-/// the surviving set (and its order) is byte-identical to serial.
 void PruneDownward(const DataGraph& g, const ReachabilityOracle& idx,
                    const Gtpq& q, std::vector<std::vector<NodeId>>* mat,
                    ParallelEvalContext* ctx, EngineStats* stats);
@@ -50,11 +45,6 @@ std::vector<char> ComputePrimeSubtree(const Gtpq& q);
 /// candidates are refined in one batched oracle call. PC edges use
 /// exact child sets. Returns false when some prime node lost all
 /// candidates (empty answer).
-///
-/// Parallel lanes (ctx->lanes > 1) partition the refined candidate set
-/// (AD edges) or the parent set being expanded (PC edges). The
-/// skip_singleton_upward decision is taken on the full candidate set
-/// before partitioning — a size-1 lane chunk is never skipped.
 bool PruneUpward(const DataGraph& g, const ReachabilityOracle& idx,
                  const Gtpq& q, const std::vector<char>& in_prime,
                  std::vector<std::vector<NodeId>>* mat,

@@ -259,9 +259,8 @@ Result<std::string> NetClient::RoundTrip(FrameType type,
 }
 
 Result<WireResult> NetClient::Query(const std::string& text,
-                                    uint64_t result_limit,
-                                    uint32_t parallelism) {
-  auto id = SendQuery(text, result_limit, parallelism);
+                                    uint64_t result_limit) {
+  auto id = SendQuery(text, result_limit);
   if (!id.ok()) return id.status();
   auto payload = WaitForResponse(*id, FrameType::kResult);
   if (!payload.ok()) return payload.status();
@@ -271,9 +270,8 @@ Result<WireResult> NetClient::Query(const std::string& text,
 }
 
 Result<WireBatchResult> NetClient::QueryBatch(
-    const std::vector<std::string>& texts, uint64_t result_limit,
-    uint32_t parallelism) {
-  auto id = SendBatch(texts, result_limit, parallelism);
+    const std::vector<std::string>& texts, uint64_t result_limit) {
+  auto id = SendBatch(texts, result_limit);
   if (!id.ok()) return id.status();
   auto payload = WaitForResponse(*id, FrameType::kBatchResult);
   if (!payload.ok()) return payload.status();
@@ -343,17 +341,13 @@ Result<HealthReport> NetClient::Health() {
 }
 
 Result<uint64_t> NetClient::SendQuery(const std::string& text,
-                                      uint64_t result_limit,
-                                      uint32_t parallelism) {
-  return Send(FrameType::kQuery,
-              EncodeQueryRequest({result_limit, text, parallelism}));
+                                      uint64_t result_limit) {
+  return Send(FrameType::kQuery, EncodeQueryRequest({result_limit, text}));
 }
 
 Result<uint64_t> NetClient::SendBatch(const std::vector<std::string>& texts,
-                                      uint64_t result_limit,
-                                      uint32_t parallelism) {
-  return Send(FrameType::kBatch,
-              EncodeBatchRequest({result_limit, texts, parallelism}));
+                                      uint64_t result_limit) {
+  return Send(FrameType::kBatch, EncodeBatchRequest({result_limit, texts}));
 }
 
 Result<uint64_t> NetClient::SendProbe(const ProbeRequest& request) {

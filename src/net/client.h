@@ -54,16 +54,11 @@ class NetClient {
   // --- Synchronous calls ----------------------------------------------
 
   /// `text` is the query/query_parser.h line format; result_limit 0
-  /// defers to the server's configured cap. `parallelism` requests
-  /// intra-query lanes (0 = serial); the server grants it — clamped by
-  /// its max_query_parallelism — only when the query is dispatched
-  /// alone, and answers are byte-identical either way.
+  /// defers to the server's configured cap.
   Result<WireResult> Query(const std::string& text,
-                           uint64_t result_limit = 0,
-                           uint32_t parallelism = 0);
+                           uint64_t result_limit = 0);
   Result<WireBatchResult> QueryBatch(const std::vector<std::string>& texts,
-                                     uint64_t result_limit = 0,
-                                     uint32_t parallelism = 0);
+                                     uint64_t result_limit = 0);
   /// Applies "gtpq-updates v1" text (dynamic/update_io.h) atomically
   /// batch by batch on the server's live snapshot chain.
   Result<ApplyOk> ApplyUpdates(const std::string& updates_text);
@@ -86,11 +81,9 @@ class NetClient {
   /// Sends without waiting; returns the request id to correlate the
   /// eventual response.
   Result<uint64_t> SendQuery(const std::string& text,
-                             uint64_t result_limit = 0,
-                             uint32_t parallelism = 0);
+                             uint64_t result_limit = 0);
   Result<uint64_t> SendBatch(const std::vector<std::string>& texts,
-                             uint64_t result_limit = 0,
-                             uint32_t parallelism = 0);
+                             uint64_t result_limit = 0);
   Result<uint64_t> SendProbe(const ProbeRequest& request);
   /// Pipelined OBSERVE — the router fans one export request out to
   /// every shard, then collects by id.

@@ -814,7 +814,6 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
     const PendingRequest* request;
     bool is_batch = false;
     uint64_t result_limit = 0;
-    uint32_t parallelism = 0;  // requested intra-query lanes (0 = serial)
     std::vector<Gtpq> queries;
     std::vector<QueryResult> results;
     uint64_t epoch = 0;
@@ -848,7 +847,6 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
         continue;
       }
       p.result_limit = decoded.result_limit;
-      p.parallelism = decoded.parallelism;
       texts.push_back(std::move(decoded.text));
     } else {
       BatchRequest decoded;
@@ -860,7 +858,6 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
       }
       p.is_batch = true;
       p.result_limit = decoded.result_limit;
-      p.parallelism = decoded.parallelism;
       texts = std::move(decoded.texts);
     }
     if (request.trace.active()) {
@@ -884,10 +881,9 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
     if (!bad) parsed.push_back(std::move(p));
   }
 
-  // One EvaluateBatch per distinct (result limit, requested
-  // parallelism) pair — requests in a coalesced group usually share
-  // one — so per-request settings are honored while the whole group
-  // still rides the pool. Each dispatch pins one snapshot; its
+  // One EvaluateBatch per distinct result limit — requests in a
+  // coalesced group usually share one — so per-request limits are
+  // honored while the whole group still rides the pool. Each dispatch pins one snapshot; its
   // BatchInfo epoch stamps the responses.
   std::vector<Gtpq> queries;
   std::vector<obs::TraceContext> traces;  // aligned with `queries`
@@ -897,16 +893,12 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
   for (size_t anchor = 0; anchor < parsed.size(); ++anchor) {
     if (done[anchor]) continue;
     const uint64_t limit = parsed[anchor].result_limit;
-    const uint32_t requested_lanes = parsed[anchor].parallelism;
     queries.clear();
     traces.clear();
     origin.clear();
     members.clear();
     for (size_t i = anchor; i < parsed.size(); ++i) {
-      if (done[i] || parsed[i].result_limit != limit ||
-          parsed[i].parallelism != requested_lanes) {
-        continue;
-      }
+      if (done[i] || parsed[i].result_limit != limit) continue;
       done[i] = 1;
       members.push_back(i);
       for (size_t q = 0; q < parsed[i].queries.size(); ++q) {
@@ -919,14 +911,6 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
     }
     GteaOptions eval = options.runtime.eval_options;
     if (limit != 0) eval.result_limit = static_cast<size_t>(limit);
-    // Intra-query lanes only when this dispatch is a single query —
-    // the case the pool cannot parallelize across queries. Coalesced
-    // multi-query dispatches stay per-query serial: the pool already
-    // fans them out, and nested fan-out would oversubscribe.
-    if (queries.size() == 1 && requested_lanes != 0) {
-      eval.parallelism = std::min<size_t>(requested_lanes,
-                                          options.max_query_parallelism);
-    }
     QueryServer::BatchInfo info;
     std::vector<QueryResult> results =
         runtime->EvaluateBatch(queries, &info, eval, traces);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
 #include "graph/data_graph.h"
@@ -31,16 +30,6 @@ struct NetServerOptions {
   /// pinned snapshot, full pool fan-out per dispatch).
   size_t coalesce_max_queries = 64;
   double coalesce_window_us = 200.0;
-
-  /// Cap on the intra-query parallelism a client may request via the
-  /// QUERY/BATCH parallelism field. The dispatcher's policy: a
-  /// dispatch that ends up holding a SINGLE query gets the requested
-  /// lane budget (clamped to this cap) — that is the case where the
-  /// pool cannot fan out across queries and one big query dominates
-  /// p99; a dispatch holding several coalesced queries keeps every
-  /// query serial, since the pool already saturates the cores
-  /// across-query. 0 disables client-requested parallelism entirely.
-  size_t max_query_parallelism = std::thread::hardware_concurrency();
 
   /// Admission control. A request past either bound is answered with a
   /// typed ERROR frame (FailedPrecondition) instead of growing queues
@@ -74,7 +63,7 @@ struct NetServerOptions {
 ///    (each request gets a private AttrNames clone of the graph's
 ///    namespace, so parsing never mutates shared state), coalesces
 ///    query-type requests (time/size-bounded), and runs them through
-///    the QueryServer pool where the real parallelism lives;
+///    the QueryServer pool, which evaluates them across its workers;
 ///  * responses flow back to the IO thread over a wakeup pipe and are
 ///    correlated by the request id echoed in every frame — responses
 ///    may be reordered relative to requests (STATS overtakes a slow

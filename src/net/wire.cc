@@ -248,7 +248,6 @@ std::string EncodeQueryRequest(const QueryRequest& request) {
   Writer w;
   w.WriteU64(request.result_limit);
   w.WriteString(request.text);
-  w.WriteU32(request.parallelism);
   return w.buffer();
 }
 
@@ -258,8 +257,7 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
       [](Reader* r, void* opaque) -> Status {
         auto* request = static_cast<QueryRequest*>(opaque);
         GTPQ_RETURN_NOT_OK(r->ReadU64(&request->result_limit));
-        GTPQ_RETURN_NOT_OK(r->ReadString(&request->text));
-        return r->ReadU32(&request->parallelism);
+        return r->ReadString(&request->text);
       },
       out);
 }
@@ -269,7 +267,6 @@ std::string EncodeBatchRequest(const BatchRequest& request) {
   w.WriteU64(request.result_limit);
   w.WriteU32(static_cast<uint32_t>(request.texts.size()));
   for (const std::string& text : request.texts) w.WriteString(text);
-  w.WriteU32(request.parallelism);
   return w.buffer();
 }
 
@@ -292,7 +289,6 @@ Status DecodeBatchRequest(std::string_view payload,
       GTPQ_RETURN_NOT_OK(r.ReadString(&text));
       out->texts.push_back(std::move(text));
     }
-    GTPQ_RETURN_NOT_OK(r.ReadU32(&out->parallelism));
     return r.ExpectEnd();
   }();
   if (!st.ok() && st.code() == StatusCode::kParseError) {

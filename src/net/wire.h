@@ -15,7 +15,7 @@
 namespace gtpq {
 namespace net {
 
-/// "gtpq-wire v3": the length-prefixed binary protocol the network
+/// "gtpq-wire v4": the length-prefixed binary protocol the network
 /// front-end (net/server.h) speaks. Every frame is
 ///
 ///   u32 length       bytes that follow (header + payload + trailer),
@@ -39,10 +39,8 @@ namespace net {
 /// Request payloads:
 ///   HELLO          u32 magic "GTPW", u32 version
 ///   QUERY          u64 result_limit, string query text
-///                  (query/query_parser.h line format), u32 parallelism
-///                  budget (0 = serial)
-///   BATCH          u64 result_limit, u32 count, count query strings,
-///                  u32 parallelism budget
+///                  (query/query_parser.h line format)
+///   BATCH          u64 result_limit, u32 count, count query strings
 ///   APPLY_UPDATES  string "gtpq-updates v1" text (dynamic/update_io.h)
 ///   STATS          empty
 ///   PROBE          u8 direction (0 = does pivots[r] reach ids[c], 1 =
@@ -73,9 +71,10 @@ namespace net {
 ///   ERROR          u8 StatusCode, string message
 inline constexpr uint32_t kWireMagic = 0x57505447;  // "GTPW" LE
 /// v3 moved the trace context into the frame header and gave every
-/// payload one fixed layout; HELLO rejects any other version, so a
-/// peer never misreads a frame.
-inline constexpr uint32_t kWireVersion = 3;
+/// payload one fixed layout; v4 dropped the u32 lane budget from
+/// QUERY and BATCH. HELLO rejects any other version, so a peer never
+/// misreads a frame.
+inline constexpr uint32_t kWireVersion = 4;
 
 /// Frame bytes after the length prefix that are not payload: type +
 /// request id + trace context + crc trailer.
@@ -171,8 +170,6 @@ Status DecodeHelloOk(std::string_view payload, HelloOk* out);
 struct QueryRequest {
   uint64_t result_limit = 0;
   std::string text;
-  /// Requested intra-query lanes (GteaOptions::parallelism); 0 = serial.
-  uint32_t parallelism = 0;
 };
 std::string EncodeQueryRequest(const QueryRequest& request);
 Status DecodeQueryRequest(std::string_view payload, QueryRequest* out);
@@ -180,8 +177,6 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequest* out);
 struct BatchRequest {
   uint64_t result_limit = 0;
   std::vector<std::string> texts;
-  /// As on QueryRequest.
-  uint32_t parallelism = 0;
 };
 std::string EncodeBatchRequest(const BatchRequest& request);
 Status DecodeBatchRequest(std::string_view payload, const WireLimits& limits,

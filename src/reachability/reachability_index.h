@@ -46,10 +46,10 @@ struct IndexStats {
 /// representation (e.g. the merged contours of Section 4.2.1 over the
 /// 3-hop index) override them.
 ///
-/// Concurrency contract (intra-query parallelism relies on it): the
-/// oracle and every SetSummary are immutable once constructed, so any
-/// number of threads may issue probes concurrently — including probes
-/// against the same shared summary — without external locking.
+/// Concurrency contract (QueryServer relies on it: its workers share one
+/// oracle and evaluate different queries at once): the oracle and every
+/// SetSummary are immutable once constructed, so any number of threads
+/// may issue probes concurrently without external locking.
 /// Implementations keep mutable probe scratch and the IndexStats
 /// counters in thread-confined PerThread slots (decorators with shared
 /// caches must do their own internal locking).

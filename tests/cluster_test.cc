@@ -5,9 +5,9 @@
 // cluster must answer every point probe and the whole set API exactly
 // like the in-process `sharded:` oracle and the materialized closure,
 // before and after a routed update with its epoch barrier, and GTEA over
-// the router must match the unpartitioned engine at 1 and 4 lanes. Also
-// bounds PROBE frames per set call and counts failed probes. Enrolled in
-// the TSan CI job.
+// the router must match the unpartitioned engine from 4 threads sharing
+// the router at once. Also bounds PROBE frames per set call and counts
+// failed probes. Enrolled in the TSan CI job.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -18,6 +18,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -298,8 +299,8 @@ TEST(ProbeCodecTest, RejectsMalformedFrames) {
   w.WritePodVec(std::vector<uint8_t>{0xff});
   EXPECT_FALSE(net::DecodeProbeResult(w.buffer(), &out).ok());
 
-  // A v1 or v2 peer fails at HELLO instead of misreading a frame.
-  for (const uint32_t version : {1u, 2u}) {
+  // A v1, v2 or v3 peer fails at HELLO instead of misreading a frame.
+  for (const uint32_t version : {1u, 2u, 3u}) {
     storage::Writer hello;
     hello.WriteU32(net::kWireMagic);
     hello.WriteU32(version);
@@ -973,19 +974,27 @@ TEST(ShardRouterTest, GteaOverRouterMatchesUnpartitionedEngine) {
 
   const std::vector<Gtpq> queries = RandomQueries(cluster.g, 32, 9001);
   ASSERT_EQ(queries.size(), 32u);
+  GteaOptions options;
+  options.result_limit = 64;
   GteaEngine reference(cluster.g);
-  GteaEngine routed(cluster.g, Borrow(*cluster.router));
-  for (size_t i = 0; i < queries.size(); ++i) {
-    GteaOptions options;
-    options.result_limit = 64;
-    const QueryResult expected = reference.Evaluate(queries[i], options);
-    for (const size_t parallelism : {size_t{1}, size_t{4}}) {
-      // Parallel lanes share one router summary across threads.
-      options.parallelism = parallelism;
-      EXPECT_EQ(routed.Evaluate(queries[i], options), expected)
-          << "query " << i << " at parallelism " << parallelism;
-    }
+  std::vector<QueryResult> expected;
+  for (const Gtpq& q : queries) {
+    expected.push_back(reference.Evaluate(q, options));
   }
+  // Each thread runs its own engine over the one shared router, so the
+  // router's summaries and shard connections serve several threads at
+  // once, as they do under a QueryServer pool.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      GteaEngine routed(cluster.g, Borrow(*cluster.router));
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(routed.Evaluate(queries[i], options), expected[i])
+            << "query " << i << " on thread " << t;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 }
 
 TEST(ShardRouterTest, OneFramePerShardPerSetCallAndSpansFitTheRing) {

@@ -134,17 +134,11 @@ TEST(WireCodecTest, PayloadCodecsRoundTrip) {
           .ok());
   EXPECT_EQ(query2.result_limit, 64u);
   EXPECT_EQ(query2.text, query.text);
-  EXPECT_EQ(query2.parallelism, 0u);
-
-  net::QueryRequest parallel_query = query;
-  parallel_query.parallelism = 8;
-  net::QueryRequest parallel_query2;
-  ASSERT_TRUE(net::DecodeQueryRequest(
-                  net::EncodeQueryRequest(parallel_query),
-                  &parallel_query2)
-                  .ok());
-  EXPECT_EQ(parallel_query2.parallelism, 8u);
-  EXPECT_EQ(parallel_query2.text, query.text);
+  // v4 layout: u64 result_limit, string text, nothing after.
+  storage::Writer query_layout;
+  query_layout.WriteU64(64);
+  query_layout.WriteString(query.text);
+  EXPECT_EQ(net::EncodeQueryRequest(query), query_layout.buffer());
 
   net::BatchRequest batch{0, {"a\n", "b\n"}};
   net::BatchRequest batch2;
@@ -152,13 +146,13 @@ TEST(WireCodecTest, PayloadCodecsRoundTrip) {
                                       &batch2)
                   .ok());
   EXPECT_EQ(batch2.texts, batch.texts);
-  EXPECT_EQ(batch2.parallelism, 0u);
-  batch.parallelism = 4;
-  ASSERT_TRUE(net::DecodeBatchRequest(net::EncodeBatchRequest(batch), {},
-                                      &batch2)
-                  .ok());
-  EXPECT_EQ(batch2.parallelism, 4u);
-  batch.parallelism = 0;
+  // v4 layout: u64 result_limit, u32 count, the strings, nothing after.
+  storage::Writer batch_layout;
+  batch_layout.WriteU64(0);
+  batch_layout.WriteU32(2);
+  batch_layout.WriteString("a\n");
+  batch_layout.WriteString("b\n");
+  EXPECT_EQ(net::EncodeBatchRequest(batch), batch_layout.buffer());
   // Batch count above the limit is an admission error, not a crash.
   net::WireLimits tiny;
   tiny.max_batch_queries = 1;
@@ -206,12 +200,12 @@ TEST(WireCodecTest, FixedLayoutsRejectPrefixesAndTrailingBytes) {
     std::string payload;
     Status (*decode)(std::string_view);
   } cases[] = {
-      {"QUERY", net::EncodeQueryRequest({42, "backbone a root *\n", 2}),
+      {"QUERY", net::EncodeQueryRequest({42, "backbone a root *\n"}),
        [](std::string_view p) {
          net::QueryRequest out;
          return net::DecodeQueryRequest(p, &out);
        }},
-      {"BATCH", net::EncodeBatchRequest({7, {"q0\n", "q1\n"}, 3}),
+      {"BATCH", net::EncodeBatchRequest({7, {"q0\n", "q1\n"}}),
        [](std::string_view p) {
          net::BatchRequest out;
          return net::DecodeBatchRequest(p, {}, &out);

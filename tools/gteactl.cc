@@ -13,7 +13,7 @@
 //                   --engine=<spec>] [--port=<p>] [--bind=<addr>]
 //                   [--threads=<n>] [--coalesce=<n>] [--window-us=<x>]
 //   gteactl query   --connect=<host:port> (--file=<query-file> |
-//                   --text=<query>) [--limit=<n>] [--parallelism=<n>]
+//                   --text=<query>) [--limit=<n>] [--trace]
 //   gteactl apply   --connect=<host:port> --updates=<file>
 //   gteactl stats   --connect=<host:port>
 //   gteactl metrics --connect=<host:port>
@@ -76,8 +76,10 @@
 // .gtpqidx`; `route` runs the scatter-gather front-end
 // (cluster/shard_router.h) over those servers, speaking the same
 // gtpq-wire protocol so existing clients and benches work unchanged.
+#include <cctype>
 #include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -136,7 +138,7 @@ int Usage() {
       "                  [--coalesce=<n>] [--window-us=<x>]\n"
       "  gteactl query   --connect=<host:port> (--file=<query-file> | "
       "--text=<query>)\n"
-      "                  [--limit=<n>] [--parallelism=<n>] [--trace]\n"
+      "                  [--limit=<n>] [--trace]\n"
       "  gteactl apply   --connect=<host:port> --updates=<file>\n"
       "  gteactl stats   --connect=<host:port>\n"
       "  gteactl metrics --connect=<host:port>\n"
@@ -183,6 +185,32 @@ bool HasFlag(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
+}
+
+/// Validated "--flag=<n>" parse into [min, max]; leaves *out untouched
+/// when the flag is absent. On junk (a sign, trailing characters, out
+/// of range) it complains as `command` and reports false instead of
+/// truncating, wrapping, or feeding zero into a GTPQ_CHECK downstream.
+bool ParseBoundedFlag(int argc, char** argv, const char* command,
+                      const char* flag, unsigned long long min,
+                      unsigned long long max, unsigned long long* out) {
+  const auto value = FlagValue(argc, argv, flag);
+  if (!value.has_value()) return true;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed =
+      std::strtoull(value->c_str(), &end, 10);
+  // (*value)[0] is '\0' for an empty value, so this rejects that too.
+  if (!std::isdigit(static_cast<unsigned char>((*value)[0])) ||
+      errno == ERANGE || end != value->c_str() + value->size() ||
+      parsed < min || parsed > max) {
+    std::fprintf(stderr,
+                 "%s: %s wants an integer in [%llu, %llu], got '%s'\n",
+                 command, flag, min, max, value->c_str());
+    return false;
+  }
+  *out = parsed;
+  return true;
 }
 
 /// Rewrites the trailing "file:<path>" loader of an oracle spec (bare or
@@ -357,6 +385,13 @@ int RunInspect(int argc, char** argv) {
 int RunVerify(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string path = argv[2];
+  unsigned long long probes = 64, seed = 1;
+  if (!ParseBoundedFlag(argc, argv, "verify", "--probes=", 1, ULLONG_MAX,
+                        &probes) ||
+      !ParseBoundedFlag(argc, argv, "verify", "--seed=", 0, ULLONG_MAX,
+                        &seed)) {
+    return 1;
+  }
   auto graph = ResolveGraph(argc, argv);
   if (!graph.ok()) {
     std::fprintf(stderr, "verify: %s\n",
@@ -375,16 +410,8 @@ int RunVerify(int argc, char** argv) {
   const double load_ms = load_timer.ElapsedMillis();
   const auto& oracle = *loaded.ValueOrDie();
 
-  size_t probes = 64;
-  if (auto flag = FlagValue(argc, argv, "--probes=")) {
-    probes = static_cast<size_t>(std::strtoull(flag->c_str(), nullptr, 10));
-  }
-  uint64_t seed = 1;
-  if (auto flag = FlagValue(argc, argv, "--seed=")) {
-    seed = std::strtoull(flag->c_str(), nullptr, 10);
-  }
   const size_t n = g.NumNodes();
-  probes = std::min(probes, n);
+  probes = std::min<unsigned long long>(probes, n);
 
   // Each probe checks one whole source row against BFS ground truth —
   // self-reachability semantics included (a BFS hit on the source means
@@ -417,7 +444,7 @@ int RunVerify(int argc, char** argv) {
 
   std::printf("loaded '%s' (%s) in %.1f ms\n", path.c_str(),
               std::string(oracle.name()).c_str(), load_ms);
-  std::printf("%zu probe rows, %s pair checks, %zu mismatches\n", probes,
+  std::printf("%llu probe rows, %s pair checks, %zu mismatches\n", probes,
               FormatWithCommas(static_cast<long long>(checked)).c_str(),
               mismatches);
   if (mismatches > 0) {
@@ -590,40 +617,18 @@ std::unique_ptr<net::NetClient> ConnectFlag(int argc, char** argv,
 std::atomic<bool> g_serve_stop{false};
 void HandleServeSignal(int) { g_serve_stop.store(true); }
 
-/// Validated "--flag=<n>" parse into [min, max]; complains and reports
-/// false on junk instead of truncating or feeding zero into a
-/// GTPQ_CHECK downstream.
-bool ParseBoundedFlag(const std::optional<std::string>& value,
-                      const char* flag, unsigned long long min,
-                      unsigned long long max, unsigned long long* out) {
-  if (!value.has_value()) return true;
-  char* end = nullptr;
-  const unsigned long long parsed =
-      std::strtoull(value->c_str(), &end, 10);
-  if (value->empty() || end != value->c_str() + value->size() ||
-      parsed < min || parsed > max) {
-    std::fprintf(stderr,
-                 "serve: %s wants an integer in [%llu, %llu], got '%s'\n",
-                 flag, min, max, value->c_str());
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
 /// Parses the serve/route-shared listener flags into `options`; false
 /// (after a complaint) on junk.
-bool ParseServeOptions(int argc, char** argv,
+bool ParseServeOptions(int argc, char** argv, const char* command,
                        net::NetServerOptions* options) {
   unsigned long long port = options->port;
   unsigned long long threads = options->runtime.num_threads;
   unsigned long long coalesce = options->coalesce_max_queries;
-  if (!ParseBoundedFlag(FlagValue(argc, argv, "--port="), "--port=", 0,
-                        65535, &port) ||
-      !ParseBoundedFlag(FlagValue(argc, argv, "--threads="), "--threads=",
-                        1, 1024, &threads) ||
-      !ParseBoundedFlag(FlagValue(argc, argv, "--coalesce="),
-                        "--coalesce=", 1, 1u << 20, &coalesce)) {
+  if (!ParseBoundedFlag(argc, argv, command, "--port=", 0, 65535, &port) ||
+      !ParseBoundedFlag(argc, argv, command, "--threads=", 1, 1024,
+                        &threads) ||
+      !ParseBoundedFlag(argc, argv, command, "--coalesce=", 1, 1u << 20,
+                        &coalesce)) {
     return false;
   }
   options->port = static_cast<uint16_t>(port);
@@ -637,9 +642,9 @@ bool ParseServeOptions(int argc, char** argv,
     options->coalesce_window_us = std::strtod(window->c_str(), &end);
     if (window->empty() || end != window->c_str() + window->size() ||
         options->coalesce_window_us < 0) {
-      std::fprintf(stderr, "serve: --window-us= wants a number >= 0, "
+      std::fprintf(stderr, "%s: --window-us= wants a number >= 0, "
                            "got '%s'\n",
-                   window->c_str());
+                   command, window->c_str());
       return false;
     }
   }
@@ -715,7 +720,7 @@ int RunServe(int argc, char** argv) {
     }
     options.runtime.engine_spec = "gtea:" + oracle_spec;
   }
-  if (!ParseServeOptions(argc, argv, &options)) return Usage();
+  if (!ParseServeOptions(argc, argv, "serve", &options)) return Usage();
 
   std::printf("graph: %zu nodes, %zu edges\n", g.NumNodes(), g.NumEdges());
   return ServeLoop(g, options, "serve");
@@ -737,8 +742,8 @@ int RunPartition(int argc, char** argv) {
 
   cluster::BuildPartitionOptions options;
   unsigned long long shards = options.plan.num_shards;
-  if (!ParseBoundedFlag(FlagValue(argc, argv, "--shards="), "--shards=", 1,
-                        4096, &shards)) {
+  if (!ParseBoundedFlag(argc, argv, "partition", "--shards=", 1, 4096,
+                        &shards)) {
     return Usage();
   }
   options.plan.num_shards = static_cast<size_t>(shards);
@@ -797,7 +802,7 @@ int RunRoute(int argc, char** argv) {
   }
   net::NetServerOptions options;
   options.runtime.engine_spec = "gtea:" + spec;
-  if (!ParseServeOptions(argc, argv, &options)) return Usage();
+  if (!ParseServeOptions(argc, argv, "route", &options)) return Usage();
 
   std::printf("graph: %zu nodes, %zu edges; routing via %s\n",
               g.NumNodes(), g.NumEdges(), map_path->c_str());
@@ -829,17 +834,13 @@ int RunRemoteQuery(int argc, char** argv) {
     return Usage();
   }
 
+  unsigned long long limit = 0;
+  if (!ParseBoundedFlag(argc, argv, "query", "--limit=", 0, ULLONG_MAX,
+                        &limit)) {
+    return 1;
+  }
   auto client = ConnectFlag(argc, argv, "query");
   if (client == nullptr) return 1;
-  uint64_t limit = 0;
-  if (auto flag = FlagValue(argc, argv, "--limit=")) {
-    limit = std::strtoull(flag->c_str(), nullptr, 10);
-  }
-  uint32_t parallelism = 0;
-  if (auto flag = FlagValue(argc, argv, "--parallelism=")) {
-    parallelism =
-        static_cast<uint32_t>(std::strtoul(flag->c_str(), nullptr, 10));
-  }
   // --trace stamps the request with a fresh trace id so the server-side
   // spans (dispatch, evaluate, stages, shard probes) can be picked out
   // of a later `gteactl trace` dump.
@@ -848,7 +849,7 @@ int RunRemoteQuery(int argc, char** argv) {
   const obs::ScopedTraceContext trace_scope({trace_id, 0});
 
   Timer timer;
-  auto result = client->Query(text, limit, parallelism);
+  auto result = client->Query(text, limit);
   if (!result.ok()) {
     std::fprintf(stderr, "query: %s\n",
                  result.status().ToString().c_str());
@@ -1060,8 +1061,9 @@ int RunTop(int argc, char** argv) {
     }
   }
   unsigned long long count = 0;  // 0: run until interrupted
-  if (auto flag = FlagValue(argc, argv, "--count=")) {
-    count = std::strtoull(flag->c_str(), nullptr, 10);
+  if (!ParseBoundedFlag(argc, argv, "top", "--count=", 0, ULLONG_MAX,
+                        &count)) {
+    return 1;
   }
   auto client = ConnectFlag(argc, argv, "top");
   if (client == nullptr) return 1;

@@ -39,8 +39,7 @@ import sys
 
 # Integer config fields that identify a row (as opposed to measured
 # metrics): pool sizes, schedule shape, the BENCH_net client/
-# pipelining sweep axes, the intra-query parallelism sweep, and the
-# BENCH_cluster shard-count sweep.
+# pipelining sweep axes, and the BENCH_cluster shard-count sweep.
 KEY_INT_FIELDS = {
     "threads",
     "rounds",
@@ -49,7 +48,6 @@ KEY_INT_FIELDS = {
     "clients",
     "pipeline",
     "requests",
-    "parallelism",
     "mmap",
     "shards",
 }
@@ -96,7 +94,7 @@ def regressions(name, baseline, current, threshold):
         base = base_rows.get(key)
         if base is None:
             # A row key the baseline run never produced — a new sweep
-            # axis or bench variant (e.g. a fresh "parallelism" or
+            # axis or bench variant (e.g. a fresh "clients" or
             # "shards" column), not a regression. Note it and move on
             # so newly added benches never fail the diff.
             print(f"perf-diff: {name}: new row (no baseline): {label}")
