@@ -10,8 +10,8 @@
 // have answers in the tens of millions of tuples.
 //
 //   --threads=1,2,4,8,16       pool sizes to sweep (default)
-//   --engine=gtea,gtea:cached:contour
-//                              engine specs to sweep per pool size
+//   --engine=gtea              engine specs to sweep per pool size
+//                              (comma-separated, e.g. gtea,naive)
 //   --queries=256              batch size
 //   --limit=512                per-query result cap (0 = unlimited)
 //   --json=<path>              also emit machine-readable rows (CI)
@@ -34,12 +34,11 @@ using namespace gtpq::bench;
 int main(int argc, char** argv) {
   const double scale = BenchScale();
   const auto json_path = JsonFlag(argc, argv);
-  const auto thread_flags = SplitFlag(argc, argv, "--threads=", "1,2,4,8,16");
-  const auto engine_specs =
-      SplitFlag(argc, argv, "--engine=", "gtea,gtea:cached:contour");
+  const auto thread_sweep = ThreadSweepFlag(argc, argv, "1,2,4,8,16");
+  const auto engine_specs = SplitFlag(argc, argv, "--engine=", "gtea");
   const size_t num_queries = SizeFlag(argc, argv, "--queries=", 256);
   const size_t result_limit = SizeFlag(argc, argv, "--limit=", 512);
-  if (thread_flags.empty() || engine_specs.empty() || num_queries == 0) {
+  if (thread_sweep.empty() || engine_specs.empty() || num_queries == 0) {
     std::fprintf(stderr,
                  "--threads= and --engine= need comma-separated values; "
                  "--queries= must be positive\n");
@@ -82,19 +81,13 @@ int main(int argc, char** argv) {
   report.AddMeta("result_limit", static_cast<uint64_t>(result_limit));
   for (const std::string& spec : engine_specs) {
     double baseline_qps = 0;
-    for (const std::string& t : thread_flags) {
-      char* end = nullptr;
-      const size_t threads = std::strtoull(t.c_str(), &end, 10);
-      if (end == t.c_str() || *end != '\0' || threads == 0) {
-        std::fprintf(stderr, "invalid --threads entry '%s'\n", t.c_str());
-        return 2;
-      }
+    for (size_t threads : thread_sweep) {
       QueryServerOptions options;
       options.num_threads = threads;
       options.engine_spec = spec;
       options.eval_options.result_limit = result_limit;
       QueryServer server(g, options);
-      server.EvaluateBatch(queries);  // warmup (and decorator cache fill)
+      server.EvaluateBatch(queries);  // warmup
       const double ms = MinTimeMs(
           [&] { server.EvaluateBatch(queries); }, reps);
       const double qps = ms > 0 ? 1000.0 * queries.size() / ms : 0;

@@ -5,7 +5,7 @@
 // GTEA runs once per selected reachability spec, so the #index
 // column doubles as a per-backend lookup-cost comparison:
 //   --index=contour,three_hop     (default: contour, the paper's setup)
-//   --index=cached:contour        decorator specs work too
+//   --index=sharded:contour       decorator specs work too
 //   --index=all                   sweep every registered backend
 //   --index=all-specs             sweep backends plus every decorator
 //   --json=<path>                 also emit machine-readable rows (CI)
@@ -71,7 +71,8 @@ std::vector<std::string> ParseIndexFlag(int argc, char** argv) {
           std::fprintf(stderr, " %s",
                        std::string(ReachabilityBackendName(k)).c_str());
         }
-        std::fprintf(stderr, "; decorators: cached:<spec> sharded:<spec>)\n");
+        std::fprintf(stderr,
+                     "; prefixes: sharded: delta: file: mmap: cluster:)\n");
         std::exit(2);
       }
     }

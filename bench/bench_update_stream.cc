@@ -8,8 +8,8 @@
 // final epoch/pending-op/compaction counters.
 //
 //   --threads=1,4              pool sizes to sweep (default)
-//   --engine=gtea,gtea:cached:contour
-//                              engine specs to sweep
+//   --engine=gtea              engine specs to sweep
+//                              (comma-separated, e.g. gtea,naive)
 //   --queries=64               queries per batch
 //   --rounds=8                 update rounds per configuration
 //   --ops=64                   operations per update batch
@@ -36,15 +36,14 @@ using namespace gtpq::bench;
 int main(int argc, char** argv) {
   const double scale = BenchScale();
   const auto json_path = JsonFlag(argc, argv);
-  const auto thread_flags = SplitFlag(argc, argv, "--threads=", "1,4");
-  const auto engine_specs =
-      SplitFlag(argc, argv, "--engine=", "gtea,gtea:cached:contour");
+  const auto thread_sweep = ThreadSweepFlag(argc, argv, "1,4");
+  const auto engine_specs = SplitFlag(argc, argv, "--engine=", "gtea");
   const size_t num_queries = SizeFlag(argc, argv, "--queries=", 64);
   const size_t rounds = SizeFlag(argc, argv, "--rounds=", 8);
   const size_t ops = SizeFlag(argc, argv, "--ops=", 64);
   const size_t result_limit = SizeFlag(argc, argv, "--limit=", 512);
   const double del_ratio = DoubleFlag(argc, argv, "--del-ratio=", 0.3);
-  if (thread_flags.empty() || engine_specs.empty() || num_queries == 0 ||
+  if (thread_sweep.empty() || engine_specs.empty() || num_queries == 0 ||
       rounds == 0) {
     std::fprintf(stderr, "--threads=/--engine= need values; --queries= "
                          "and --rounds= must be positive\n");
@@ -96,13 +95,7 @@ int main(int argc, char** argv) {
   report.AddMeta("del_ratio", del_ratio);
 
   for (const std::string& spec : engine_specs) {
-    for (const std::string& t : thread_flags) {
-      char* end = nullptr;
-      const size_t threads = std::strtoull(t.c_str(), &end, 10);
-      if (end == t.c_str() || *end != '\0' || threads == 0) {
-        std::fprintf(stderr, "invalid --threads entry '%s'\n", t.c_str());
-        return 2;
-      }
+    for (size_t threads : thread_sweep) {
       QueryServerOptions options;
       options.num_threads = threads;
       options.engine_spec = spec;

@@ -1,6 +1,8 @@
 #ifndef GTPQ_BENCH_HARNESS_H_
 #define GTPQ_BENCH_HARNESS_H_
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -18,20 +20,66 @@
 namespace gtpq {
 namespace bench {
 
-/// Global scale knob: all XMark datasets are generated at
-/// (paper scale) x GTPQ_BENCH_SCALE. The default keeps every bench
-/// binary laptop-friendly; raise it (up to 1.0 = the paper's sizes) for
-/// full-scale runs.
-inline double BenchScale() {
-  const char* env = std::getenv("GTPQ_BENCH_SCALE");
-  return env != nullptr ? std::atof(env) : 0.02;
+/// Parses a whole unsigned decimal integer. A leading sign or space is
+/// refused (strtoull would read "-1" as 2^64-1), as are overflow and
+/// trailing junk.
+inline bool ParseSize(const char* text, size_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<size_t>(value);
+  return true;
 }
 
-/// Repetitions per measurement (min is reported).
-inline int BenchReps() {
-  const char* env = std::getenv("GTPQ_BENCH_REPS");
-  return env != nullptr ? std::atoi(env) : 3;
+/// The environment knobs, parsed and checked once for the process:
+///   GTPQ_BENCH_SCALE  all XMark datasets are generated at (paper
+///                     scale) x this (> 0). The default keeps every
+///                     bench binary laptop-friendly; raise it (up to
+///                     1.0 = the paper's sizes) for full-scale runs.
+///   GTPQ_BENCH_REPS   repetitions per measurement (>= 1; the min is
+///                     reported).
+/// A malformed value of either exits 2 in every bench that reads
+/// either, so a bad setting shared by a run of benches cannot write
+/// bogus rows from the ones that happen not to use it.
+struct BenchEnv {
+  double scale = 0.02;
+  int reps = 3;
+};
+
+inline const BenchEnv& GetBenchEnv() {
+  static const BenchEnv env = [] {
+    BenchEnv parsed;
+    if (const char* text = std::getenv("GTPQ_BENCH_SCALE")) {
+      char* end = nullptr;
+      parsed.scale = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(parsed.scale) ||
+          parsed.scale <= 0) {
+        std::fprintf(stderr,
+                     "invalid GTPQ_BENCH_SCALE '%s' (want a number > 0)\n",
+                     text);
+        std::exit(2);
+      }
+    }
+    if (const char* text = std::getenv("GTPQ_BENCH_REPS")) {
+      size_t reps = 0;
+      if (!ParseSize(text, &reps) || reps < 1 || reps > 1000000) {
+        std::fprintf(stderr,
+                     "invalid GTPQ_BENCH_REPS '%s' (want an integer in "
+                     "[1, 1000000])\n",
+                     text);
+        std::exit(2);
+      }
+      parsed.reps = static_cast<int>(reps);
+    }
+    return parsed;
+  }();
+  return env;
 }
+
+inline double BenchScale() { return GetBenchEnv().scale; }
+inline int BenchReps() { return GetBenchEnv().reps; }
 
 /// Value of a --json=<path> style flag, or nullopt when absent.
 inline std::optional<std::string> JsonFlag(int argc, char** argv) {
@@ -69,15 +117,13 @@ inline size_t SizeFlag(int argc, char** argv, const char* prefix,
   const size_t len = std::strlen(prefix);
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix, len) == 0) {
-      char* end = nullptr;
-      const unsigned long long value =
-          std::strtoull(argv[i] + len, &end, 10);
-      if (end == argv[i] + len || *end != '\0') {
+      size_t value = 0;
+      if (!ParseSize(argv[i] + len, &value)) {
         std::fprintf(stderr, "invalid value for %s (want an integer)\n",
                      prefix);
         std::exit(2);
       }
-      return static_cast<size_t>(value);
+      return value;
     }
   }
   return fallback;
@@ -91,15 +137,28 @@ inline std::vector<size_t> SizeListFlag(int argc, char** argv,
                                         const std::string& fallback) {
   std::vector<size_t> out;
   for (const std::string& item : SplitFlag(argc, argv, prefix, fallback)) {
-    char* end = nullptr;
-    const unsigned long long value =
-        std::strtoull(item.c_str(), &end, 10);
-    if (end == item.c_str() || *end != '\0') {
+    size_t value = 0;
+    if (!ParseSize(item.c_str(), &value)) {
       std::fprintf(stderr, "invalid value '%s' for %s (want integers)\n",
                    item.c_str(), prefix);
       std::exit(2);
     }
-    out.push_back(static_cast<size_t>(value));
+    out.push_back(value);
+  }
+  return out;
+}
+
+/// Pool sizes of a "--threads=a,b,c" sweep; exits 2 unless every entry
+/// is in [1, 1024], so a typo cannot ask for a huge thread pool.
+inline std::vector<size_t> ThreadSweepFlag(int argc, char** argv,
+                                           const std::string& fallback) {
+  std::vector<size_t> out = SizeListFlag(argc, argv, "--threads=", fallback);
+  for (size_t threads : out) {
+    if (threads == 0 || threads > 1024) {
+      std::fprintf(stderr, "invalid --threads entry %zu (want 1..1024)\n",
+                   threads);
+      std::exit(2);
+    }
   }
   return out;
 }

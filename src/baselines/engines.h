@@ -133,8 +133,8 @@ class DecomposeEngine : public Evaluator {
 /// Engine registry. Specs:
 ///   gtea            GTEA on the default (contour) backend
 ///   gtea:<spec>     GTEA on any reachability spec: a registered
-///                   backend name or a cached:/sharded: decorator chain
-///                   (e.g. gtea:cached:contour, gtea:sharded:interval)
+///                   backend name or a sharded:/delta: decorator chain
+///                   (e.g. gtea:interval, gtea:sharded:interval)
 ///   naive           brute force over the transitive closure
 ///   twigstack, twig2stack, twigstackd, hgjoin+, hgjoin*
 ///   decompose:twigstack, decompose:twigstackd

@@ -12,7 +12,7 @@ namespace gtpq {
 /// the tuple-based baselines (brute force, TwigStack, Twig2Stack,
 /// TwigStackD, HGJoin, decompose-and-merge) — implements this
 /// interface, so benchmarks, differential tests, and future scaling
-/// layers (sharded indexes, cached oracles, parallel evaluation) treat
+/// layers (sharded indexes, delta overlays, the shard router) treat
 /// engines uniformly.
 ///
 /// Contract:

@@ -4,7 +4,6 @@
 #include "cluster/shard_router.h"
 #include "common/logging.h"
 #include "dynamic/delta_overlay.h"
-#include "reachability/cached_oracle.h"
 #include "reachability/chain_cover_index.h"
 #include "reachability/contour.h"
 #include "reachability/interval_index.h"
@@ -17,7 +16,6 @@
 namespace gtpq {
 
 namespace {
-constexpr std::string_view kCachedPrefix = "cached:";
 constexpr std::string_view kShardedPrefix = "sharded:";
 constexpr std::string_view kDeltaPrefix = "delta:";
 constexpr std::string_view kFilePrefix = "file:";
@@ -146,12 +144,6 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
     }
     return router.TakeValue();
   }
-  if (spec.rfind(kCachedPrefix, 0) == 0) {
-    auto inner = MakeReachabilityIndex(spec.substr(kCachedPrefix.size()), g);
-    if (inner == nullptr) return nullptr;
-    return std::make_unique<CachedOracle>(
-        std::shared_ptr<const ReachabilityOracle>(std::move(inner)));
-  }
   if (spec.rfind(kDeltaPrefix, 0) == 0) {
     std::string_view inner_spec = spec.substr(kDeltaPrefix.size());
     // Reject file: anywhere beneath delta: up front — compaction has to
@@ -182,8 +174,7 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
 bool IsValidReachabilitySpec(std::string_view spec) {
   bool file_forbidden = false;
   bool under_sharded = false;
-  while (spec.rfind(kCachedPrefix, 0) == 0 ||
-         spec.rfind(kShardedPrefix, 0) == 0 ||
+  while (spec.rfind(kShardedPrefix, 0) == 0 ||
          spec.rfind(kDeltaPrefix, 0) == 0) {
     // delta: cannot serve beneath sharded:: each shard's sub-index is
     // built over a transient induced-subgraph Digraph, which the
@@ -233,21 +224,15 @@ std::vector<std::string> AllReachabilitySpecs() {
   for (ReachabilityBackend kind : AllReachabilityBackends()) {
     specs.emplace_back(ReachabilityBackendName(kind));
   }
-  for (std::string_view prefix :
-       {kCachedPrefix, kShardedPrefix, kDeltaPrefix}) {
+  for (std::string_view prefix : {kShardedPrefix, kDeltaPrefix}) {
     for (ReachabilityBackend kind : AllReachabilityBackends()) {
       specs.push_back(std::string(prefix) +
                       std::string(ReachabilityBackendName(kind)));
     }
   }
-  // Nested-composition witnesses: a cache over a partitioned oracle, a
-  // partitioned oracle whose shards cache, and the delta overlay
-  // composed both ways (an overlay over a decorated inner index, and a
-  // cache over an overlay snapshot).
-  specs.push_back("cached:sharded:interval");
-  specs.push_back("sharded:cached:contour");
-  specs.push_back("delta:cached:contour");
-  specs.push_back("cached:delta:interval");
+  // Nesting witness: a delta overlay over a partitioned inner index.
+  // (The reverse, delta: beneath sharded:, is rejected.)
+  specs.push_back("delta:sharded:interval");
   return specs;
 }
 

@@ -48,7 +48,6 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
 /// Spec-string factory — the superset of the enum factory that also
 /// understands decorators and persisted indexes:
 ///   <backend>         a registered base backend name ("contour", ...)
-///   cached:<spec>     sharded-LRU probe cache over <spec> (CachedOracle)
 ///   sharded:<spec>    vertex-partitioned oracle whose per-shard
 ///                     sub-indexes are built from <spec> (ShardedOracle)
 ///   delta:<spec>      incremental-maintenance overlay over <spec>
@@ -73,10 +72,9 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
 ///                     matches `g` and every shard answers its HELLO.
 ///                     Needs live servers, so it is not enrolled in
 ///                     AllReachabilitySpecs().
-/// Decorators nest: "cached:sharded:interval" caches a partitioned
-/// oracle, "cached:file:idx.gtpqidx" caches a loaded index. file: and
-/// cluster: are rejected beneath sharded: and delta: (see
-/// IsValidReachabilitySpec).
+/// Decorators nest: "delta:sharded:interval" overlays updates on a
+/// partitioned oracle. delta: is rejected beneath sharded:, and file:,
+/// mmap: and cluster: beneath either (see IsValidReachabilitySpec).
 /// The built oracle's name() equals the spec (file: aside). Returns
 /// nullptr for malformed specs and unreadable or mismatched index
 /// files.

@@ -25,10 +25,6 @@ struct IndexStats {
   uint64_t elements_looked_up = 0;
   /// Point reachability queries answered.
   uint64_t queries = 0;
-  /// Probes answered from / missed by a caching decorator wrapping this
-  /// oracle (CachedOracle); zero for plain backends.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
 
   void Reset() { *this = IndexStats(); }
 };
@@ -51,8 +47,7 @@ struct IndexStats {
 /// SetSummary are immutable once constructed, so any number of threads
 /// may issue probes concurrently without external locking.
 /// Implementations keep mutable probe scratch and the IndexStats
-/// counters in thread-confined PerThread slots (decorators with shared
-/// caches must do their own internal locking).
+/// counters in thread-confined PerThread slots.
 class ReachabilityOracle {
  public:
   /// Opaque per-oracle summary of a node set, produced by one of the

@@ -62,7 +62,7 @@ class EngineSnapshot {
 /// cheap per-worker Evaluators that share them.
 ///
 /// Accepts every MakeEngine spec, including "gtea:<oracle-spec>" with
-/// cached:/sharded:/delta: decorator chains. Create() is safe to call
+/// sharded:/delta: decorator chains. Create() is safe to call
 /// from any thread; each returned Evaluator must stay thread-confined
 /// (the Evaluator contract says nothing about concurrent Evaluate calls
 /// on ONE instance — sharing happens at the oracle layer).

@@ -54,7 +54,7 @@ struct QueryServerOptions {
   /// Worker threads; each carries one Evaluator.
   size_t num_threads = 4;
   /// Engine spec (everything SharedEngineFactory accepts), e.g.
-  /// "gtea", "gtea:cached:contour", "naive", "twigstackd".
+  /// "gtea", "gtea:sharded:interval", "naive", "twigstackd".
   std::string engine_spec = "gtea";
   /// Decomposition-point names seeded into twig engines.
   std::vector<std::string> cross_names = {};

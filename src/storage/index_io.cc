@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "dynamic/delta_overlay.h"
-#include "reachability/cached_oracle.h"
 #include "reachability/chain_cover_index.h"
 #include "reachability/contour.h"
 #include "reachability/factory.h"
@@ -20,7 +19,6 @@ namespace storage {
 
 namespace {
 
-constexpr std::string_view kCachedPrefix = "cached:";
 constexpr std::string_view kShardedPrefix = "sharded:";
 constexpr std::string_view kDeltaPrefix = "delta:";
 
@@ -234,15 +232,6 @@ Result<IndexFileInfo> InspectReachabilityIndex(const std::string& path) {
 
 Status SaveOracleBody(const ReachabilityOracle& oracle, Writer* w) {
   const std::string_view spec = oracle.name();
-  if (spec.rfind(kCachedPrefix, 0) == 0) {
-    const auto* cached = dynamic_cast<const CachedOracle*>(&oracle);
-    if (cached == nullptr) {
-      return Status::InvalidArgument(
-          "oracle named '" + std::string(spec) + "' is not a CachedOracle");
-    }
-    // Cache contents are transient; only the inner index persists.
-    return SaveOracleBody(cached->inner(), w);
-  }
   if (spec.rfind(kShardedPrefix, 0) == 0) {
     const auto* sharded = dynamic_cast<const ShardedOracle*>(&oracle);
     if (sharded == nullptr) {
@@ -291,12 +280,6 @@ Status SaveOracleBody(const ReachabilityOracle& oracle, Writer* w) {
 
 Result<std::unique_ptr<ReachabilityOracle>> LoadOracleBody(
     std::string_view spec, Reader* r) {
-  if (spec.rfind(kCachedPrefix, 0) == 0) {
-    auto inner = LoadOracleBody(spec.substr(kCachedPrefix.size()), r);
-    GTPQ_RETURN_NOT_OK(inner.status());
-    return std::unique_ptr<ReachabilityOracle>(std::make_unique<CachedOracle>(
-        std::shared_ptr<const ReachabilityOracle>(inner.TakeValue())));
-  }
   if (spec.rfind(kDeltaPrefix, 0) == 0) {
     auto delta =
         DeltaOverlayOracle::LoadBody(spec.substr(kDeltaPrefix.size()), r);

@@ -102,8 +102,7 @@ Result<IndexFileInfo> InspectReachabilityIndex(const std::string& path);
 // --- Body-level hooks (used by decorators for nested sections) --------
 
 /// Appends the backend-specific body of `oracle` to `w`, dispatching on
-/// its spec. Cached decorators persist only their inner oracle (cache
-/// contents are transient); sharded decorators write per-shard sections.
+/// its spec. Sharded decorators write per-shard sections.
 Status SaveOracleBody(const ReachabilityOracle& oracle, Writer* w);
 
 /// Parses the body written by SaveOracleBody for `spec`.

@@ -92,9 +92,7 @@ TEST_P(ConcurrencyFuzzTest, EightThreadServerMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, ConcurrencyFuzzTest,
-    ::testing::Values("gtea", "gtea:cached:contour",
-                      "gtea:sharded:interval", "gtea:cached:sharded:interval",
-                      "naive"),
+    ::testing::Values("gtea", "gtea:sharded:interval", "naive"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {

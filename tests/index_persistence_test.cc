@@ -1,5 +1,5 @@
 // Persistence suite for the storage layer: every factory-constructible
-// spec (base backends, cached:/sharded: decorators, nested chains) must
+// spec (base backends, sharded:/delta: decorators, nested chains) must
 // round-trip through SaveReachabilityIndex / LoadReachabilityIndex and
 // still agree with the materialized closure on the full point + set
 // API; corrupted, truncated, version-skewed, and wrong-graph files must
@@ -286,7 +286,6 @@ TEST(FileSpecTest, FactoryServesAndCrossChecksThePersistedIndex) {
   const std::string spec = "file:" + path;
 
   EXPECT_TRUE(IsValidReachabilitySpec(spec));
-  EXPECT_TRUE(IsValidReachabilitySpec("cached:" + spec));
   EXPECT_FALSE(IsValidReachabilitySpec("file:" + path + ".missing"));
   // A whole-graph index cannot act as a per-shard sub-index: the
   // factory must refuse (not abort mid-shard-build) even though the
@@ -295,8 +294,10 @@ TEST(FileSpecTest, FactoryServesAndCrossChecksThePersistedIndex) {
   EXPECT_EQ(MakeReachabilityIndex(std::string_view("sharded:" + spec),
                                   g.graph()),
             nullptr);
-  EXPECT_EQ(MakeReachabilityIndex(
-                std::string_view("sharded:cached:" + spec), g.graph()),
+  // An unknown decorator prefix is rejected, not skipped over.
+  EXPECT_FALSE(IsValidReachabilitySpec("cached:" + spec));
+  EXPECT_EQ(MakeReachabilityIndex(std::string_view("cached:" + spec),
+                                  g.graph()),
             nullptr);
 
   auto oracle = MakeReachabilityIndex(std::string_view(spec), g.graph());
@@ -309,15 +310,54 @@ TEST(FileSpecTest, FactoryServesAndCrossChecksThePersistedIndex) {
     }
   }
 
-  // Decorating a loaded index works like decorating a built one.
-  auto cached = MakeReachabilityIndex(
-      std::string_view("cached:" + spec), g.graph());
-  ASSERT_NE(cached, nullptr);
-  EXPECT_TRUE(cached->Reaches(0, 1) == tc.Reaches(0, 1));
-
   // The fingerprint guard: a different graph refuses to serve it.
   const DataGraph other = TestDag(/*seed=*/77);
   EXPECT_EQ(MakeReachabilityIndex(std::string_view(spec), other.graph()),
+            nullptr);
+  std::remove(path.c_str());
+}
+
+// Files saved under a "cached:<spec>" header (the inner body, written
+// by a since-removed probe-cache decorator) must fail to load with a
+// typed error, never be served as some other oracle. The file is built
+// byte for byte as SaveReachabilityIndex lays one out.
+TEST(FileSpecTest, LegacyCachedFileIsUnimplemented) {
+  const DataGraph g = TestDag();
+  auto contour =
+      MakeReachabilityIndex(std::string_view("contour"), g.graph());
+  storage::Writer body;
+  body.set_pod_align(true);
+  ASSERT_TRUE(storage::SaveOracleBody(*contour, &body).ok());
+  storage::Writer header;
+  header.set_pod_align(true);
+  header.WriteString("cached:contour");
+  header.WriteU64(storage::GraphFingerprint(g.graph()));
+  header.WriteU64(g.NumNodes());
+  header.WriteU64(g.NumEdges());
+  header.WriteU64(body.buffer().size());
+  header.AlignTo8();
+  storage::Writer prologue;
+  prologue.WriteBytes(storage::kIndexMagic.data(),
+                      storage::kIndexMagic.size());
+  prologue.WriteU32(storage::kIndexFormatVersion);
+  prologue.WriteU32(storage::Crc32(
+      body.buffer().data(), body.buffer().size(),
+      storage::Crc32(header.buffer().data(), header.buffer().size())));
+  const std::string path = TempPath("legacy_cached");
+  WriteFileBytes(path,
+                 prologue.buffer() + header.buffer() + body.buffer());
+
+  auto info = storage::InspectReachabilityIndex(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->spec, "cached:contour");
+  const Status heap =
+      storage::LoadReachabilityIndex(path, g.graph()).status();
+  EXPECT_EQ(heap.code(), StatusCode::kUnimplemented) << heap.ToString();
+  const Status view =
+      storage::LoadReachabilityIndexView(path, g.graph()).status();
+  EXPECT_EQ(view.code(), StatusCode::kUnimplemented) << view.ToString();
+  EXPECT_EQ(MakeReachabilityIndex(std::string_view("file:" + path),
+                                  g.graph()),
             nullptr);
   std::remove(path.c_str());
 }

@@ -121,7 +121,6 @@ TEST(MmapSpecTest, FactoryServesTheMappedIndexUnderTheSameRules) {
   const std::string spec = "mmap:" + path;
 
   EXPECT_TRUE(IsValidReachabilitySpec(spec));
-  EXPECT_TRUE(IsValidReachabilitySpec("cached:" + spec));
   EXPECT_FALSE(IsValidReachabilitySpec("mmap:" + path + ".missing"));
   // Same composition rules as file:: no mmap beneath sharded: (the
   // fingerprint covers the whole graph, not a shard subgraph) or

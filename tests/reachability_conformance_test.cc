@@ -1,5 +1,5 @@
 // Conformance suite: every spec constructible through the factory —
-// base backends AND cached:/sharded: decorator chains — must agree
+// base backends AND sharded:/delta: decorator chains — must agree
 // with the materialized TransitiveClosure ground truth: on point
 // queries over random DAGs and cyclic digraphs, on the Section-2
 // self-reachability semantics (Reaches(v, v) only on a cycle), and on
@@ -174,8 +174,8 @@ TEST(ReachabilitySpecsTest, SpecsCoverEveryBaseBackend) {
                          return s.rfind(prefix, 0) == 0;
                        });
   };
-  EXPECT_TRUE(has_prefix("cached:"));
   EXPECT_TRUE(has_prefix("sharded:"));
+  EXPECT_TRUE(has_prefix("delta:"));
   for (const std::string& spec : specs) {
     EXPECT_TRUE(IsValidReachabilitySpec(spec)) << spec;
   }

@@ -73,8 +73,8 @@ TEST(ThreadPoolTest, RunsEveryTaskAcrossWorkers) {
 TEST(SharedEngineFactoryTest, StampsEnginesForEverySpec) {
   DataGraph g = SmallDag();
   for (const char* spec :
-       {"gtea", "gtea:interval", "gtea:cached:contour",
-        "gtea:sharded:interval", "naive", "twigstack", "twig2stack",
+       {"gtea", "gtea:interval", "gtea:sharded:interval", "naive",
+        "twigstack", "twig2stack",
         "twigstackd", "hgjoin+", "hgjoin*", "decompose:twigstackd"}) {
     auto factory = SharedEngineFactory::Make(spec, g);
     ASSERT_NE(factory, nullptr) << spec;
@@ -134,8 +134,7 @@ TEST(QueryServerTest, ServesEverySpecFamily) {
   ASSERT_FALSE(queries.empty());
   BruteForceEngine naive(g);
   for (const char* spec :
-       {"gtea", "gtea:cached:contour", "gtea:sharded:interval", "naive",
-        "twigstackd"}) {
+       {"gtea", "gtea:sharded:interval", "naive", "twigstackd"}) {
     QueryServer server(g, {.num_threads = 2, .engine_spec = spec});
     auto results = server.EvaluateBatch(queries);
     ASSERT_EQ(results.size(), queries.size());

@@ -179,15 +179,14 @@ TEST(GraphDeltaTest, MaterializesCombinedView) {
 TEST(DeltaSpecTest, RejectsUnservableCompositions) {
   DataGraph g = MakeGraph(3, {0, 1, 2}, {{0, 1}, {1, 2}});
   for (const char* spec :
-       {"sharded:delta:contour", "sharded:cached:delta:contour",
-        "delta:file:nowhere.gtpqidx"}) {
+       {"sharded:delta:contour", "delta:file:nowhere.gtpqidx",
+        "cached:contour"}) {
     EXPECT_FALSE(IsValidReachabilitySpec(spec)) << spec;
     EXPECT_EQ(MakeReachabilityIndex(std::string_view(spec), g.graph()),
               nullptr)
         << spec;
   }
   EXPECT_TRUE(IsValidReachabilitySpec("delta:sharded:interval"));
-  EXPECT_TRUE(IsValidReachabilitySpec("cached:delta:contour"));
 }
 
 // ------------------------------------------------ update file round-trip
@@ -580,8 +579,8 @@ class QueryServerUpdateTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(QueryServerUpdateTest, MatchesRebuiltEngineAfterEachBatch) {
   const size_t threads = GetParam();
   // "naive" exercises the non-gtea full-rebuild path of ApplyUpdates;
-  // the gtea specs take the incremental delta-overlay path.
-  for (const char* spec : {"gtea", "gtea:cached:contour", "naive"}) {
+  // "gtea" takes the incremental delta-overlay path.
+  for (const char* spec : {"gtea", "naive"}) {
     DataGraph g = RandomDag({.num_nodes = 60,
                              .avg_degree = 2.2,
                              .num_labels = 6,

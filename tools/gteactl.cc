@@ -163,7 +163,7 @@ int Usage() {
       "index specs:     any MakeReachabilityIndex spec (contour, "
       "three_hop,\n"
       "                 interval, sspi, chain_cover, transitive_closure,\n"
-      "                 cached:<spec>, sharded:<spec>, delta:<spec>,\n"
+      "                 sharded:<spec>, delta:<spec>,\n"
       "                 file:<path>, mmap:<path>; serve --mmap rewrites\n"
       "                 a file: index to the zero-copy mmap: loader)\n"
       "global flags:    --quiet (suppress log output below error level)\n");
@@ -700,7 +700,7 @@ int RunServe(int argc, char** argv) {
   const DataGraph& g = graph.ValueOrDie();
 
   net::NetServerOptions options;
-  // --engine= takes a full engine spec ("naive", "gtea:cached:contour");
+  // --engine= takes a full engine spec ("naive", "gtea:sharded:interval");
   // --index= is the common shorthand for "gtea:<oracle spec>", which
   // also serves prebuilt files via --index=file:<path>. With --mmap the
   // file: loader is rewritten to mmap:, so the index body is served

@@ -13,6 +13,8 @@ then metric fields are compared:
 
   * throughput metrics (field name containing "per_sec", "qps" or
     "throughput"): a drop past the threshold (default 20%) is flagged;
+    a zero or negative value against a positive baseline counts as a
+    100% drop;
   * latency metrics (field name ending in "_ms" or "_time"): a rise
     past threshold + 5 points is flagged.
 
@@ -23,8 +25,10 @@ against BENCH_<key>.json) FAIL the diff when a row that exists in both
 runs regresses past --fail-threshold (default 35%). Only stable,
 matched rows can fail; rows with no baseline counterpart (a new sweep
 axis, a changed parameter) are always warn-only, so adding or
-reshaping a bench never breaks CI. Missing baselines (first run on a
-branch) are reported and skipped. --strict keeps its old meaning: any
+reshaping a bench never breaks CI. Baseline rows the current run no
+longer produces are listed as "row gone (baseline only)", also
+warn-only. Missing baselines (first run on a branch) are reported and
+skipped. --strict keeps its old meaning: any
 warning fails.
 
 --self-test runs the comparison logic against built-in fixtures and
@@ -83,6 +87,10 @@ def is_time(field):
     return field.endswith(TIME_SUFFIXES)
 
 
+def row_label(name, key):
+    return ", ".join(f"{k}={v}" for k, v in key[0]) or name
+
+
 def regressions(name, baseline, current, threshold):
     """Yields (label, field, old, new, drop_fraction) for every matched
     row whose metric regressed past `threshold`. New rows (no baseline
@@ -90,7 +98,7 @@ def regressions(name, baseline, current, threshold):
     found = []
     base_rows = index_rows(baseline)
     for key, row in index_rows(current).items():
-        label = ", ".join(f"{k}={v}" for k, v in key[0]) or name
+        label = row_label(name, key)
         base = base_rows.get(key)
         if base is None:
             # A row key the baseline run never produced — a new sweep
@@ -106,14 +114,32 @@ def regressions(name, baseline, current, threshold):
                 or isinstance(value, bool)
                 or not isinstance(old, (int, float))
                 or old <= 0
-                or value <= 0
             ):
                 continue
             if is_throughput(field) and value < old * (1.0 - threshold):
-                found.append((label, field, old, value, 1 - value / old))
-            elif is_time(field) and value > old * (1.0 + threshold + 0.05):
+                # A collapsed (zero or negative) throughput is a total
+                # loss, not a value to skip.
+                drop = 1.0 if value <= 0 else 1 - value / old
+                found.append((label, field, old, value, drop))
+            elif (
+                is_time(field)
+                and value > 0
+                and value > old * (1.0 + threshold + 0.05)
+            ):
                 found.append((label, field, old, value, value / old - 1))
     return found
+
+
+def gone_rows(name, baseline, current):
+    """Labels of baseline rows with no counterpart in `current` (a
+    dropped bench variant or sweep value) — warn-only, never a
+    regression, but never silent either."""
+    current_rows = index_rows(current)
+    return [
+        row_label(name, key)
+        for key in index_rows(baseline)
+        if key not in current_rows
+    ]
 
 
 def describe(name, regression):
@@ -182,6 +208,19 @@ def self_test():
     rekeyed["rows"][1]["threads"] = 8
     check("param-changed row is skipped, not a regression",
           regressions("t", baseline, rekeyed, 0.20) == [])
+    check("param-changed row leaves its baseline row gone",
+          gone_rows("t", baseline, rekeyed) == ["threads=4"])
+    check("identical runs leave no row gone",
+          gone_rows("t", baseline, baseline) == [])
+
+    # A collapsed throughput is a 100% drop, past any fail threshold.
+    for collapsed in (0, -1.0):
+        zeroed = json.loads(json.dumps(baseline))
+        zeroed["rows"][0]["queries_per_sec"] = collapsed
+        found = regressions("t", baseline, zeroed, 0.35)
+        check(f"throughput {collapsed} against 100 is a 100% drop",
+              len(found) == 1 and "threads=2" in found[0][0]
+              and found[0][4] == 1.0)
 
     # Fail-key routing: only the enrolled artifact names escalate.
     keys = {"fig10", "throughput", "restart"}
@@ -242,6 +281,8 @@ def main(argv):
         with open(current_path) as fh:
             current = json.load(fh)
         compared += 1
+        for label in gone_rows(name, baseline, current):
+            print(f"perf-diff: {name}: row gone (baseline only): {label}")
         found = regressions(name, baseline, current, threshold)
         all_warnings.extend(describe(name, r) for r in found)
         if fail_key_of(name, fail_keys) is not None:
