@@ -31,11 +31,14 @@ void RunCase(const char* tag, GteaEngine& gtea, const Gtpq& q,
   // One more full-pipeline run to attribute the time to the stages.
   gtea.Evaluate(q, base);
   const EngineStats& st = gtea.stats();
-  std::printf("  stages(ms): match %.2f | down %.2f | prime %.2f | "
-              "up %.2f | mg %.2f | enum %.2f | total %.2f\n",
-              st.match_ms, st.prune_down_ms, st.prime_ms,
-              st.prune_up_ms, st.matching_graph_ms, st.enumerate_ms,
-              st.total_ms);
+  // Short column labels, in Stage order.
+  static constexpr const char* kLabels[kNumStages] = {
+      "match", "down", "prime", "up", "mg", "enum"};
+  std::printf("  stages(ms):");
+  for (size_t s = 0; s < kNumStages; ++s) {
+    std::printf(" %s %.2f |", kLabels[s], st.stage_ms[s]);
+  }
+  std::printf(" total %.2f\n", st.total_ms);
 }
 
 }  // namespace

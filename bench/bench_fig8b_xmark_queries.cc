@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     std::printf("Q%-7d %12.2f %12.2f %12.2f %12.2f %12.2f\n", variant,
                 t_gtea / kQueries, t_tsd / kQueries, t_hg / kQueries,
                 t_ts / kQueries, t_t2s / kQueries);
-    const std::string qname = "Q" + std::to_string(variant);
+    const std::string qname = std::to_string(variant).insert(0, 1, 'Q');
     report.AddRow()
         .Add("query", qname)
         .Add("gtea_ms", t_gtea / kQueries)

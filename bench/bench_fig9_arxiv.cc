@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
       double prune = 0, prefilter = 0;
       for (const auto& q : queries) {
         engines.RunGtea(q);
-        prune += engines.gtea().stats().prune_down_ms +
-                 engines.gtea().stats().prune_up_ms;
+        prune += engines.gtea().stats().ms(Stage::kPruneDown) +
+                 engines.gtea().stats().ms(Stage::kPruneUp);
         prefilter += MinTimeMs(
             [&] {
               EngineStats s;

@@ -167,10 +167,7 @@ QueryResult DecomposeEngine::Evaluate(const Gtpq& q,
       q,
       [this, &inner_options](const Gtpq& conj) {
         QueryResult r = inner_->Evaluate(conj, inner_options);
-        stats_.input_nodes += inner_->stats().input_nodes;
-        stats_.index_lookups += inner_->stats().index_lookups;
-        stats_.intermediate_size += inner_->stats().intermediate_size;
-        stats_.join_ops += inner_->stats().join_ops;
+        stats_ += inner_->stats();
         return r;
       },
       &stats_);

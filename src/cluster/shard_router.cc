@@ -145,7 +145,8 @@ std::vector<uint64_t> ShardRouter::shard_epochs() const {
 
 Status ShardRouter::ProbeShards(std::span<ShardProbe> probes) const {
   // The ambient trace was installed thread-locally by the query worker
-  // (QueryServer::EvaluateOnWorker), and child spans are recorded here.
+  // (QueryServer::EvaluateOnWorker), with the GTEA stage issuing this
+  // call as the parent span; child spans are recorded here.
   // Each frame is sent under a PRE-ALLOCATED span id installed as the
   // parent the frame header carries, so the shard's server-side
   // "serve probe" span nests under the router's "probe shard=N" span in

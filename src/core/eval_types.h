@@ -1,6 +1,8 @@
 #ifndef GTPQ_CORE_EVAL_TYPES_H_
 #define GTPQ_CORE_EVAL_TYPES_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,6 +32,15 @@ struct QueryResult {
   std::string ToString() const;
 };
 
+/// The six GTEA stages, in pipeline order (see core/gtea.h).
+enum class Stage { kMatch, kPruneDown, kPrime, kPruneUp, kMatchingGraph,
+                   kEnumerate };
+inline constexpr size_t kNumStages = 6;
+
+/// The stage's label in spans, stats output and the slow-query log
+/// (match, prune_down, prime, prune_up, matching_graph, enumerate).
+const char* StageName(Stage stage);
+
 /// Evaluation-cost counters mirroring the paper's I/O metrics (Fig 10)
 /// plus stage timings.
 struct EngineStats {
@@ -43,15 +54,17 @@ struct EngineStats {
   /// Join/merge operations performed (tuple-based baselines).
   uint64_t join_ops = 0;
 
-  double match_ms = 0;
-  double prune_down_ms = 0;
-  double prime_ms = 0;
-  double prune_up_ms = 0;
-  double matching_graph_ms = 0;
-  double enumerate_ms = 0;
+  /// Wall time per stage, indexed by Stage; a stage the query never
+  /// reached (empty early exit, tuple baselines) stays 0.
+  std::array<double, kNumStages> stage_ms{};
   double total_ms = 0;
 
+  double& ms(Stage s) { return stage_ms[static_cast<size_t>(s)]; }
+  double ms(Stage s) const { return stage_ms[static_cast<size_t>(s)]; }
+
   void Reset() { *this = EngineStats(); }
+  /// Sums every counter and timing (aggregation across queries).
+  EngineStats& operator+=(const EngineStats& other);
 };
 
 /// Tuning / ablation switches for GTEA (Section 4 design choices).

@@ -8,6 +8,7 @@
 #include "core/matching_graph.h"
 #include "core/parallel_eval.h"
 #include "core/prune.h"
+#include "obs/trace.h"
 
 namespace gtpq {
 
@@ -32,59 +33,56 @@ QueryResult GteaEngine::Evaluate(const Gtpq& q, const GteaOptions& options) {
   Timer total;
 
   ParallelEvalContext ctx;
-  auto finish = [&] {
+  auto finish = [&](QueryResult result) {
     stats_.index_lookups = idx_->stats().elements_looked_up;
     stats_.total_ms = total.ElapsedMillis();
+    return result;
+  };
+  // Times one stage into stats_.stage_ms and records it as a span of the
+  // thread's trace, so spans the stage opens (shard probes) nest under it.
+  auto run_stage = [this](Stage stage, auto&& body) {
+    obs::ScopedSpan span(StageName(stage));
+    Timer timer;
+    body();
+    stats_.ms(stage) = timer.ElapsedMillis();
   };
 
   QueryResult empty;
   empty.output_nodes = q.outputs();
   std::sort(empty.output_nodes.begin(), empty.output_nodes.end());
 
-  Timer t;
-  auto mat = ComputeCandidates(g_, q, &stats_);
-  stats_.match_ms = t.ElapsedMillis();
+  std::vector<std::vector<NodeId>> mat;
+  run_stage(Stage::kMatch, [&] { mat = ComputeCandidates(g_, q, &stats_); });
+  run_stage(Stage::kPruneDown, [&] {
+    PruneDownward(g_, *idx_, q, &mat, &ctx, &stats_);
+  });
+  if (mat[q.root()].empty()) return finish(std::move(empty));
 
-  t.Restart();
-  PruneDownward(g_, *idx_, q, &mat, &ctx, &stats_);
-  stats_.prune_down_ms = t.ElapsedMillis();
-  if (mat[q.root()].empty()) {
-    finish();
-    return empty;
-  }
+  std::vector<char> in_prime;
+  run_stage(Stage::kPrime, [&] { in_prime = ComputePrimeSubtree(q); });
 
-  t.Restart();
-  auto in_prime = ComputePrimeSubtree(q);
-  stats_.prime_ms = t.ElapsedMillis();
-
-  t.Restart();
   bool nonempty = true;
-  if (options.upward_pruning) {
-    nonempty =
-        PruneUpward(g_, *idx_, q, in_prime, &mat, options, &ctx, &stats_);
-  }
-  stats_.prune_up_ms = t.ElapsedMillis();
-  if (!nonempty) {
-    finish();
-    return empty;
-  }
+  run_stage(Stage::kPruneUp, [&] {
+    if (options.upward_pruning) {
+      nonempty =
+          PruneUpward(g_, *idx_, q, in_prime, &mat, options, &ctx, &stats_);
+    }
+  });
+  if (!nonempty) return finish(std::move(empty));
 
-  t.Restart();
-  MatchingGraph mg =
-      BuildMatchingGraph(g_, *idx_, q, in_prime, mat, options, &ctx, &stats_);
-  nonempty = ReduceMatchingGraph(q, &mg, &stats_);
-  stats_.matching_graph_ms = t.ElapsedMillis();
-  if (!nonempty) {
-    finish();
-    return empty;
-  }
+  MatchingGraph mg;
+  run_stage(Stage::kMatchingGraph, [&] {
+    mg = BuildMatchingGraph(g_, *idx_, q, in_prime, mat, options, &ctx,
+                            &stats_);
+    nonempty = ReduceMatchingGraph(q, &mg, &stats_);
+  });
+  if (!nonempty) return finish(std::move(empty));
 
-  t.Restart();
-  QueryResult result = EnumerateResults(q, mg, options, &ctx, &stats_);
-  stats_.enumerate_ms = t.ElapsedMillis();
-
-  finish();
-  return result;
+  QueryResult result;
+  run_stage(Stage::kEnumerate, [&] {
+    result = EnumerateResults(q, mg, options, &ctx, &stats_);
+  });
+  return finish(std::move(result));
 }
 
 }  // namespace gtpq

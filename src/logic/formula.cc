@@ -314,7 +314,9 @@ FormulaRef Simplify(const FormulaRef& f) {
 }
 
 std::string ToString(const FormulaRef& f) {
-  return ToString(f, [](int v) { return "p" + std::to_string(v); });
+  // Not "p" + to_string: GCC 12 flags that as -Wrestrict at -O2.
+  return ToString(f,
+                  [](int v) { return std::to_string(v).insert(0, 1, 'p'); });
 }
 
 namespace {

@@ -176,7 +176,6 @@ struct NetServer::Impl {
   std::vector<Response> responses;
 
   std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> frames_received{0};
   std::atomic<uint64_t> queries_served{0};
   std::atomic<uint64_t> probes_served{0};
   std::atomic<uint64_t> batches_dispatched{0};
@@ -459,7 +458,6 @@ void NetServer::Impl::ReadConnection(Connection& conn) {
 }
 
 void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
-  frames_received.fetch_add(1, std::memory_order_relaxed);
   if (!IsRequestType(static_cast<uint8_t>(frame.type))) {
     protocol_errors.fetch_add(1, std::memory_order_relaxed);
     conn.close_after_flush = true;
@@ -510,23 +508,22 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       ProbeResult result;
       result.rows = static_cast<uint32_t>(request.pivots.size());
       result.cols = static_cast<uint32_t>(request.ids.size());
-      const double probe_start_us = obs::NowMicros();
-      const Status probed = runtime->ProbeReachability(
-          request.reverse, request.pivots, request.ids,
-          MaxProbeCells(options.limits), &result.epoch, &result.bits);
+      Status probed;
+      {
+        // A traced probe leaves a server-side span parented under the
+        // caller's wire span id — the shard's leg of the stitched
+        // cross-process timeline.
+        const obs::ScopedTraceContext trace(frame.trace);
+        const obs::ScopedSpan span("serve probe");
+        probed = runtime->ProbeReachability(
+            request.reverse, request.pivots, request.ids,
+            MaxProbeCells(options.limits), &result.epoch, &result.bits);
+      }
       if (!probed.ok()) {
         SendError(conn, frame.request_id, probed);
         return;
       }
       probes_served.fetch_add(1, std::memory_order_relaxed);
-      // A traced probe leaves a server-side span parented under the
-      // caller's wire span id — the shard's leg of the stitched
-      // cross-process timeline.
-      if (frame.trace.active()) {
-        obs::TraceRecorder::Global().Record(
-            frame.trace.trace_id, frame.trace.parent_span, "serve probe",
-            probe_start_us, obs::NowMicros() - probe_start_us);
-      }
       SendOn(conn, FrameType::kProbeResult, frame.request_id,
              EncodeProbeResult(result));
       return;
@@ -1021,8 +1018,6 @@ NetServer::Counters NetServer::counters() const {
   Counters out;
   out.connections_accepted =
       impl_->connections_accepted.load(std::memory_order_relaxed);
-  out.frames_received =
-      impl_->frames_received.load(std::memory_order_relaxed);
   out.queries_served =
       impl_->queries_served.load(std::memory_order_relaxed);
   out.probes_served =

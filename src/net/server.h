@@ -107,7 +107,6 @@ class NetServer {
   /// Front-end counters (atomic snapshots; safe from any thread).
   struct Counters {
     uint64_t connections_accepted = 0;
-    uint64_t frames_received = 0;
     uint64_t queries_served = 0;
     /// PROBE frames answered inline on the IO thread.
     uint64_t probes_served = 0;

@@ -371,17 +371,12 @@ std::string EncodeServingStats(const ServingStats& stats) {
   w.WriteU64(stats.queries);
   w.WriteU64(stats.batches);
   w.WriteU64(stats.updates_applied);
-  w.WriteU64(stats.input_nodes);
-  w.WriteU64(stats.index_lookups);
-  w.WriteU64(stats.intermediate_size);
-  w.WriteU64(stats.join_ops);
+  w.WriteU64(stats.work.input_nodes);
+  w.WriteU64(stats.work.index_lookups);
+  w.WriteU64(stats.work.intermediate_size);
+  w.WriteU64(stats.work.join_ops);
   WriteDouble(&w, stats.busy_ms);
-  WriteDouble(&w, stats.match_ms);
-  WriteDouble(&w, stats.prune_down_ms);
-  WriteDouble(&w, stats.prime_ms);
-  WriteDouble(&w, stats.prune_up_ms);
-  WriteDouble(&w, stats.matching_graph_ms);
-  WriteDouble(&w, stats.enumerate_ms);
+  for (const double ms : stats.work.stage_ms) WriteDouble(&w, ms);
   return w.buffer();
 }
 
@@ -396,17 +391,15 @@ Status DecodeServingStats(std::string_view payload, ServingStats* out) {
         GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->queries));
         GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->batches));
         GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->updates_applied));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->input_nodes));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->index_lookups));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->intermediate_size));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->join_ops));
+        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->work.input_nodes));
+        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->work.index_lookups));
+        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->work.intermediate_size));
+        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->work.join_ops));
         GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->busy_ms));
-        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->match_ms));
-        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prune_down_ms));
-        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prime_ms));
-        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->prune_up_ms));
-        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->matching_graph_ms));
-        return ReadDouble(r, &stats->enumerate_ms);
+        for (double& ms : stats->work.stage_ms) {
+          GTPQ_RETURN_NOT_OK(ReadDouble(r, &ms));
+        }
+        return Status::OK();
       },
       out);
 }

@@ -62,7 +62,8 @@ namespace net {
 ///   BATCH_RESULT   u64 epoch, u32 count, count QueryResults
 ///   APPLY_OK       u64 epoch, u64 batches applied
 ///   STATS_RESULT   ServingStats (EncodeServingStats): engine string,
-///                  nine u64 counters, seven f64 timings
+///                  nine u64 counters, f64 busy ms, then one f64 per
+///                  GTEA stage in Stage order (core/eval_types.h)
 ///   PROBE_RESULT   u64 epoch, u32 rows, u32 cols, then the packed
 ///                  rows x cols answer matrix, row-major (bit r * cols + c
 ///                  answers (pivots[r], ids[c])), as a u8 POD vector of

@@ -83,13 +83,13 @@ std::string SlowQueryLog::Render() const {
                   e.stats.input_nodes, e.stats.index_lookups,
                   e.stats.intermediate_size, e.stats.join_ops);
     out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  match=%.3fms prune_down=%.3fms prime=%.3fms "
-                  "prune_up=%.3fms matching_graph=%.3fms enumerate=%.3fms "
-                  "total=%.3fms\n",
-                  e.stats.match_ms, e.stats.prune_down_ms, e.stats.prime_ms,
-                  e.stats.prune_up_ms, e.stats.matching_graph_ms,
-                  e.stats.enumerate_ms, e.stats.total_ms);
+    out += "  ";
+    for (size_t s = 0; s < kNumStages; ++s) {
+      std::snprintf(buf, sizeof(buf), "%s=%.3fms ",
+                    StageName(static_cast<Stage>(s)), e.stats.stage_ms[s]);
+      out += buf;
+    }
+    std::snprintf(buf, sizeof(buf), "total=%.3fms\n", e.stats.total_ms);
     out += buf;
     if (e.trace_id != 0) {
       const std::vector<Span> spans =

@@ -60,6 +60,22 @@ ScopedTraceContext::ScopedTraceContext(TraceContext context)
 
 ScopedTraceContext::~ScopedTraceContext() { g_current_trace = saved_; }
 
+ScopedSpan::ScopedSpan(const char* name)
+    : saved_(g_current_trace), name_(name) {
+  if (!saved_.active()) return;
+  span_id_ = TraceRecorder::Global().NewSpanId();
+  start_us_ = NowMicros();
+  g_current_trace.parent_span = span_id_;
+}
+
+ScopedSpan::~ScopedSpan() {
+  if (!saved_.active()) return;
+  g_current_trace = saved_;
+  TraceRecorder::Global().Record(saved_.trace_id, span_id_,
+                                 saved_.parent_span, name_, start_us_,
+                                 NowMicros() - start_us_);
+}
+
 TraceRecorder::TraceRecorder() : next_span_id_(NewTraceId() | 1) {}
 
 TraceRecorder& TraceRecorder::Global() {
@@ -87,15 +103,6 @@ void TraceRecorder::Record(uint64_t trace_id, uint64_t span_id,
     ring_[next_] = std::move(span);
     next_ = (next_ + 1) % kCapacity;
   }
-}
-
-uint64_t TraceRecorder::Record(uint64_t trace_id, uint64_t parent_span,
-                               std::string_view name, double start_us,
-                               double dur_us) {
-  if (trace_id == 0) return 0;
-  const uint64_t span_id = NewSpanId();
-  Record(trace_id, span_id, parent_span, name, start_us, dur_us);
-  return span_id;
 }
 
 std::vector<Span> TraceRecorder::Spans() const {

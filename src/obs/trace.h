@@ -54,6 +54,26 @@ class ScopedTraceContext {
   TraceContext saved_;
 };
 
+/// Times the enclosing scope as one span of the thread's current
+/// trace: allocates the span id, installs it as the parent of spans
+/// opened underneath (a GTEA stage parents the cluster router's shard
+/// probes this way), and records the span on destruction. With no
+/// active trace it reads the thread-local and does nothing else.
+/// `name` must outlive the scope (span names are constants).
+class ScopedSpan {
+ public:
+  explicit ScopedSpan(const char* name);
+  ~ScopedSpan();
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+ private:
+  TraceContext saved_;
+  const char* name_;
+  uint64_t span_id_ = 0;
+  double start_us_ = 0;
+};
+
 /// One completed span.
 struct Span {
   uint64_t trace_id = 0;
@@ -96,8 +116,8 @@ class TraceRecorder {
   static TraceRecorder& Global();
 
   /// Allocates a span id to hand to children before the span itself
-  /// completes (the evaluate span must parent probe spans recorded
-  /// mid-flight).
+  /// completes (a ScopedSpan or a router probe span parents spans
+  /// recorded mid-flight).
   uint64_t NewSpanId() {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -106,9 +126,6 @@ class TraceRecorder {
   /// trace_id is 0.
   void Record(uint64_t trace_id, uint64_t span_id, uint64_t parent_span,
               std::string_view name, double start_us, double dur_us);
-  /// Same, allocating the span id; returns it (0 when untraced).
-  uint64_t Record(uint64_t trace_id, uint64_t parent_span,
-                  std::string_view name, double start_us, double dur_us);
 
   /// Most recent spans, oldest first.
   std::vector<Span> Spans() const;

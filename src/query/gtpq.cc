@@ -229,7 +229,9 @@ QNodeId QueryBuilder::AddNode(QNodeId parent, EdgeType edge, NodeRole role,
   n.structural_pred = Formula::True();
   n.parent = parent;
   n.incoming = edge;
-  n.name = name.empty() ? "u" + std::to_string(id) : std::move(name);
+  // Not "u" + to_string: GCC 12 flags that as -Wrestrict at -O2.
+  n.name = name.empty() ? std::to_string(id).insert(0, 1, 'u')
+                         : std::move(name);
   query_.nodes_.push_back(std::move(n));
   query_.is_output_.push_back(0);
   if (parent != kInvalidQNode) {

@@ -107,7 +107,8 @@ std::optional<Gtpq> GenerateRandomQuery(const DataGraph& g,
       const EdgeType edge = pc ? EdgeType::kChild : EdgeType::kDescendant;
       AttributePredicate pred = AttributePredicate::LabelEquals(
           g.label_attr(), g.LabelOf(target));
-      std::string name = "u" + std::to_string(i);
+      // Not "u" + to_string: GCC 12 flags that as -Wrestrict at -O2.
+      std::string name = std::to_string(i).insert(0, 1, 'u');
       QNodeId id =
           predicate_role
               ? builder.AddPredicate(nodes[pick], edge, name, pred)

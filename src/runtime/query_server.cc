@@ -99,43 +99,17 @@ QueryResult QueryServer::EvaluateOnWorker(
     worker.engine = snap->CreateEngine();
     worker.snap = snap;
   }
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  // The evaluate span id is allocated up front so probe spans recorded
-  // mid-evaluation (the cluster router's shard fan-out) parent under it.
-  const uint64_t eval_span = trace.active() ? recorder.NewSpanId() : 0;
-  const double start_us = obs::NowMicros();
   Timer timer;
   QueryResult result;
   {
-    obs::ScopedTraceContext scope(
-        obs::TraceContext{trace.trace_id, eval_span});
+    // Installed thread-locally so the engine's stage spans, and the
+    // cluster router's shard probes under them, parent under evaluate.
+    obs::ScopedTraceContext scope(trace);
+    obs::ScopedSpan span("evaluate");
     result = worker.engine->Evaluate(query, options);
   }
   const double elapsed_ms = timer.ElapsedMillis();
   const EngineStats& stats = worker.engine->stats();
-  if (trace.active()) {
-    recorder.Record(trace.trace_id, eval_span, trace.parent_span,
-                    "evaluate", start_us, elapsed_ms * 1000.0);
-    // Stage children rendered as a sequential timeline (the engine runs
-    // its stages back to back); zero-duration stages — tuple baselines
-    // fill only a few fields — are skipped.
-    const struct {
-      const char* name;
-      double ms;
-    } stages[] = {{"match", stats.match_ms},
-                  {"prune_down", stats.prune_down_ms},
-                  {"prime", stats.prime_ms},
-                  {"prune_up", stats.prune_up_ms},
-                  {"matching_graph", stats.matching_graph_ms},
-                  {"enumerate", stats.enumerate_ms}};
-    double cursor_us = start_us;
-    for (const auto& stage : stages) {
-      if (stage.ms <= 0) continue;
-      recorder.Record(trace.trace_id, eval_span, stage.name, cursor_us,
-                      stage.ms * 1000.0);
-      cursor_us += stage.ms * 1000.0;
-    }
-  }
   const QueryMetrics& metrics = QueryMetrics::Get();
   metrics.queries_total->Add();
   metrics.query_latency_us->Record(
@@ -157,30 +131,15 @@ QueryResult QueryServer::EvaluateOnWorker(
   {
     std::lock_guard<std::mutex> lock(worker.mu);
     ++worker.served.queries;
-    worker.served.input_nodes += stats.input_nodes;
-    worker.served.index_lookups += stats.index_lookups;
-    worker.served.intermediate_size += stats.intermediate_size;
-    worker.served.join_ops += stats.join_ops;
     worker.served.busy_ms += elapsed_ms;
-    worker.served.match_ms += stats.match_ms;
-    worker.served.prune_down_ms += stats.prune_down_ms;
-    worker.served.prime_ms += stats.prime_ms;
-    worker.served.prune_up_ms += stats.prune_up_ms;
-    worker.served.matching_graph_ms += stats.matching_graph_ms;
-    worker.served.enumerate_ms += stats.enumerate_ms;
+    worker.served.work += stats;
   }
   return result;
 }
 
 std::vector<QueryResult> QueryServer::EvaluateBatch(
     std::span<const Gtpq> queries, BatchInfo* info) {
-  return EvaluateBatch(queries, info, options_.eval_options, {});
-}
-
-std::vector<QueryResult> QueryServer::EvaluateBatch(
-    std::span<const Gtpq> queries, BatchInfo* info,
-    const GteaOptions& options) {
-  return EvaluateBatch(queries, info, options, {});
+  return EvaluateBatch(queries, info, options_.eval_options);
 }
 
 std::vector<QueryResult> QueryServer::EvaluateBatch(
@@ -235,19 +194,6 @@ std::vector<QueryResult> QueryServer::EvaluateBatch(
   metrics.snapshot_pin_us->Record(static_cast<uint64_t>(wall_ms * 1000.0));
   if (info != nullptr) info->wall_ms = wall_ms;
   return results;
-}
-
-std::future<QueryResult> QueryServer::Submit(Gtpq query) {
-  auto promise = std::make_shared<std::promise<QueryResult>>();
-  std::future<QueryResult> future = promise->get_future();
-  auto shared_query = std::make_shared<Gtpq>(std::move(query));
-  std::shared_ptr<const EngineSnapshot> snap = factory_->snapshot();
-  pool_->Submit([this, promise, shared_query, snap = std::move(snap)] {
-    promise->set_value(EvaluateOnWorker(*shared_query, snap,
-                                        options_.eval_options,
-                                        obs::TraceContext{}));
-  });
-  return future;
 }
 
 Status QueryServer::ProbeReachability(bool reverse,
@@ -310,17 +256,8 @@ ServingStats QueryServer::serving_stats() const {
     std::lock_guard<std::mutex> lock(worker->mu);
     const ServingStats& served = worker->served;
     out.queries += served.queries;
-    out.input_nodes += served.input_nodes;
-    out.index_lookups += served.index_lookups;
-    out.intermediate_size += served.intermediate_size;
-    out.join_ops += served.join_ops;
     out.busy_ms += served.busy_ms;
-    out.match_ms += served.match_ms;
-    out.prune_down_ms += served.prune_down_ms;
-    out.prime_ms += served.prime_ms;
-    out.prune_up_ms += served.prune_up_ms;
-    out.matching_graph_ms += served.matching_graph_ms;
-    out.enumerate_ms += served.enumerate_ms;
+    out.work += served.work;
   }
   return out;
 }

@@ -2,7 +2,6 @@
 #define GTPQ_RUNTIME_QUERY_SERVER_H_
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -28,26 +27,16 @@ struct ServingStats {
   std::string engine;
   uint64_t epoch = 0;
   uint64_t threads = 0;
-  /// Queries answered (EvaluateBatch members + Submit singles).
+  /// Queries answered (EvaluateBatch members).
   uint64_t queries = 0;
   /// EvaluateBatch calls completed.
   uint64_t batches = 0;
   /// ApplyUpdates calls that installed a new snapshot.
   uint64_t updates_applied = 0;
-  uint64_t input_nodes = 0;
-  uint64_t index_lookups = 0;
-  uint64_t intermediate_size = 0;
-  uint64_t join_ops = 0;
   /// Sum of per-query evaluation times (not wall clock).
   double busy_ms = 0;
-  /// Per-stage engine time sums (EngineStats accumulated across every
-  /// query served).
-  double match_ms = 0;
-  double prune_down_ms = 0;
-  double prime_ms = 0;
-  double prune_up_ms = 0;
-  double matching_graph_ms = 0;
-  double enumerate_ms = 0;
+  /// EngineStats summed across every query served.
+  EngineStats work;
 };
 
 struct QueryServerOptions {
@@ -74,9 +63,8 @@ struct QueryServerOptions {
 /// workers never share mutable state, only the index.
 ///
 /// EvaluateBatch blocks until the whole batch is answered and returns
-/// results aligned with the input order; Submit enqueues one query and
-/// returns a future. Both are safe to call from any thread, including
-/// concurrently.
+/// results aligned with the input order. It is safe to call from any
+/// thread, including concurrently.
 ///
 /// Live updates: ApplyUpdates() folds an UpdateBatch into a new
 /// EngineSnapshot (epoch-based; see SharedEngineFactory) and is safe to
@@ -130,25 +118,17 @@ class QueryServer {
 
   /// Same, with per-batch evaluation options overriding the server
   /// defaults (the network tier honors per-request result limits this
-  /// way without re-configuring the server).
-  std::vector<QueryResult> EvaluateBatch(std::span<const Gtpq> queries,
-                                         BatchInfo* info,
-                                         const GteaOptions& options);
-
-  /// Same, with a per-query trace context (empty span = untraced, else
-  /// one entry per query). traces[i].parent_span becomes the parent of
-  /// query i's evaluate span, and the context is installed thread-
-  /// locally around evaluation so downstream code — the cluster
-  /// router's shard probes in particular — records child spans with no
-  /// parameter plumbing.
+  /// way without re-configuring the server), and optionally a per-query
+  /// trace context (empty span = untraced, else one entry per query).
+  /// traces[i].parent_span becomes the parent of query i's evaluate
+  /// span, and the context is installed thread-locally around
+  /// evaluation so the engine's stage spans and, under them, the
+  /// cluster router's shard probes are recorded with no parameter
+  /// plumbing.
   std::vector<QueryResult> EvaluateBatch(
       std::span<const Gtpq> queries, BatchInfo* info,
       const GteaOptions& options,
-      std::span<const obs::TraceContext> traces);
-
-  /// Enqueues one query; the future resolves when a worker answers it.
-  /// The query sees the epoch current at submit time.
-  std::future<QueryResult> Submit(Gtpq query);
+      std::span<const obs::TraceContext> traces = {});
 
   /// Installs a new serving snapshot with `batch` applied; queries
   /// submitted afterwards see the new graph version. Returns the
@@ -184,8 +164,8 @@ class QueryServer {
 
  private:
   // Per-worker slot: engine (bound to `snap`, re-stamped on epoch
-  // change) plus its share of the serving counters (the work counters
-  // and timings of ServingStats; identity fields stay unset), guarded
+  // change) plus its share of the serving counters (queries, busy_ms
+  // and work of ServingStats; identity fields stay unset), guarded
   // by a (virtually uncontended) per-worker mutex and padded onto its
   // own cache line. `snap`/`engine` are only touched by the owning pool
   // thread after construction.

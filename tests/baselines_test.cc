@@ -243,7 +243,7 @@ TEST(DecomposeTest, CountsExponentialBlowup) {
   std::vector<logic::FormulaRef> vars;
   for (int i = 0; i < 4; ++i) {
     QNodeId p = b.AddPredicate(
-        r, EdgeType::kDescendant, "p" + std::to_string(i),
+        r, EdgeType::kDescendant, std::to_string(i).insert(0, 1, 'p'),
         AttributePredicate::LabelEquals(names->label_attr(), 2 + i));
     vars.push_back(logic::Formula::Var(static_cast<int>(p)));
   }

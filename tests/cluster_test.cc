@@ -16,6 +16,7 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -1031,7 +1032,25 @@ TEST(ShardRouterTest, OneFramePerShardPerSetCallAndSpansFitTheRing) {
   // Router and shard spans share this process's ring here: every span
   // the query recorded is still in it.
   EXPECT_LE(spans, obs::TraceRecorder::kCapacity);
-  EXPECT_EQ(recorder.SpansForTrace(trace).size(), spans);
+  const std::vector<obs::Span> recorded = recorder.SpansForTrace(trace);
+  EXPECT_EQ(recorded.size(), spans);
+
+  // Every shard probe hangs under the GTEA stage that issued it.
+  std::set<std::string> stage_names;
+  for (size_t s = 0; s < kNumStages; ++s) {
+    stage_names.insert(StageName(static_cast<Stage>(s)));
+  }
+  std::set<uint64_t> stage_spans;
+  for (const obs::Span& span : recorded) {
+    if (stage_names.count(span.name) != 0) stage_spans.insert(span.span_id);
+  }
+  size_t probe_spans = 0;
+  for (const obs::Span& span : recorded) {
+    if (span.name.rfind("probe shard=", 0) != 0) continue;
+    ++probe_spans;
+    EXPECT_EQ(stage_spans.count(span.parent_span), 1u) << span.name;
+  }
+  EXPECT_GT(probe_spans, 0u);
 }
 
 TEST(ShardRouterTest, StoppedShardCountsProbeFailures) {

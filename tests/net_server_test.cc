@@ -7,6 +7,7 @@
 // concurrent query load (this last one runs in the TSan CI job).
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -190,7 +191,7 @@ TEST(WireCodecTest, FixedLayoutsRejectPrefixesAndTrailingBytes) {
   ServingStats stats;
   stats.engine = "gtea";
   stats.queries = 3;
-  stats.enumerate_ms = 0.5;
+  stats.work.ms(Stage::kEnumerate) = 0.5;
   net::ProbeResult probe_result;
   probe_result.rows = 2;
   probe_result.cols = 5;
@@ -373,26 +374,38 @@ TEST(WireCodecTest, HealthReportRoundTripAndValidate) {
   EXPECT_FALSE(net::DecodeHealthReport(wrong, &junk).ok());
 }
 
-TEST(WireCodecTest, ServingStatsCarriesStageTimings) {
+// The STATS_RESULT payload is gtpq-wire v4's fixed layout, pinned
+// byte for byte: engine, the five serving counters, the four work
+// counters, busy ms, then the six stage timings in pipeline order.
+TEST(WireCodecTest, ServingStatsKeepsTheV4Layout) {
   ServingStats stats;
+  stats.engine = "gtea[contour]";
+  stats.epoch = 7;
+  stats.threads = 4;
   stats.queries = 5;
+  stats.batches = 2;
+  stats.updates_applied = 1;
+  stats.work.input_nodes = 100;
+  stats.work.index_lookups = 200;
+  stats.work.intermediate_size = 300;
+  stats.work.join_ops = 400;
   stats.busy_ms = 1.5;
-  stats.match_ms = 0.25;
-  stats.prune_down_ms = 0.5;
-  stats.prime_ms = 0.125;
-  stats.prune_up_ms = 0.0625;
-  stats.matching_graph_ms = 2.0;
-  stats.enumerate_ms = 4.0;
+  // match, prune_down, prime, prune_up, matching_graph, enumerate
+  stats.work.stage_ms = {0.25, 0.5, 0.125, 0.0625, 2.0, 4.0};
+
+  storage::Writer w;
+  w.WriteString("gtea[contour]");
+  for (const uint64_t v : {7, 4, 5, 2, 1, 100, 200, 300, 400}) w.WriteU64(v);
+  for (const double ms : {1.5, 0.25, 0.5, 0.125, 0.0625, 2.0, 4.0}) {
+    w.WriteU64(std::bit_cast<uint64_t>(ms));
+  }
+  const std::string encoded = net::EncodeServingStats(stats);
+  EXPECT_EQ(encoded, w.buffer());
+
+  // Decoding restores every field the layout carries.
   ServingStats out;
-  ASSERT_TRUE(
-      net::DecodeServingStats(net::EncodeServingStats(stats), &out).ok());
-  EXPECT_EQ(out.queries, 5u);
-  EXPECT_EQ(out.match_ms, 0.25);
-  EXPECT_EQ(out.prune_down_ms, 0.5);
-  EXPECT_EQ(out.prime_ms, 0.125);
-  EXPECT_EQ(out.prune_up_ms, 0.0625);
-  EXPECT_EQ(out.matching_graph_ms, 2.0);
-  EXPECT_EQ(out.enumerate_ms, 4.0);
+  ASSERT_TRUE(net::DecodeServingStats(encoded, &out).ok());
+  EXPECT_EQ(net::EncodeServingStats(out), encoded);
 }
 
 TEST(WireCodecTest, DecoderRejectsMalformedFrames) {
@@ -536,7 +549,7 @@ TEST(NetServerTest, HelloQueryBatchStatsRoundTrip) {
   // And they are the same numbers the in-process accessor reports.
   const ServingStats direct = server.runtime().serving_stats();
   EXPECT_EQ(stats->queries, direct.queries);
-  EXPECT_EQ(stats->index_lookups, direct.index_lookups);
+  EXPECT_EQ(stats->work.index_lookups, direct.work.index_lookups);
 
   // Malformed query text is a per-request typed error; the connection
   // survives and keeps serving.
@@ -630,8 +643,8 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   // STATS now carries the per-stage timing aggregation.
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->match_ms, 0.0);
-  EXPECT_GE(stats->enumerate_ms, 0.0);
+  EXPECT_GT(stats->work.ms(Stage::kMatch), 0.0);
+  EXPECT_GE(stats->work.ms(Stage::kEnumerate), 0.0);
 
   // HEALTH: answered inline on the IO thread; a standalone leaf server
   // reports itself serving at epoch 0 with its engine name.

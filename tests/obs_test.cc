@@ -557,10 +557,10 @@ TEST(TraceTest, RecorderKeepsTraceSpansAndDropsUntraced) {
   recorder.Clear();
   const uint64_t trace = NewTraceId();
   ASSERT_NE(trace, 0u);
-  const uint64_t root = recorder.Record(trace, 0, "root", 10.0, 5.0);
-  ASSERT_NE(root, 0u);
-  recorder.Record(trace, root, "child", 11.0, 1.0);
-  EXPECT_EQ(recorder.Record(0, 0, "untraced", 0.0, 1.0), 0u);  // no-op
+  const uint64_t root = recorder.NewSpanId();
+  recorder.Record(trace, root, 0, "root", 10.0, 5.0);
+  recorder.Record(trace, recorder.NewSpanId(), root, "child", 11.0, 1.0);
+  recorder.Record(0, recorder.NewSpanId(), 0, "untraced", 0.0, 1.0);  // no-op
 
   const std::vector<Span> spans = recorder.SpansForTrace(trace);
   ASSERT_EQ(spans.size(), 2u);
@@ -583,8 +583,8 @@ TEST(TraceTest, RingOverwritesOldestBeyondCapacity) {
   const uint64_t trace = NewTraceId();
   const size_t n = TraceRecorder::kCapacity + 10;
   for (size_t i = 0; i < n; ++i) {
-    recorder.Record(trace, 0, "span" + std::to_string(i),
-                    static_cast<double>(i), 1.0);
+    recorder.Record(trace, recorder.NewSpanId(), 0,
+                    "span" + std::to_string(i), static_cast<double>(i), 1.0);
   }
   const std::vector<Span> spans = recorder.Spans();
   ASSERT_EQ(spans.size(), TraceRecorder::kCapacity);
@@ -602,7 +602,7 @@ TEST(SlowlogTest, KeepsWorstNWorstFirst) {
   EXPECT_TRUE(log.WouldAdmit(0.001));  // everything admits while empty
   for (size_t i = 0; i < SlowQueryLog::kCapacity + 20; ++i) {
     SlowQueryEntry entry;
-    entry.query = "q" + std::to_string(i);
+    entry.query = std::to_string(i).insert(0, 1, 'q');
     entry.wall_ms = static_cast<double>(i);
     log.Record(std::move(entry));
   }

@@ -5,9 +5,11 @@
 // exists for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "baselines/engines.h"
 #include "core/gtea.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "query/query_generator.h"
 #include "reachability/contour.h"
 #include "runtime/query_server.h"
@@ -145,21 +148,6 @@ TEST(QueryServerTest, ServesEverySpecFamily) {
   }
 }
 
-TEST(QueryServerTest, SubmitResolvesFutures) {
-  DataGraph g = SmallDag();
-  std::vector<Gtpq> queries = MakeQueryBatch(g, 8, 900);
-  ASSERT_FALSE(queries.empty());
-  GteaEngine reference(g);
-
-  QueryServer server(g, {.num_threads = 2});
-  std::vector<std::future<QueryResult>> futures;
-  for (const Gtpq& q : queries) futures.push_back(server.Submit(q));
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), reference.Evaluate(queries[i]));
-  }
-  EXPECT_EQ(server.serving_stats().queries, queries.size());
-}
-
 TEST(QueryServerTest, StatsAggregateAcrossWorkers) {
   DataGraph g = RandomDag({.num_nodes = 100,
                            .avg_degree = 2.2,
@@ -173,20 +161,91 @@ TEST(QueryServerTest, StatsAggregateAcrossWorkers) {
   server.EvaluateBatch(queries);
   const ServingStats snapshot = server.serving_stats();
   EXPECT_EQ(snapshot.queries, queries.size());
-  EXPECT_GT(snapshot.input_nodes, 0u);
-  EXPECT_GT(snapshot.index_lookups, 0u);
+  EXPECT_GT(snapshot.work.input_nodes, 0u);
+  EXPECT_GT(snapshot.work.index_lookups, 0u);
 
   // Aggregates must equal a sequential engine's sums: per-worker stat
   // confinement means nothing is double counted or lost.
   GteaEngine reference(g);
-  uint64_t expect_input = 0, expect_index = 0;
+  EngineStats expect;
   for (const Gtpq& q : queries) {
     reference.Evaluate(q);
-    expect_input += reference.stats().input_nodes;
-    expect_index += reference.stats().index_lookups;
+    expect += reference.stats();
   }
-  EXPECT_EQ(snapshot.input_nodes, expect_input);
-  EXPECT_EQ(snapshot.index_lookups, expect_index);
+  EXPECT_EQ(snapshot.work.input_nodes, expect.input_nodes);
+  EXPECT_EQ(snapshot.work.index_lookups, expect.index_lookups);
+  EXPECT_EQ(snapshot.work.intermediate_size, expect.intermediate_size);
+}
+
+// Checks a traced evaluation's stage spans, oldest first: one span per
+// stage that ran (a prefix of the pipeline, since stages only stop
+// early), each under `parent`, back to back inside [begin_us, end_us].
+// Returns how many stages ran.
+size_t ExpectStageSpans(std::span<const obs::Span> stages, uint64_t parent,
+                        double begin_us, double end_us) {
+  constexpr double kSlackUs = 1e-3;  // NowMicros round-off
+  EXPECT_GE(stages.size(), 2u);  // match and prune_down always run
+  EXPECT_LE(stages.size(), kNumStages);
+  double cursor_us = begin_us;
+  for (size_t s = 0; s < stages.size() && s < kNumStages; ++s) {
+    EXPECT_EQ(stages[s].name, StageName(static_cast<Stage>(s)));
+    EXPECT_EQ(stages[s].parent_span, parent);
+    EXPECT_GE(stages[s].start_us + kSlackUs, cursor_us);
+    cursor_us = stages[s].start_us + stages[s].dur_us;
+  }
+  EXPECT_LE(cursor_us, end_us + kSlackUs);
+  return stages.size();
+}
+
+TEST(StageSpanTest, GteaRecordsOneSpanPerStageWhereItRuns) {
+  DataGraph g = SmallDag();
+  std::vector<Gtpq> queries = MakeQueryBatch(g, 12, 100);
+  ASSERT_FALSE(queries.empty());
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+
+  // A bare engine under a thread's trace context.
+  GteaEngine engine(g);
+  size_t full_runs = 0;
+  for (const Gtpq& q : queries) {
+    const obs::TraceContext trace{obs::NewTraceId(), recorder.NewSpanId()};
+    const double begin_us = obs::NowMicros();
+    {
+      obs::ScopedTraceContext scope(trace);
+      engine.Evaluate(q);
+    }
+    const size_t ran =
+        ExpectStageSpans(recorder.SpansForTrace(trace.trace_id),
+                         trace.parent_span, begin_us, obs::NowMicros());
+    for (size_t s = ran; s < kNumStages; ++s) {
+      EXPECT_EQ(engine.stats().stage_ms[s], 0.0);
+    }
+    if (ran == kNumStages) ++full_runs;
+  }
+  EXPECT_GT(full_runs, 0u);
+
+  // Served and traced: the stages hang under the query's evaluate span,
+  // which completes last and hangs under the caller's parent.
+  QueryServer server(g, {.num_threads = 3});
+  std::vector<obs::TraceContext> traces;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    traces.push_back({obs::NewTraceId(), recorder.NewSpanId()});
+  }
+  server.EvaluateBatch(queries, nullptr, GteaOptions{}, traces);
+  for (const obs::TraceContext& trace : traces) {
+    std::vector<obs::Span> spans = recorder.SpansForTrace(trace.trace_id);
+    ASSERT_FALSE(spans.empty());
+    const obs::Span evaluate = spans.back();
+    spans.pop_back();
+    EXPECT_EQ(evaluate.name, "evaluate");
+    EXPECT_EQ(evaluate.parent_span, trace.parent_span);
+    ExpectStageSpans(spans, evaluate.span_id, evaluate.start_us,
+                     evaluate.start_us + evaluate.dur_us);
+  }
+
+  // Untraced serving records nothing.
+  const uint64_t before = recorder.total_recorded();
+  server.EvaluateBatch(queries);
+  EXPECT_EQ(recorder.total_recorded(), before);
 }
 
 // Satellite check: per-query counters are instance-local and

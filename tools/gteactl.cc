@@ -80,6 +80,7 @@
 #include <cerrno>
 #include <cinttypes>
 #include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -640,10 +641,14 @@ bool ParseServeOptions(int argc, char** argv, const char* command,
   if (auto window = FlagValue(argc, argv, "--window-us=")) {
     char* end = nullptr;
     options->coalesce_window_us = std::strtod(window->c_str(), &end);
+    // The dispatcher casts the remaining window to an integer wait, so
+    // nan, inf and huge values must not get through.
     if (window->empty() || end != window->c_str() + window->size() ||
-        options->coalesce_window_us < 0) {
-      std::fprintf(stderr, "%s: --window-us= wants a number >= 0, "
-                           "got '%s'\n",
+        !std::isfinite(options->coalesce_window_us) ||
+        options->coalesce_window_us < 0 ||
+        options->coalesce_window_us > 1e6) {
+      std::fprintf(stderr, "%s: --window-us= wants a number in "
+                           "[0, 1000000], got '%s'\n",
                    command, window->c_str());
       return false;
     }
@@ -919,15 +924,16 @@ int RunRemoteStats(int argc, char** argv) {
   std::printf("updates        : %llu\n",
               static_cast<unsigned long long>(stats->updates_applied));
   std::printf("input nodes    : %llu\n",
-              static_cast<unsigned long long>(stats->input_nodes));
+              static_cast<unsigned long long>(stats->work.input_nodes));
   std::printf("index lookups  : %llu\n",
-              static_cast<unsigned long long>(stats->index_lookups));
+              static_cast<unsigned long long>(stats->work.index_lookups));
   std::printf("busy ms        : %.2f\n", stats->busy_ms);
-  std::printf("stage ms       : match %.2f, prune_down %.2f, prime %.2f, "
-              "prune_up %.2f, matching_graph %.2f, enumerate %.2f\n",
-              stats->match_ms, stats->prune_down_ms, stats->prime_ms,
-              stats->prune_up_ms, stats->matching_graph_ms,
-              stats->enumerate_ms);
+  std::printf("stage ms       :");
+  for (size_t s = 0; s < kNumStages; ++s) {
+    std::printf("%s %s %.2f", s == 0 ? "" : ",",
+                StageName(static_cast<Stage>(s)), stats->work.stage_ms[s]);
+  }
+  std::printf("\n");
   return 0;
 }
 
