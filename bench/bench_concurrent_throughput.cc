@@ -10,8 +10,6 @@
 // have answers in the tens of millions of tuples.
 //
 //   --threads=1,2,4,8,16       pool sizes to sweep (default)
-//   --engine=gtea              engine specs to sweep per pool size
-//                              (comma-separated, e.g. gtea,naive)
 //   --queries=256              batch size
 //   --limit=512                per-query result cap (0 = unlimited)
 //   --json=<path>              also emit machine-readable rows (CI)
@@ -31,17 +29,20 @@
 using namespace gtpq;
 using namespace gtpq::bench;
 
+namespace {
+constexpr char kEngineSpec[] = "gtea";
+}  // namespace
+
 int main(int argc, char** argv) {
   const double scale = BenchScale();
   const auto json_path = JsonFlag(argc, argv);
   const auto thread_sweep = ThreadSweepFlag(argc, argv, "1,2,4,8,16");
-  const auto engine_specs = SplitFlag(argc, argv, "--engine=", "gtea");
   const size_t num_queries = SizeFlag(argc, argv, "--queries=", 256);
   const size_t result_limit = SizeFlag(argc, argv, "--limit=", 512);
-  if (thread_sweep.empty() || engine_specs.empty() || num_queries == 0) {
+  if (thread_sweep.empty() || num_queries == 0) {
     std::fprintf(stderr,
-                 "--threads= and --engine= need comma-separated values; "
-                 "--queries= must be positive\n");
+                 "--threads= needs comma-separated values; --queries= "
+                 "must be positive\n");
     return 2;
   }
 
@@ -79,33 +80,31 @@ int main(int argc, char** argv) {
   report.AddMeta("nodes", static_cast<uint64_t>(g.NumNodes()));
   report.AddMeta("queries", static_cast<uint64_t>(queries.size()));
   report.AddMeta("result_limit", static_cast<uint64_t>(result_limit));
-  for (const std::string& spec : engine_specs) {
-    double baseline_qps = 0;
-    for (size_t threads : thread_sweep) {
-      QueryServerOptions options;
-      options.num_threads = threads;
-      options.engine_spec = spec;
-      options.eval_options.result_limit = result_limit;
-      QueryServer server(g, options);
-      server.EvaluateBatch(queries);  // warmup
-      const double ms = MinTimeMs(
-          [&] { server.EvaluateBatch(queries); }, reps);
-      const double qps = ms > 0 ? 1000.0 * queries.size() / ms : 0;
-      if (baseline_qps == 0) baseline_qps = qps;
-      const double speedup = baseline_qps > 0 ? qps / baseline_qps : 0.0;
-      std::printf("%-28s %8zu %12.1f %12.0f %9.2fx\n",
-                  std::string(server.engine_name()).c_str(), threads, ms,
-                  qps, speedup);
-      report.AddRow()
-          .Add("engine", std::string(server.engine_name()))
-          .Add("threads", static_cast<uint64_t>(threads))
-          .Add("batch_ms", ms)
-          .Add("queries_per_sec", qps)
-          .Add("speedup", speedup);
-    }
+  double baseline_qps = 0;
+  for (size_t threads : thread_sweep) {
+    QueryServerOptions options;
+    options.num_threads = threads;
+    options.engine_spec = kEngineSpec;
+    options.eval_options.result_limit = result_limit;
+    QueryServer server(g, options);
+    server.EvaluateBatch(queries);  // warmup
+    const double ms = MinTimeMs(
+        [&] { server.EvaluateBatch(queries); }, reps);
+    const double qps = ms > 0 ? 1000.0 * queries.size() / ms : 0;
+    if (baseline_qps == 0) baseline_qps = qps;
+    const double speedup = baseline_qps > 0 ? qps / baseline_qps : 0.0;
+    std::printf("%-28s %8zu %12.1f %12.0f %9.2fx\n",
+                std::string(server.engine_name()).c_str(), threads, ms,
+                qps, speedup);
+    report.AddRow()
+        .Add("engine", std::string(server.engine_name()))
+        .Add("threads", static_cast<uint64_t>(threads))
+        .Add("batch_ms", ms)
+        .Add("queries_per_sec", qps)
+        .Add("speedup", speedup);
   }
-  std::printf("\nSpeedup is relative to the first pool size of each "
-              "engine row; single-core hosts report ~1x throughout.\n");
+  std::printf("\nSpeedup is relative to the first pool size; single-core "
+              "hosts report ~1x throughout.\n");
   if (json_path.has_value() && !report.WriteTo(*json_path)) return 1;
   return 0;
 }

@@ -13,7 +13,6 @@
 //   --requests=256             requests per client per configuration
 //   --limit=64                 per-query result cap sent on the wire
 //   --threads=4                server pool threads (self-hosted mode)
-//   --engine=gtea              server engine spec (self-hosted mode)
 //   --connect=host:port        drive an external server instead; the
 //                              workload graph is rebuilt locally from
 //                              --gen= (must match the server's graph)
@@ -46,6 +45,8 @@ using namespace gtpq;
 using namespace gtpq::bench;
 
 namespace {
+
+constexpr char kEngineSpec[] = "gtea";
 
 struct ClientStats {
   std::vector<double> latencies_us;
@@ -148,8 +149,6 @@ int main(int argc, char** argv) {
   const size_t requests = SizeFlag(argc, argv, "--requests=", 256);
   const uint64_t limit = SizeFlag(argc, argv, "--limit=", 64);
   const size_t threads = SizeFlag(argc, argv, "--threads=", 4);
-  const auto engine =
-      SplitFlag(argc, argv, "--engine=", "gtea").front();
   std::string connect, gen_spec;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--connect=", 10) == 0) connect = argv[i] + 10;
@@ -212,7 +211,7 @@ int main(int argc, char** argv) {
   // differential baseline every wire answer is checked against.
   QueryServerOptions ref_options;
   ref_options.num_threads = threads;
-  ref_options.engine_spec = engine;
+  ref_options.engine_spec = kEngineSpec;
   GteaOptions ref_eval;
   ref_eval.result_limit = static_cast<size_t>(limit);
   QueryServer reference(g, ref_options);
@@ -226,7 +225,7 @@ int main(int argc, char** argv) {
   if (connect.empty()) {
     net::NetServerOptions so;
     so.runtime.num_threads = threads;
-    so.runtime.engine_spec = engine;
+    so.runtime.engine_spec = kEngineSpec;
     hosted = std::make_unique<net::NetServer>(g, so);
     const Status started = hosted->Start();
     if (!started.ok()) {

@@ -129,59 +129,24 @@ inline size_t SizeFlag(int argc, char** argv, const char* prefix,
   return fallback;
 }
 
-/// Comma-separated integers of a "--prefix=a,b,c" flag (last occurrence
-/// wins, `fallback` when absent); exits 2 on malformed input. Used for
-/// sweep axes such as --shards=1,3.
-inline std::vector<size_t> SizeListFlag(int argc, char** argv,
-                                        const char* prefix,
-                                        const std::string& fallback) {
-  std::vector<size_t> out;
-  for (const std::string& item : SplitFlag(argc, argv, prefix, fallback)) {
-    size_t value = 0;
-    if (!ParseSize(item.c_str(), &value)) {
-      std::fprintf(stderr, "invalid value '%s' for %s (want integers)\n",
-                   item.c_str(), prefix);
-      std::exit(2);
-    }
-    out.push_back(value);
-  }
-  return out;
-}
-
-/// Pool sizes of a "--threads=a,b,c" sweep; exits 2 unless every entry
-/// is in [1, 1024], so a typo cannot ask for a huge thread pool.
+/// Pool sizes of a "--threads=a,b,c" sweep (last occurrence wins,
+/// `fallback` when absent); exits 2 unless every entry is an integer in
+/// [1, 1024], so a typo cannot ask for a huge thread pool.
 inline std::vector<size_t> ThreadSweepFlag(int argc, char** argv,
                                            const std::string& fallback) {
-  std::vector<size_t> out = SizeListFlag(argc, argv, "--threads=", fallback);
-  for (size_t threads : out) {
-    if (threads == 0 || threads > 1024) {
-      std::fprintf(stderr, "invalid --threads entry %zu (want 1..1024)\n",
-                   threads);
+  std::vector<size_t> out;
+  for (const std::string& item :
+       SplitFlag(argc, argv, "--threads=", fallback)) {
+    size_t threads = 0;
+    if (!ParseSize(item.c_str(), &threads) || threads == 0 ||
+        threads > 1024) {
+      std::fprintf(stderr, "invalid --threads entry '%s' (want 1..1024)\n",
+                   item.c_str());
       std::exit(2);
     }
+    out.push_back(threads);
   }
   return out;
-}
-
-/// Floating-point value of a "--prefix=<x>" flag; exits 2 on
-/// malformed input (a silent 0.0 would skew rows the CI perf-diff
-/// adopts as its baseline).
-inline double DoubleFlag(int argc, char** argv, const char* prefix,
-                         double fallback) {
-  const size_t len = std::strlen(prefix);
-  double value = fallback;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) {
-      char* end = nullptr;
-      value = std::strtod(argv[i] + len, &end);
-      if (end == argv[i] + len || *end != '\0') {
-        std::fprintf(stderr, "invalid value for %s (want a number)\n",
-                     prefix);
-        std::exit(2);
-      }
-    }
-  }
-  return value;
 }
 
 /// Accumulates one bench run as {"bench": ..., <meta fields>,

@@ -138,11 +138,10 @@ class DecomposeEngine : public Evaluator {
 ///   naive           brute force over the transitive closure
 ///   twigstack, twig2stack, twigstackd, hgjoin+, hgjoin*
 ///   decompose:twigstack, decompose:twigstackd
-/// `cross_names` seeds the twig engines' query-decomposition points.
-/// Returns nullptr for unknown specs.
-std::unique_ptr<Evaluator> MakeEngine(
-    std::string_view spec, const DataGraph& g,
-    std::vector<std::string> cross_names = {});
+/// Twig engines get no decomposition points (construct TwigStackEngine
+/// directly to seed them). Returns nullptr for unknown specs.
+std::unique_ptr<Evaluator> MakeEngine(std::string_view spec,
+                                      const DataGraph& g);
 
 }  // namespace gtpq
 

@@ -16,7 +16,6 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
                                            : std::move(options.endpoints)),
       limits_(options.limits),
       health_interval_ms_(options.health_interval_ms),
-      health_failure_threshold_(options.health_failure_threshold),
       name_("cluster:" + map_.inner_spec) {
   BoundaryLayout layout;
   for (const ShardRange& range : map_.ranges) {
@@ -475,7 +474,7 @@ void ShardRouter::ProbeHealthOnce() const {
       shard_healthy_[s]->Set(1);
     } else {
       health_failures_[s]->Add();
-      if (++health_streak_[s] >= health_failure_threshold_) {
+      if (++health_streak_[s] >= kHealthFailureThreshold) {
         if (healthy_[s]) {
           GTPQ_LOG(Warning) << "shard " << s << " at " << endpoints_[s]
                             << " failed " << health_streak_[s]

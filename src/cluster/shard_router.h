@@ -29,12 +29,9 @@ struct ShardRouterOptions {
   /// answer or id list would not fit one frame goes out as several.
   net::WireLimits limits;
   /// Health prober cadence (HEALTH round trip to every shard); <= 0
-  /// disables the prober thread entirely.
+  /// disables the prober thread entirely. A shard's gtpq_shard_healthy
+  /// gauge drops to 0 after two consecutive failed probes.
   int health_interval_ms = 500;
-  /// Consecutive failed probes before a shard's gtpq_shard_healthy
-  /// gauge drops to 0. One flake (a lost race with a restart) should
-  /// not flap the gauge the failover seam will eventually key off.
-  int health_failure_threshold = 2;
 };
 
 /// Set-at-a-time reachability over a cluster of `gteactl serve`
@@ -108,7 +105,7 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   /// Last epoch each shard committed (HELLO at connect, then every
   /// routed update).
   std::vector<uint64_t> shard_epochs() const;
-  /// Prober verdict per shard (true until health_failure_threshold
+  /// Prober verdict per shard (true until kHealthFailureThreshold
   /// consecutive HEALTH round trips fail). Mirrors the
   /// gtpq_shard_healthy{shard="N"} gauges.
   std::vector<bool> shard_health() const;
@@ -149,7 +146,10 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   friend struct ShardRouterTestPeer;
   int probe_connect_attempts_ = 50;
   int health_interval_ms_;
-  int health_failure_threshold_;
+  // Consecutive failed probes before a shard is marked unhealthy. One
+  // flake (a lost race with a restart) should not flap the gauge the
+  // failover seam will eventually key off.
+  static constexpr int kHealthFailureThreshold = 2;
   std::string name_;
 
   // Serializes ApplyNativeUpdate.

@@ -115,8 +115,6 @@ class GraphDelta {
   }
   /// Added out-neighbors of v, sorted ascending; empty when none.
   std::span<const NodeId> AddedOut(NodeId v) const;
-  /// Label of added vertex base_nodes()+i.
-  int64_t AddedLabel(size_t i) const { return added_labels_[i]; }
 
   /// Enumerates removed edges (unordered) until fn returns true;
   /// reports whether a callback did.

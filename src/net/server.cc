@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -39,6 +40,16 @@ namespace net {
 #if defined(__linux__)
 
 namespace {
+
+/// Connections past this cap are accepted and immediately closed.
+constexpr size_t kMaxConnections = 256;
+/// Slow-consumer bound: a connection whose UNFLUSHED output exceeds
+/// this after a write attempt is closed (a peer that sends requests
+/// but never reads responses must not grow server memory without
+/// limit). Raised to hold at least two max-size frames.
+constexpr size_t kMaxOutputBacklogBytes = 8u << 20;
+/// Upper bound of NetServerOptions::coalesce_window_us (one second).
+constexpr double kMaxCoalesceWindowUs = 1e6;
 
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
@@ -199,7 +210,7 @@ struct NetServer::Impl {
   /// Effective slow-consumer bound: never below two max-size frames,
   /// so a single legitimate large response cannot trip it.
   size_t OutputBacklogLimit() const {
-    return std::max(options.max_output_backlog_bytes,
+    return std::max(kMaxOutputBacklogBytes,
                     2 * (options.limits.max_frame_bytes + 4));
   }
 
@@ -397,7 +408,7 @@ void NetServer::Impl::AcceptAll() {
       GTPQ_LOG(Warning) << "accept: " << std::strerror(errno);
       return;
     }
-    if (conns.size() >= options.max_connections) {
+    if (conns.size() >= kMaxConnections) {
       ::close(fd);
       continue;
     }
@@ -1000,6 +1011,15 @@ NetServer::~NetServer() { Stop(); }
 Status NetServer::Start() {
   GTPQ_CHECK(!impl_->started.load()) << "NetServer started twice";
   GTPQ_RETURN_NOT_OK(impl_->runtime->status());
+  // The dispatcher casts the remaining window to int64 microseconds;
+  // nan, inf or a huge value would make that cast undefined.
+  const double window_us = impl_->options.coalesce_window_us;
+  if (!std::isfinite(window_us) || window_us < 0 ||
+      window_us > kMaxCoalesceWindowUs) {
+    return Status::InvalidArgument(
+        "coalesce_window_us must be finite and in [0, 1e6], got " +
+        std::to_string(window_us));
+  }
   Status st = impl_->Start();
   if (!st.ok()) impl_->CloseFds();
   return st;

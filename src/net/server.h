@@ -27,7 +27,8 @@ struct NetServerOptions {
   /// one QueryServer::EvaluateBatch while more keep arriving, bounded
   /// by a query count and a wait window measured from the first pending
   /// query. Larger windows trade latency for batch efficiency (one
-  /// pinned snapshot, full pool fan-out per dispatch).
+  /// pinned snapshot, full pool fan-out per dispatch). Start() rejects
+  /// a window that is not finite or lies outside [0, 1e6] us.
   size_t coalesce_max_queries = 64;
   double coalesce_window_us = 200.0;
 
@@ -36,14 +37,6 @@ struct NetServerOptions {
   /// without limit; the connection stays usable.
   size_t max_inflight_per_conn = 64;
   size_t max_pending_requests = 1024;
-  /// Connections past this cap are accepted and immediately closed.
-  size_t max_connections = 256;
-  /// Slow-consumer bound: a connection whose UNFLUSHED output exceeds
-  /// this after a write attempt is closed (a peer that sends requests
-  /// but never reads responses must not grow server memory without
-  /// limit). Raised automatically to hold at least two max-size
-  /// frames.
-  size_t max_output_backlog_bytes = 8u << 20;
 
   /// Frame-size and batch-size bounds enforced by the decoder.
   WireLimits limits;

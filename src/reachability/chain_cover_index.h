@@ -33,8 +33,6 @@ class ChainCoverIndex : public ReachabilityOracle {
   bool Reaches(NodeId from, NodeId to) const override;
 
   size_t NumChains() const { return cover_.NumChains(); }
-  /// Total non-infinite table cells (index size metric).
-  size_t TotalEntries() const { return total_entries_; }
 
   /// Persistence hooks (storage/index_io.h).
   void SaveBody(storage::Writer* w) const;

@@ -43,8 +43,6 @@ class IntervalIndex : public ReachabilityOracle {
     return intervals_[scc_.component_of[v]];
   }
 
-  size_t TotalIntervals() const { return total_intervals_; }
-
   /// Persistence hooks (storage/index_io.h).
   void SaveBody(storage::Writer* w) const;
   static Result<IntervalIndex> LoadBody(storage::Reader* r);

@@ -60,15 +60,8 @@ class ThreeHopIndex : public ReachabilityOracle {
   /// True iff the SCC behind `c` contains a cycle, i.e. its members
   /// reach themselves.
   bool CondCyclic(CondId c) const { return scc_.cyclic[c] != 0; }
-  bool NodeOnCycle(NodeId v) const { return CondCyclic(CondOf(v)); }
 
   size_t NumChains() const { return cover_.NumChains(); }
-  size_t NumCondNodes() const { return pos_.size(); }
-  size_t ChainLength(uint32_t cid) const { return cover_.chains[cid].size(); }
-  /// Condensation node at a chain position.
-  CondId AtPos(uint32_t cid, uint32_t sid) const {
-    return cover_.chains[cid][sid];
-  }
 
   /// Entry positions (successor list) of condensation node c; entries
   /// lie on chains other than c's own.

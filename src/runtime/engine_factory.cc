@@ -11,11 +11,9 @@ namespace gtpq {
 
 std::unique_ptr<SharedEngineFactory> SharedEngineFactory::Make(
     std::string_view spec, const DataGraph& g,
-    std::vector<std::string> cross_names,
     DeltaOverlayOptions delta_options) {
   auto factory = std::unique_ptr<SharedEngineFactory>(
-      new SharedEngineFactory(std::string(spec), std::move(cross_names),
-                              delta_options));
+      new SharedEngineFactory(std::string(spec), delta_options));
   if (!factory->BuildInitialSnapshot(g)) return nullptr;
   return factory;
 }
@@ -60,8 +58,9 @@ bool SharedEngineFactory::BuildInitialSnapshot(const DataGraph& g) {
     const bool twig2 = spec == "twig2stack";
     auto enc =
         std::make_shared<const RegionEncoding>(BuildRegionEncoding(g));
-    snap->create_ = [&g, twig2, enc, names = cross_names_] {
-      return std::make_unique<TwigStackEngine>(g, twig2, names, enc);
+    snap->create_ = [&g, twig2, enc] {
+      return std::make_unique<TwigStackEngine>(
+          g, twig2, std::vector<std::string>{}, enc);
     };
   } else if (spec == "twigstackd") {
     auto sspi = std::make_shared<const Sspi>(Sspi::Build(g.graph()));
@@ -76,7 +75,7 @@ bool SharedEngineFactory::BuildInitialSnapshot(const DataGraph& g) {
       return std::make_unique<HgJoinEngine>(g, graph_intermediates, idx);
     };
   } else if (spec.rfind("decompose:", 0) == 0) {
-    auto inner = Make(spec.substr(10), g, cross_names_, delta_options_);
+    auto inner = Make(spec.substr(10), g, delta_options_);
     if (inner == nullptr) return false;
     // shared_ptr keeps the inner factory alive inside the creator.
     std::shared_ptr<SharedEngineFactory> inner_shared(std::move(inner));
@@ -189,7 +188,7 @@ Status SharedEngineFactory::ApplyUpdates(const UpdateBatch& batch) {
   } else {
     // Non-gtea engines rebuild their shared artifacts over the updated
     // graph — same snapshot semantics, no incremental path.
-    auto rebuilt = Make(spec_, *next_graph, cross_names_, delta_options_);
+    auto rebuilt = Make(spec_, *next_graph, delta_options_);
     if (rebuilt == nullptr) {
       return Status::Internal("engine spec '" + spec_ +
                               "' cannot be rebuilt over the updated graph");

@@ -85,7 +85,6 @@ class SharedEngineFactory {
   /// the epoch-0 snapshot.
   static std::unique_ptr<SharedEngineFactory> Make(
       std::string_view spec, const DataGraph& g,
-      std::vector<std::string> cross_names = {},
       DeltaOverlayOptions delta_options = {});
 
   /// The current snapshot. Callers that stamp engines for a whole batch
@@ -107,12 +106,8 @@ class SharedEngineFactory {
   std::string_view spec() const { return spec_; }
 
  private:
-  SharedEngineFactory(std::string spec,
-                      std::vector<std::string> cross_names,
-                      DeltaOverlayOptions delta_options)
-      : spec_(std::move(spec)),
-        cross_names_(std::move(cross_names)),
-        delta_options_(delta_options) {}
+  SharedEngineFactory(std::string spec, DeltaOverlayOptions delta_options)
+      : spec_(std::move(spec)), delta_options_(delta_options) {}
 
   /// Builds the epoch-0 creator (and, for gtea specs, the shared
   /// oracle) over `g`. Returns false for unknown specs.
@@ -121,7 +116,6 @@ class SharedEngineFactory {
   void Install(std::shared_ptr<const EngineSnapshot> next);
 
   std::string spec_;
-  std::vector<std::string> cross_names_;
   DeltaOverlayOptions delta_options_;
 
   mutable std::mutex mu_;        // guards current_

@@ -47,7 +47,6 @@ QueryServer::QueryServer(const DataGraph& g, QueryServerOptions options)
     : g_(g), options_(std::move(options)) {
   GTPQ_CHECK(options_.num_threads > 0);
   factory_ = SharedEngineFactory::Make(options_.engine_spec, g_,
-                                       options_.cross_names,
                                        options_.delta_options);
   if (factory_ == nullptr) {
     // An unloadable index (missing file, wrong fingerprint, corrupt

@@ -45,8 +45,6 @@ struct QueryServerOptions {
   /// Engine spec (everything SharedEngineFactory accepts), e.g.
   /// "gtea", "gtea:sharded:interval", "naive", "twigstackd".
   std::string engine_spec = "gtea";
-  /// Decomposition-point names seeded into twig engines.
-  std::vector<std::string> cross_names = {};
   /// Evaluation options applied to every query.
   GteaOptions eval_options = {};
   /// Auto-compaction tuning for the incremental update path

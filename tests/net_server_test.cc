@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -886,6 +888,38 @@ TEST(NetServerTest, AdmissionControlRejectsWithTypedErrors) {
   ASSERT_TRUE(client2.Connect("127.0.0.1", full.port()).ok());
   auto result = client2.Query(texts[0]);
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// The dispatcher casts the coalescing window to integer microseconds,
+// so Start() refuses a window that is not finite or outside [0, 1e6]
+// before it binds anything; both ends of the range still serve.
+TEST(NetServerTest, StartRejectsOutOfRangeCoalesceWindow) {
+  DataGraph g = RandomDag({.num_nodes = 20,
+                           .avg_degree = 2.0,
+                           .num_labels = 4,
+                           .locality = 1.0,
+                           .seed = 3});
+  for (const double window_us :
+       {std::nan(""), std::numeric_limits<double>::infinity(), -1.0, 2e6}) {
+    net::NetServerOptions options;
+    options.runtime.num_threads = 1;
+    options.coalesce_window_us = window_us;
+    net::NetServer server(g, options);
+    const Status st = server.Start();
+    if (st.code() == StatusCode::kUnimplemented) GTEST_SKIP() << st.ToString();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << window_us << ": " << st.ToString();
+    EXPECT_FALSE(server.running()) << window_us;
+    EXPECT_EQ(server.port(), 0) << window_us;
+  }
+  for (const double window_us : {0.0, 1e6}) {
+    net::NetServerOptions options;
+    options.runtime.num_threads = 1;
+    options.coalesce_window_us = window_us;
+    net::NetServer server(g, options);
+    START_OR_SKIP(server);
+    EXPECT_TRUE(server.running()) << window_us;
+  }
 }
 
 // Answers sent inline from the IO thread (OBSERVE here) pass the same

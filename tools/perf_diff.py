@@ -42,18 +42,14 @@ import os
 import sys
 
 # Integer config fields that identify a row (as opposed to measured
-# metrics): pool sizes, schedule shape, the BENCH_net client/
-# pipelining sweep axes, and the BENCH_cluster shard-count sweep.
+# metrics): pool sizes, the BENCH_net client/pipelining sweep axes, and
+# the BENCH_restart heap-vs-mmap flag.
 KEY_INT_FIELDS = {
     "threads",
-    "rounds",
-    "ops_per_round",
-    "iterations_cap",
     "clients",
     "pipeline",
     "requests",
     "mmap",
-    "shards",
 }
 THROUGHPUT_MARKERS = ("per_sec", "qps", "throughput")
 TIME_SUFFIXES = ("_ms", "_time")
@@ -102,8 +98,8 @@ def regressions(name, baseline, current, threshold):
         base = base_rows.get(key)
         if base is None:
             # A row key the baseline run never produced — a new sweep
-            # axis or bench variant (e.g. a fresh "clients" or
-            # "shards" column), not a regression. Note it and move on
+            # axis or bench variant (e.g. a fresh "clients" column),
+            # not a regression. Note it and move on
             # so newly added benches never fail the diff.
             print(f"perf-diff: {name}: new row (no baseline): {label}")
             continue
