@@ -43,7 +43,8 @@ void RunCase(const char* tag, GteaEngine& gtea, const Gtpq& q,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv, {});
   const double s = BenchScale();
   const int reps = BenchReps();
   std::printf("GTEA ablations (ms; GTPQ_BENCH_SCALE=%g)\n", s);

@@ -34,9 +34,11 @@ constexpr char kEngineSpec[] = "gtea";
 }  // namespace
 
 int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv,
+                     {"--json=", "--threads=", "--queries=", "--limit="});
   const double scale = BenchScale();
   const auto json_path = JsonFlag(argc, argv);
-  const auto thread_sweep = ThreadSweepFlag(argc, argv, "1,2,4,8,16");
+  const auto thread_sweep = SweepFlag(argc, argv, "--threads=", "1,2,4,8,16");
   const size_t num_queries = SizeFlag(argc, argv, "--queries=", 256);
   const size_t result_limit = SizeFlag(argc, argv, "--limit=", 512);
   if (thread_sweep.empty() || num_queries == 0) {

@@ -90,6 +90,7 @@ std::vector<std::string> ParseIndexFlag(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv, {"--index=", "--json="});
   const auto backends = ParseIndexFlag(argc, argv);
   const auto json_path = JsonFlag(argc, argv);
   const double s = BenchScale();

@@ -7,7 +7,8 @@
 using namespace gtpq;
 using namespace gtpq::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv, {});
   const double s = BenchScale();
   const int reps = BenchReps();
   workload::XmarkOptions o;

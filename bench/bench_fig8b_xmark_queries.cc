@@ -10,6 +10,7 @@ using namespace gtpq;
 using namespace gtpq::bench;
 
 int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv, {"--json="});
   const double s = BenchScale();
   const int reps = BenchReps();
   const auto json_path = JsonFlag(argc, argv);

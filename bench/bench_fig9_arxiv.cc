@@ -26,6 +26,7 @@ struct Group {
 }  // namespace
 
 int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv, {"--json="});
   const int reps = BenchReps();
   const auto json_path = JsonFlag(argc, argv);
   workload::ArxivOptions ao;

@@ -1,13 +1,13 @@
 // Network serving throughput: N client threads, each pipelining D
-// gtpq-wire QUERY frames over its own TCP connection, against either a
-// self-hosted NetServer (default) or an external `gteactl serve`
-// (--connect=). Reports qps and p50/p99 request latency per
+// one-query gtpq-wire BATCH frames over its own TCP connection,
+// against either a self-hosted NetServer (default) or an external
+// `gteactl serve` (--connect=). Reports qps and p50/p99 request latency per
 // (clients, pipeline) configuration, verifies every wire answer
 // differentially against an independent in-process QueryServer over
 // the same workload, and cross-checks the server's STATS frame against
 // the client-side request count.
 //
-//   --clients=1,2,4            client-thread sweep
+//   --clients=1,2,4            client-thread sweep (each 1..1024)
 //   --pipeline=8               pipelining depth per connection
 //   --queries=32               distinct random queries in the pool
 //   --requests=256             requests per client per configuration
@@ -80,7 +80,7 @@ ClientStats RunClient(const std::string& host, uint16_t port,
 
   auto send_next = [&]() -> bool {
     const size_t index = sent % texts.size();
-    auto id = client.SendQuery(texts[index], limit);
+    auto id = client.SendBatch({texts[index]}, limit);
     if (!id.ok()) {
       std::fprintf(stderr, "client: %s\n", id.status().ToString().c_str());
       return false;
@@ -107,7 +107,7 @@ ClientStats RunClient(const std::string& host, uint16_t port,
     const double now_us = clock.ElapsedMicros();
     auto it = inflight.find(frame->request_id);
     if (it == inflight.end() ||
-        frame->type != net::FrameType::kResult) {
+        frame->type != net::FrameType::kBatchResult) {
       ++out.errors;
       if (it != inflight.end()) inflight.erase(it);
     } else {
@@ -142,8 +142,12 @@ double Percentile(std::vector<double>& sorted_us, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv,
+                     {"--json=", "--clients=", "--pipeline=", "--queries=",
+                      "--requests=", "--limit=", "--threads=", "--connect=",
+                      "--gen=", "--quiet"});
   const auto json_path = JsonFlag(argc, argv);
-  const auto client_flags = SplitFlag(argc, argv, "--clients=", "1,2,4");
+  const auto client_sweep = SweepFlag(argc, argv, "--clients=", "1,2,4");
   const size_t pipeline = SizeFlag(argc, argv, "--pipeline=", 8);
   const size_t num_queries = SizeFlag(argc, argv, "--queries=", 32);
   const size_t requests = SizeFlag(argc, argv, "--requests=", 256);
@@ -157,8 +161,10 @@ int main(int argc, char** argv) {
       SetLogLevel(LogLevel::kError);
     }
   }
-  if (pipeline == 0 || num_queries == 0 || requests == 0) {
-    std::fprintf(stderr, "--pipeline/--queries/--requests must be > 0\n");
+  if (pipeline == 0 || num_queries == 0 || requests == 0 || threads == 0 ||
+      threads > 1024) {
+    std::fprintf(stderr, "--pipeline/--queries/--requests must be > 0, "
+                         "--threads= in 1..1024\n");
     return 2;
   }
 
@@ -254,12 +260,7 @@ int main(int argc, char** argv) {
   report.AddMeta("result_limit", limit);
 
   uint64_t total_requests = 0, total_mismatches = 0, total_errors = 0;
-  for (const std::string& flag : client_flags) {
-    const size_t clients = std::strtoull(flag.c_str(), nullptr, 10);
-    if (clients == 0) {
-      std::fprintf(stderr, "invalid --clients entry '%s'\n", flag.c_str());
-      return 2;
-    }
+  for (const size_t clients : client_sweep) {
     std::vector<ClientStats> stats(clients);
     Timer wall;
     {

@@ -59,6 +59,7 @@ double ProbeSweepMs(const ReachabilityOracle& oracle, size_t num_nodes,
 }  // namespace
 
 int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv, {"--json=", "--spec=", "--probes="});
   const double scale = BenchScale();
   const int reps = BenchReps();
   const auto json_path = JsonFlag(argc, argv);

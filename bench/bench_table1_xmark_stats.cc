@@ -5,7 +5,8 @@
 #include "common/string_util.h"
 #include "workload/xmark.h"
 
-int main() {
+int main(int argc, char** argv) {
+  gtpq::bench::RejectUnknownFlags(argc, argv, {});
   const double s = gtpq::bench::BenchScale();
   std::printf("Table 1: Statistics of XMark datasets "
               "(GTPQ_BENCH_SCALE=%g)\n", s);

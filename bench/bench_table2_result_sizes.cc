@@ -7,7 +7,8 @@
 using namespace gtpq;
 using namespace gtpq::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  RejectUnknownFlags(argc, argv, {});
   const double s = BenchScale();
   std::printf("Table 2: average result sizes on XMark "
               "(GTPQ_BENCH_SCALE=%g)\n", s);

@@ -1,15 +1,18 @@
 #ifndef GTPQ_BENCH_HARNESS_H_
 #define GTPQ_BENCH_HARNESS_H_
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/engines.h"
@@ -129,24 +132,43 @@ inline size_t SizeFlag(int argc, char** argv, const char* prefix,
   return fallback;
 }
 
-/// Pool sizes of a "--threads=a,b,c" sweep (last occurrence wins,
-/// `fallback` when absent); exits 2 unless every entry is an integer in
-/// [1, 1024], so a typo cannot ask for a huge thread pool.
-inline std::vector<size_t> ThreadSweepFlag(int argc, char** argv,
-                                           const std::string& fallback) {
+/// Counts of a "--prefix=a,b,c" sweep such as --threads= or --clients=
+/// (last occurrence wins, `fallback` when absent); exits 2 unless every
+/// entry is an integer in [1, 1024], so a typo cannot ask for a huge
+/// thread pool or client fleet.
+inline std::vector<size_t> SweepFlag(int argc, char** argv,
+                                     const char* prefix,
+                                     const std::string& fallback) {
   std::vector<size_t> out;
-  for (const std::string& item :
-       SplitFlag(argc, argv, "--threads=", fallback)) {
-    size_t threads = 0;
-    if (!ParseSize(item.c_str(), &threads) || threads == 0 ||
-        threads > 1024) {
-      std::fprintf(stderr, "invalid --threads entry '%s' (want 1..1024)\n",
+  for (const std::string& item : SplitFlag(argc, argv, prefix, fallback)) {
+    size_t count = 0;
+    if (!ParseSize(item.c_str(), &count) || count == 0 || count > 1024) {
+      std::fprintf(stderr, "invalid %s entry '%s' (want 1..1024)\n", prefix,
                    item.c_str());
       std::exit(2);
     }
-    out.push_back(threads);
+    out.push_back(count);
   }
   return out;
+}
+
+/// Exits 2 unless every argument is one the bench accepts: an
+/// `accepted` entry ending in '=' takes a value and matches as a
+/// prefix, any other matches exactly. Call it first, so a misspelt or
+/// deleted flag fails before any work instead of running the defaults.
+inline void RejectUnknownFlags(
+    int argc, char** argv, std::initializer_list<std::string_view> accepted) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (std::none_of(accepted.begin(), accepted.end(),
+                     [arg](std::string_view flag) {
+                       return flag.ends_with('=') ? arg.starts_with(flag)
+                                                  : arg == flag;
+                     })) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
+      std::exit(2);
+    }
+  }
 }
 
 /// Accumulates one bench run as {"bench": ..., <meta fields>,

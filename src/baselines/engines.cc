@@ -10,7 +10,6 @@
 #include "baselines/twigstack.h"
 #include "baselines/twigstackd.h"
 #include "common/timer.h"
-#include "core/gtea.h"
 
 namespace gtpq {
 
@@ -182,33 +181,6 @@ QueryResult DecomposeEngine::Evaluate(const Gtpq& q,
   QueryResult merged = result.TakeValue();
   ApplyResultLimit(options, &merged);
   return merged;
-}
-
-// ---------------------------------------------------------- factory
-
-std::unique_ptr<Evaluator> MakeEngine(std::string_view spec,
-                                      const DataGraph& g) {
-  if (spec == "gtea") return std::make_unique<GteaEngine>(g);
-  if (spec.rfind("gtea:", 0) == 0) {
-    auto idx = MakeReachabilityIndex(spec.substr(5), g.graph());
-    if (idx == nullptr) return nullptr;
-    return std::make_unique<GteaEngine>(
-        g, std::shared_ptr<const ReachabilityOracle>(std::move(idx)));
-  }
-  if (spec == "naive") return std::make_unique<BruteForceEngine>(g);
-  if (spec == "twigstack") return std::make_unique<TwigStackEngine>(g);
-  if (spec == "twig2stack") {
-    return std::make_unique<TwigStackEngine>(g, true);
-  }
-  if (spec == "twigstackd") return std::make_unique<TwigStackDEngine>(g);
-  if (spec == "hgjoin+") return std::make_unique<HgJoinEngine>(g, false);
-  if (spec == "hgjoin*") return std::make_unique<HgJoinEngine>(g, true);
-  if (spec.rfind("decompose:", 0) == 0) {
-    auto inner = MakeEngine(spec.substr(10), g);
-    if (inner == nullptr) return nullptr;
-    return std::make_unique<DecomposeEngine>(std::move(inner));
-  }
-  return nullptr;
 }
 
 }  // namespace gtpq

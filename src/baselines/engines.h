@@ -130,19 +130,6 @@ class DecomposeEngine : public Evaluator {
   Status last_status_ = Status::OK();
 };
 
-/// Engine registry. Specs:
-///   gtea            GTEA on the default (contour) backend
-///   gtea:<spec>     GTEA on any reachability spec: a registered
-///                   backend name or a sharded:/delta: decorator chain
-///                   (e.g. gtea:interval, gtea:sharded:interval)
-///   naive           brute force over the transitive closure
-///   twigstack, twig2stack, twigstackd, hgjoin+, hgjoin*
-///   decompose:twigstack, decompose:twigstackd
-/// Twig engines get no decomposition points (construct TwigStackEngine
-/// directly to seed them). Returns nullptr for unknown specs.
-std::unique_ptr<Evaluator> MakeEngine(std::string_view spec,
-                                      const DataGraph& g);
-
 }  // namespace gtpq
 
 #endif  // GTPQ_BASELINES_ENGINES_H_

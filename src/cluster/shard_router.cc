@@ -395,17 +395,14 @@ Result<obs::MetricsSnapshot> ShardRouter::FederatedMetricsSnapshot()
   std::vector<obs::MemberSnapshot> members;
   members.reserve(pending.size());
   for (const Pending& p : pending) {
-    auto payload =
-        p.client->WaitForResponse(p.request_id,
-                                  net::FrameType::kObserveResult);
-    std::string body;
-    if (!payload.ok() ||
-        !net::DecodeObserveResult(*payload, &body).ok()) {
+    auto body = p.client->WaitForResponse(p.request_id,
+                                          net::FrameType::kObserveResult);
+    if (!body.ok()) {
       DropClient(p.shard);
       continue;
     }
     obs::MetricsSnapshot snapshot;
-    const Status decoded = obs::DecodeMetricsSnapshot(body, &snapshot);
+    const Status decoded = obs::DecodeMetricsSnapshot(*body, &snapshot);
     if (!decoded.ok()) {
       GTPQ_LOG(Warning) << "shard " << p.shard
                         << " metrics snapshot rejected: "
@@ -426,24 +423,24 @@ Result<std::vector<obs::ProcessSpans>> ShardRouter::CollectClusterSpans(
   groups.push_back({"router", 1,
                     trace_id != 0 ? recorder.SpansForTrace(trace_id)
                                   : recorder.Spans()});
+  uint32_t next_pid = 2;
   for (size_t s = 0; s < num_shards(); ++s) {
     net::NetClient* client = Client(s, /*attempts=*/2);
     if (client == nullptr) continue;
-    auto payload = client->Observe(net::ObserveKind::kSpans, trace_id);
-    if (!payload.ok()) {
+    auto member = client->Spans(trace_id);
+    if (!member.ok()) {
+      GTPQ_LOG(Warning) << "shard " << s << " span export failed: "
+                        << member.status().ToString();
       DropClient(s);
       continue;
     }
-    std::vector<obs::Span> spans;
-    const Status decoded = obs::DecodeSpans(*payload, &spans);
-    if (!decoded.ok()) {
-      GTPQ_LOG(Warning) << "shard " << s << " span dump rejected: "
-                        << decoded.ToString();
-      continue;
+    // A leaf server exports one group; a member that is itself a
+    // router exports one per process behind it.
+    for (obs::ProcessSpans& group : *member) {
+      groups.push_back(
+          {"shard " + std::to_string(s) + " (" + endpoints_[s] + ")",
+           next_pid++, std::move(group.spans)});
     }
-    groups.push_back({"shard " + std::to_string(s) + " (" +
-                          endpoints_[s] + ")",
-                      static_cast<uint32_t>(2 + s), std::move(spans)});
   }
   return groups;
 }

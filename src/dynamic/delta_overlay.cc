@@ -324,29 +324,9 @@ DeltaOverlayOracle::WithUpdates(const UpdateBatch& batch) const {
   // Compaction folds a removal into the rebuilt base as a plain
   // isolated vertex, so the delta alone cannot keep removed ids dead;
   // the retired list can (it survives compaction and persistence).
-  const auto retired = [this](NodeId v) {
+  GTPQ_RETURN_NOT_OK(CheckRemovedVertices(batch, [this](NodeId v) {
     return std::binary_search(retired_.begin(), retired_.end(), v);
-  };
-  for (const EdgeRef& e : batch.add_edges) {
-    if (retired(e.from) || retired(e.to)) {
-      return Status::FailedPrecondition(
-          "add_edge touches a removed vertex: (" +
-          std::to_string(e.from) + ", " + std::to_string(e.to) + ")");
-    }
-  }
-  for (const EdgeRef& e : batch.remove_edges) {
-    if (retired(e.from) || retired(e.to)) {
-      return Status::FailedPrecondition(
-          "remove_edge touches a removed vertex: (" +
-          std::to_string(e.from) + ", " + std::to_string(e.to) + ")");
-    }
-  }
-  for (NodeId v : batch.remove_nodes) {
-    if (retired(v)) {
-      return Status::FailedPrecondition("vertex already removed: " +
-                                        std::to_string(v));
-    }
-  }
+  }));
 
   auto next = std::shared_ptr<DeltaOverlayOracle>(new DeltaOverlayOracle());
   next->inner_ = inner_;

@@ -25,6 +25,29 @@ std::string EdgeName(NodeId from, NodeId to) {
 
 }  // namespace
 
+Status CheckRemovedVertices(const UpdateBatch& batch,
+                            const std::function<bool(NodeId)>& removed) {
+  for (const EdgeRef& e : batch.add_edges) {
+    if (removed(e.from) || removed(e.to)) {
+      return Status::FailedPrecondition(
+          "add_edge touches a removed vertex: " + EdgeName(e.from, e.to));
+    }
+  }
+  for (const EdgeRef& e : batch.remove_edges) {
+    if (removed(e.from) || removed(e.to)) {
+      return Status::FailedPrecondition(
+          "remove_edge touches a removed vertex: " + EdgeName(e.from, e.to));
+    }
+  }
+  for (NodeId v : batch.remove_nodes) {
+    if (removed(v)) {
+      return Status::FailedPrecondition("vertex already removed: " +
+                                        std::to_string(v));
+    }
+  }
+  return Status::OK();
+}
+
 std::vector<NodeId> GraphDelta::RemovedNodes() const {
   std::vector<NodeId> out(removed_node_set_.begin(),
                           removed_node_set_.end());

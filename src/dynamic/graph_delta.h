@@ -2,6 +2,7 @@
 #define GTPQ_DYNAMIC_GRAPH_DELTA_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <unordered_map>
@@ -55,6 +56,13 @@ struct UpdateBatch {
   }
   bool empty() const { return NumOps() == 0; }
 };
+
+/// FailedPrecondition when `batch` adds or removes an edge at a vertex
+/// for which `removed` holds, or removes such a vertex again. The
+/// writers that outlive one delta (SharedEngineFactory's tombstones,
+/// DeltaOverlayOracle's retired list) keep removed ids dead with it.
+Status CheckRemovedVertices(const UpdateBatch& batch,
+                            const std::function<bool(NodeId)>& removed);
 
 /// Accumulated, validated difference between an immutable base Digraph
 /// and the current graph view — the mutable half of the GenomicsDB-style

@@ -260,9 +260,9 @@ Result<std::string> NetClient::RoundTrip(FrameType type,
 
 Result<WireResult> NetClient::Query(const std::string& text,
                                     uint64_t result_limit) {
-  auto id = SendQuery(text, result_limit);
+  auto id = Send(FrameType::kBatch, EncodeQueryRequest({result_limit, text}));
   if (!id.ok()) return id.status();
-  auto payload = WaitForResponse(*id, FrameType::kResult);
+  auto payload = WaitForResponse(*id, FrameType::kBatchResult);
   if (!payload.ok()) return payload.status();
   WireResult out;
   GTPQ_RETURN_NOT_OK(DecodeResult(*payload, &out));
@@ -325,11 +325,7 @@ Result<std::string> NetClient::Observe(ObserveKind kind,
                                        uint64_t trace_id) {
   auto id = SendObserve(kind, trace_id);
   if (!id.ok()) return id.status();
-  auto payload = WaitForResponse(*id, FrameType::kObserveResult);
-  if (!payload.ok()) return payload.status();
-  std::string out;
-  GTPQ_RETURN_NOT_OK(DecodeObserveResult(*payload, &out));
-  return out;
+  return WaitForResponse(*id, FrameType::kObserveResult);
 }
 
 Result<HealthReport> NetClient::Health() {
@@ -340,9 +336,20 @@ Result<HealthReport> NetClient::Health() {
   return report;
 }
 
-Result<uint64_t> NetClient::SendQuery(const std::string& text,
-                                      uint64_t result_limit) {
-  return Send(FrameType::kQuery, EncodeQueryRequest({result_limit, text}));
+Result<obs::MetricsSnapshot> NetClient::Metrics() {
+  auto body = Observe(ObserveKind::kMetricsSnapshot);
+  if (!body.ok()) return body.status();
+  obs::MetricsSnapshot snapshot;
+  GTPQ_RETURN_NOT_OK(obs::DecodeMetricsSnapshot(*body, &snapshot));
+  return snapshot;
+}
+
+Result<std::vector<obs::ProcessSpans>> NetClient::Spans(uint64_t trace_id) {
+  auto body = Observe(ObserveKind::kSpans, trace_id);
+  if (!body.ok()) return body.status();
+  std::vector<obs::ProcessSpans> groups;
+  GTPQ_RETURN_NOT_OK(obs::DecodeSpans(*body, &groups));
+  return groups;
 }
 
 Result<uint64_t> NetClient::SendBatch(const std::vector<std::string>& texts,

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "dynamic/graph_delta.h"
 #include "net/wire.h"
+#include "obs/federation.h"
 
 namespace gtpq {
 namespace net {
@@ -23,10 +24,10 @@ namespace net {
 ///    request and wait for its response (correlated by request id;
 ///    responses to other outstanding requests are parked, so the sync
 ///    calls compose with pipelining);
-///  * pipelined — SendQuery/SendBatch enqueue without waiting and
-///    return the request id; Receive() yields the next response frame
-///    (parked first, then off the socket), which the caller correlates
-///    via Frame::request_id.
+///  * pipelined — SendBatch/SendProbe/SendObserve enqueue without
+///    waiting and return the request id; Receive() yields the next
+///    response frame (parked first, then off the socket), which the
+///    caller correlates via Frame::request_id.
 ///
 /// Every request's frame header carries the calling thread's
 /// obs::CurrentTrace(): install an obs::ScopedTraceContext around a
@@ -54,7 +55,8 @@ class NetClient {
   // --- Synchronous calls ----------------------------------------------
 
   /// `text` is the query/query_parser.h line format; result_limit 0
-  /// defers to the server's configured cap.
+  /// defers to the server's configured cap. Sent as a BATCH of one;
+  /// an answer that does not carry exactly one result is a ParseError.
   Result<WireResult> Query(const std::string& text,
                            uint64_t result_limit = 0);
   Result<WireBatchResult> QueryBatch(const std::vector<std::string>& texts,
@@ -67,21 +69,24 @@ class NetClient {
   /// Set-at-a-time reachability probe (see ProbeRequest); node ids are
   /// local to the server's graph.
   Result<ProbeResult> Probe(const ProbeRequest& request);
-  /// One observability export (OBSERVE frame): Prometheus metrics,
-  /// Chrome trace JSON, the slow-query log, or a binary
-  /// snapshot/span/health export. A non-zero trace_id filters
-  /// kTrace/kSpans to one trace (0 = whole ring).
+  /// One observability export (OBSERVE frame): the slow-query log, or
+  /// a binary metrics snapshot, span groups or health report. A
+  /// non-zero trace_id filters kSpans to one trace (0 = whole ring).
   Result<std::string> Observe(ObserveKind kind, uint64_t trace_id = 0);
   /// Observe(kHealth), decoded. Answered inline on the server's IO
   /// thread, so a response bounds event-loop latency too.
   Result<HealthReport> Health();
+  /// Observe(kMetricsSnapshot), decoded; against a router, the
+  /// federated snapshot of the whole cluster.
+  Result<obs::MetricsSnapshot> Metrics();
+  /// Observe(kSpans, trace_id), decoded: one group per process (a
+  /// router returns its own and every member's).
+  Result<std::vector<obs::ProcessSpans>> Spans(uint64_t trace_id = 0);
 
   // --- Pipelined calls ------------------------------------------------
 
   /// Sends without waiting; returns the request id to correlate the
   /// eventual response.
-  Result<uint64_t> SendQuery(const std::string& text,
-                             uint64_t result_limit = 0);
   Result<uint64_t> SendBatch(const std::vector<std::string>& texts,
                              uint64_t result_limit = 0);
   Result<uint64_t> SendProbe(const ProbeRequest& request);

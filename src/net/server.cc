@@ -67,7 +67,7 @@ Status SetNonBlocking(int fd) {
 struct PendingRequest {
   uint64_t conn_id = 0;
   uint64_t request_id = 0;
-  FrameType type = FrameType::kQuery;
+  FrameType type = FrameType::kBatch;
   obs::TraceContext trace;
   std::string payload;
 };
@@ -542,11 +542,11 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
     case FrameType::kObserve: {
       // Also inline, like STATS: leaf exports touch no serving state
       // that needs the dispatcher, and kHealth deliberately measures
-      // IO-thread responsiveness. On a router the rendered kinds fan
-      // out to every member first (bounded connect retries keep a dead
-      // shard from parking the event loop for long).
+      // IO-thread responsiveness. On a router the metrics and span
+      // exports fan out to every member first (bounded connect retries
+      // keep a dead shard from parking the event loop for long).
       if (!conn.hello_done) break;
-      ObserveKind kind = ObserveKind::kMetrics;
+      ObserveKind kind = ObserveKind::kSlowlog;
       uint64_t filter = 0;
       const Status st = DecodeObserveRequest(frame.payload, &kind, &filter);
       if (!st.ok()) {
@@ -558,22 +558,14 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       // The oracle doubles as the federation seam when this process
       // fronts a cluster (ShardRouter implements ClusterObservable);
       // keep the snapshot pinned while the fan-out runs.
-      std::shared_ptr<const EngineSnapshot> snap;
-      const obs::ClusterObservable* fed = nullptr;
-      if (kind == ObserveKind::kMetrics ||
-          kind == ObserveKind::kMetricsSnapshot ||
-          kind == ObserveKind::kTrace) {
-        snap = runtime->snapshot();
-        fed = dynamic_cast<const obs::ClusterObservable*>(snap->oracle());
-      }
-      if (kind != ObserveKind::kTrace && kind != ObserveKind::kSpans) {
-        NetMetrics::Get().uptime_seconds->Set(
-            static_cast<int64_t>(obs::NowMicros() / 1e6));
-      }
+      const std::shared_ptr<const EngineSnapshot> snap = runtime->snapshot();
+      const auto* fed =
+          dynamic_cast<const obs::ClusterObservable*>(snap->oracle());
       std::string body;
       switch (kind) {
-        case ObserveKind::kMetrics:
         case ObserveKind::kMetricsSnapshot: {
+          NetMetrics::Get().uptime_seconds->Set(
+              static_cast<int64_t>(obs::NowMicros() / 1e6));
           obs::MetricsSnapshot snapshot;
           if (fed != nullptr) {
             auto federated = fed->FederatedMetricsSnapshot();
@@ -585,25 +577,25 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
           } else {
             snapshot = obs::Registry::Global().Snap();
           }
-          body = kind == ObserveKind::kMetrics
-                     ? obs::RenderPrometheusSnapshot(snapshot)
-                     : obs::EncodeMetricsSnapshot(snapshot);
+          body = obs::EncodeMetricsSnapshot(snapshot);
           break;
         }
-        case ObserveKind::kTrace: {
+        case ObserveKind::kSpans: {
+          std::vector<obs::ProcessSpans> groups;
           if (fed != nullptr) {
-            auto groups = fed->CollectClusterSpans(filter);
-            if (!groups.ok()) {
-              SendError(conn, frame.request_id, groups.status());
+            auto collected = fed->CollectClusterSpans(filter);
+            if (!collected.ok()) {
+              SendError(conn, frame.request_id, collected.status());
               return;
             }
-            body = obs::RenderChromeTrace(*groups);
+            groups = std::move(*collected);
           } else {
             obs::TraceRecorder& rec = obs::TraceRecorder::Global();
-            body = obs::RenderChromeTrace(
-                {{"gtpq", 1,
-                  filter != 0 ? rec.SpansForTrace(filter) : rec.Spans()}});
+            groups.push_back(
+                {"gtpq", 1,
+                 filter != 0 ? rec.SpansForTrace(filter) : rec.Spans()});
           }
+          body = obs::EncodeSpans(groups);
           break;
         }
         case ObserveKind::kSlowlog:
@@ -622,18 +614,10 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
           body = EncodeHealthReport(report);
           break;
         }
-        case ObserveKind::kSpans: {
-          obs::TraceRecorder& rec = obs::TraceRecorder::Global();
-          body = obs::EncodeSpans(
-              filter != 0 ? rec.SpansForTrace(filter) : rec.Spans());
-          break;
-        }
       }
-      SendOn(conn, FrameType::kObserveResult, frame.request_id,
-             EncodeObserveResult(body));
+      SendOn(conn, FrameType::kObserveResult, frame.request_id, body);
       return;
     }
-    case FrameType::kQuery:
     case FrameType::kBatch:
     case FrameType::kApplyUpdates: {
       if (!conn.hello_done) break;
@@ -785,7 +769,7 @@ void NetServer::Impl::DispatchLoop() {
       continue;
     }
 
-    // Coalesce: keep adopting query-type requests until the group is
+    // Coalesce: keep adopting BATCH requests until the group is
     // full or the window (measured from the first adopted query)
     // expires. An APPLY_UPDATES at the queue head ends the group so
     // updates are not starved by a steady query stream.
@@ -820,7 +804,6 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
   // Per adopted request: the decoded queries and where its answers live.
   struct Parsed {
     const PendingRequest* request;
-    bool is_batch = false;
     uint64_t result_limit = 0;
     std::vector<Gtpq> queries;
     std::vector<QueryResult> results;
@@ -846,36 +829,22 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
   for (const PendingRequest& request : group) {
     Parsed p;
     p.request = &request;
-    std::vector<std::string> texts;
-    if (request.type == FrameType::kQuery) {
-      QueryRequest decoded;
-      const Status st = DecodeQueryRequest(request.payload, &decoded);
-      if (!st.ok()) {
-        RespondError(request, st);
-        continue;
-      }
-      p.result_limit = decoded.result_limit;
-      texts.push_back(std::move(decoded.text));
-    } else {
-      BatchRequest decoded;
-      const Status st =
-          DecodeBatchRequest(request.payload, options.limits, &decoded);
-      if (!st.ok()) {
-        RespondError(request, st);
-        continue;
-      }
-      p.is_batch = true;
-      p.result_limit = decoded.result_limit;
-      texts = std::move(decoded.texts);
+    BatchRequest decoded;
+    const Status st =
+        DecodeBatchRequest(request.payload, options.limits, &decoded);
+    if (!st.ok()) {
+      RespondError(request, st);
+      continue;
     }
+    p.result_limit = decoded.result_limit;
     if (request.trace.active()) {
       p.dispatch_span = obs::TraceRecorder::Global().NewSpanId();
       p.dispatch_start_us = obs::NowMicros();
     }
 
     bool bad = false;
-    for (size_t i = 0; i < texts.size(); ++i) {
-      auto query = ParseQuery(texts[i], names);
+    for (size_t i = 0; i < decoded.texts.size(); ++i) {
+      auto query = ParseQuery(decoded.texts[i], names);
       if (!query.ok()) {
         RespondError(*p.request,
                      Status::InvalidArgument(
@@ -940,19 +909,11 @@ void NetServer::Impl::ProcessQueryGroup(std::vector<PendingRequest> group) {
           trace.trace_id, p.dispatch_span, trace.parent_span, "dispatch",
           p.dispatch_start_us, obs::NowMicros() - p.dispatch_start_us);
     }
-    if (p.is_batch) {
-      WireBatchResult result;
-      result.epoch = p.epoch;
-      result.results = std::move(p.results);
-      Respond(p.request->conn_id, FrameType::kBatchResult,
-              p.request->request_id, EncodeBatchResult(result));
-    } else {
-      WireResult result;
-      result.epoch = p.epoch;
-      result.result = std::move(p.results[0]);
-      Respond(p.request->conn_id, FrameType::kResult,
-              p.request->request_id, EncodeResult(result));
-    }
+    WireBatchResult result;
+    result.epoch = p.epoch;
+    result.results = std::move(p.results);
+    Respond(p.request->conn_id, FrameType::kBatchResult,
+            p.request->request_id, EncodeBatchResult(result));
   }
 }
 

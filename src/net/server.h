@@ -55,12 +55,12 @@ struct NetServerOptions {
 ///  * one dispatch thread pops decoded requests, parses query text
 ///    (each request gets a private AttrNames clone of the graph's
 ///    namespace, so parsing never mutates shared state), coalesces
-///    query-type requests (time/size-bounded), and runs them through
+///    BATCH requests (time/size-bounded), and runs them through
 ///    the QueryServer pool, which evaluates them across its workers;
 ///  * responses flow back to the IO thread over a wakeup pipe and are
 ///    correlated by the request id echoed in every frame — responses
 ///    may be reordered relative to requests (STATS overtakes a slow
-///    QUERY), which the protocol permits.
+///    BATCH), which the protocol permits.
 ///
 /// Malformed frames (bad length, unknown type, CRC mismatch) invalidate
 /// the stream: the server sends a final ERROR frame and closes that

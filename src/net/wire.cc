@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "common/logging.h"
 #include "storage/serializer.h"
@@ -115,7 +116,6 @@ bool IsKnownType(uint8_t type) {
 const char* FrameTypeName(FrameType type) {
   switch (type) {
     case FrameType::kHello: return "HELLO";
-    case FrameType::kQuery: return "QUERY";
     case FrameType::kBatch: return "BATCH";
     case FrameType::kApplyUpdates: return "APPLY_UPDATES";
     case FrameType::kStats: return "STATS";
@@ -123,7 +123,6 @@ const char* FrameTypeName(FrameType type) {
     case FrameType::kObserve: return "OBSERVE";
     case FrameType::kError: return "ERROR";
     case FrameType::kHelloOk: return "HELLO_OK";
-    case FrameType::kResult: return "RESULT";
     case FrameType::kBatchResult: return "BATCH_RESULT";
     case FrameType::kApplyOk: return "APPLY_OK";
     case FrameType::kStatsResult: return "STATS_RESULT";
@@ -244,23 +243,24 @@ Status DecodeHelloOk(std::string_view payload, HelloOk* out) {
       out);
 }
 
-std::string EncodeQueryRequest(const QueryRequest& request) {
-  Writer w;
-  w.WriteU64(request.result_limit);
-  w.WriteString(request.text);
-  return w.buffer();
+namespace {
+
+void WriteBatchResult(uint64_t epoch, std::span<const QueryResult> results,
+                      Writer* w) {
+  w->WriteU64(epoch);
+  w->WriteU32(static_cast<uint32_t>(results.size()));
+  for (const QueryResult& r : results) EncodeQueryResult(r, w);
 }
 
-Status DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
-  return WrapReader(
-      payload, "QUERY",
-      [](Reader* r, void* opaque) -> Status {
-        auto* request = static_cast<QueryRequest*>(opaque);
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&request->result_limit));
-        return r->ReadString(&request->text);
-      },
-      out);
+/// A BATCH of one, or its answer, carries exactly one of its `items`.
+Status ExpectOne(const char* frame, size_t count, const char* items) {
+  if (count == 1) return Status::OK();
+  return Status::ParseError(std::string(frame) + " carries " +
+                            std::to_string(count) + " " + items +
+                            ", expected one");
 }
+
+}  // namespace
 
 std::string EncodeBatchRequest(const BatchRequest& request) {
   Writer w;
@@ -297,29 +297,22 @@ Status DecodeBatchRequest(std::string_view payload,
   return st;
 }
 
-std::string EncodeResult(const WireResult& result) {
-  Writer w;
-  w.WriteU64(result.epoch);
-  EncodeQueryResult(result.result, &w);
-  return w.buffer();
+std::string EncodeQueryRequest(const QueryRequest& request) {
+  return EncodeBatchRequest({request.result_limit, {request.text}});
 }
 
-Status DecodeResult(std::string_view payload, WireResult* out) {
-  return WrapReader(
-      payload, "RESULT",
-      [](Reader* r, void* opaque) -> Status {
-        auto* result = static_cast<WireResult*>(opaque);
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&result->epoch));
-        return DecodeQueryResult(r, &result->result);
-      },
-      out);
+Status DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
+  BatchRequest batch;
+  GTPQ_RETURN_NOT_OK(DecodeBatchRequest(payload, WireLimits{}, &batch));
+  GTPQ_RETURN_NOT_OK(ExpectOne("BATCH", batch.texts.size(), "queries"));
+  out->result_limit = batch.result_limit;
+  out->text = std::move(batch.texts[0]);
+  return Status::OK();
 }
 
 std::string EncodeBatchResult(const WireBatchResult& result) {
   Writer w;
-  w.WriteU64(result.epoch);
-  w.WriteU32(static_cast<uint32_t>(result.results.size()));
-  for (const QueryResult& r : result.results) EncodeQueryResult(r, &w);
+  WriteBatchResult(result.epoch, result.results, &w);
   return w.buffer();
 }
 
@@ -343,6 +336,22 @@ Status DecodeBatchResult(std::string_view payload, WireBatchResult* out) {
         return Status::OK();
       },
       out);
+}
+
+std::string EncodeResult(const WireResult& result) {
+  Writer w;
+  WriteBatchResult(result.epoch, std::span(&result.result, 1), &w);
+  return w.buffer();
+}
+
+Status DecodeResult(std::string_view payload, WireResult* out) {
+  WireBatchResult batch;
+  GTPQ_RETURN_NOT_OK(DecodeBatchResult(payload, &batch));
+  GTPQ_RETURN_NOT_OK(
+      ExpectOne("BATCH_RESULT", batch.results.size(), "results"));
+  out->epoch = batch.epoch;
+  out->result = std::move(batch.results[0]);
+  return Status::OK();
 }
 
 std::string EncodeApplyOk(const ApplyOk& apply) {
@@ -517,21 +526,6 @@ Status DecodeObserveRequest(std::string_view payload, ObserveKind* kind,
         return r->ReadU64(request->trace_id);
       },
       &out);
-}
-
-std::string EncodeObserveResult(std::string_view body) {
-  Writer w;
-  w.WriteString(std::string(body));
-  return w.buffer();
-}
-
-Status DecodeObserveResult(std::string_view payload, std::string* out) {
-  return WrapReader(
-      payload, "OBSERVE_RESULT",
-      [](Reader* r, void* opaque) -> Status {
-        return r->ReadString(static_cast<std::string*>(opaque));
-      },
-      out);
 }
 
 // Health reports travel as the OBSERVE_RESULT body; the magic guards

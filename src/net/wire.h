@@ -15,7 +15,7 @@
 namespace gtpq {
 namespace net {
 
-/// "gtpq-wire v4": the length-prefixed binary protocol the network
+/// "gtpq-wire v5": the length-prefixed binary protocol the network
 /// front-end (net/server.h) speaks. Every frame is
 ///
 ///   u32 length       bytes that follow (header + payload + trailer),
@@ -38,9 +38,9 @@ namespace net {
 ///
 /// Request payloads:
 ///   HELLO          u32 magic "GTPW", u32 version
-///   QUERY          u64 result_limit, string query text
-///                  (query/query_parser.h line format)
 ///   BATCH          u64 result_limit, u32 count, count query strings
+///                  (query/query_parser.h line format); a single query
+///                  is a BATCH of one
 ///   APPLY_UPDATES  string "gtpq-updates v1" text (dynamic/update_io.h)
 ///   STATS          empty
 ///   PROBE          u8 direction (0 = does pivots[r] reach ids[c], 1 =
@@ -50,15 +50,13 @@ namespace net {
 ///                  router sends to each shard server once per set call
 ///                  (src/cluster/shard_router.h), or once per tile when
 ///                  the answer would not fit one frame (MaxProbeCells)
-///   OBSERVE        u8 kind (0 = Prometheus metrics, 1 = Chrome trace
-///                  JSON, 2 = slow-query log, 3 = binary metrics
-///                  snapshot, 4 = health report, 5 = binary span dump),
-///                  u64 trace-id filter (0 = every trace)
+///   OBSERVE        u8 kind (0 = slow-query log, 1 = binary metrics
+///                  snapshot, 2 = health report, 3 = binary span
+///                  groups), u64 trace-id filter (0 = every trace)
 ///
 /// Response payloads (type = request type | 0x80, or ERROR):
 ///   HELLO_OK       u32 magic, u32 version, u64 epoch, u64 graph nodes,
 ///                  string engine name
-///   RESULT         u64 epoch, QueryResult (EncodeQueryResult)
 ///   BATCH_RESULT   u64 epoch, u32 count, count QueryResults
 ///   APPLY_OK       u64 epoch, u64 batches applied
 ///   STATS_RESULT   ServingStats (EncodeServingStats): engine string,
@@ -68,14 +66,17 @@ namespace net {
 ///                  rows x cols answer matrix, row-major (bit r * cols + c
 ///                  answers (pivots[r], ids[c])), as a u8 POD vector of
 ///                  exactly (rows * cols + 7) / 8 bytes
-///   OBSERVE_RESULT string body (text exposition / JSON / log dump)
+///   OBSERVE_RESULT the export itself, verbatim: slow-query log text or
+///                  a binary export (the frame length delimits it)
 ///   ERROR          u8 StatusCode, string message
 inline constexpr uint32_t kWireMagic = 0x57505447;  // "GTPW" LE
 /// v3 moved the trace context into the frame header and gave every
 /// payload one fixed layout; v4 dropped the u32 lane budget from
-/// QUERY and BATCH. HELLO rejects any other version, so a peer never
-/// misreads a frame.
-inline constexpr uint32_t kWireVersion = 4;
+/// QUERY and BATCH; v5 dropped QUERY/RESULT (a BATCH of one says the
+/// same) and the rendered OBSERVE kinds (the client renders the binary
+/// exports). HELLO rejects any other version, so a peer never misreads
+/// a frame.
+inline constexpr uint32_t kWireVersion = 5;
 
 /// Frame bytes after the length prefix that are not payload: type +
 /// request id + trace context + crc trailer.
@@ -83,24 +84,22 @@ inline constexpr size_t kFrameOverhead = 1 + 8 + 16 + 4;
 
 enum class FrameType : uint8_t {
   kHello = 0x01,
-  kQuery = 0x02,
-  kBatch = 0x03,
-  kApplyUpdates = 0x04,
-  kStats = 0x05,
-  kProbe = 0x06,
-  kObserve = 0x07,
+  kBatch = 0x02,
+  kApplyUpdates = 0x03,
+  kStats = 0x04,
+  kProbe = 0x05,
+  kObserve = 0x06,
 
   kError = 0x7f,
   kHelloOk = 0x81,
-  kResult = 0x82,
-  kBatchResult = 0x83,
-  kApplyOk = 0x84,
-  kStatsResult = 0x85,
-  kProbeResult = 0x86,
-  kObserveResult = 0x87,
+  kBatchResult = 0x82,
+  kApplyOk = 0x83,
+  kStatsResult = 0x84,
+  kProbeResult = 0x85,
+  kObserveResult = 0x86,
 };
 
-/// True for the seven request (client -> server) frame types.
+/// True for the six request (client -> server) frame types.
 bool IsRequestType(uint8_t type);
 /// True for any frame type gtpq-wire defines.
 bool IsKnownType(uint8_t type);
@@ -168,13 +167,6 @@ struct HelloOk {
 std::string EncodeHelloOk(const HelloOk& hello);
 Status DecodeHelloOk(std::string_view payload, HelloOk* out);
 
-struct QueryRequest {
-  uint64_t result_limit = 0;
-  std::string text;
-};
-std::string EncodeQueryRequest(const QueryRequest& request);
-Status DecodeQueryRequest(std::string_view payload, QueryRequest* out);
-
 struct BatchRequest {
   uint64_t result_limit = 0;
   std::vector<std::string> texts;
@@ -183,12 +175,14 @@ std::string EncodeBatchRequest(const BatchRequest& request);
 Status DecodeBatchRequest(std::string_view payload, const WireLimits& limits,
                           BatchRequest* out);
 
-struct WireResult {
-  uint64_t epoch = 0;
-  QueryResult result;
+/// One query as a BATCH of one: the request NetClient::Query sends.
+/// Decoding rejects a BATCH that does not carry exactly one query.
+struct QueryRequest {
+  uint64_t result_limit = 0;
+  std::string text;
 };
-std::string EncodeResult(const WireResult& result);
-Status DecodeResult(std::string_view payload, WireResult* out);
+std::string EncodeQueryRequest(const QueryRequest& request);
+Status DecodeQueryRequest(std::string_view payload, QueryRequest* out);
 
 struct WireBatchResult {
   uint64_t epoch = 0;
@@ -196,6 +190,15 @@ struct WireBatchResult {
 };
 std::string EncodeBatchResult(const WireBatchResult& result);
 Status DecodeBatchResult(std::string_view payload, WireBatchResult* out);
+
+/// The answer to a BATCH of one, as a BATCH_RESULT payload; decoding
+/// rejects a BATCH_RESULT that does not carry exactly one result.
+struct WireResult {
+  uint64_t epoch = 0;
+  QueryResult result;
+};
+std::string EncodeResult(const WireResult& result);
+Status DecodeResult(std::string_view payload, WireResult* out);
 
 struct ApplyOk {
   uint64_t epoch = 0;
@@ -243,28 +246,23 @@ Status DecodeProbeResult(std::string_view payload, ProbeResult* out);
 uint64_t MaxProbeCells(const WireLimits& limits);
 size_t MaxProbeNodes(const WireLimits& limits);
 
-/// What an OBSERVE frame asks the server to export. The rendered kinds
-/// (kMetrics/kTrace) federate across the cluster when the serving
-/// oracle is an obs::ClusterObservable (the router); the binary kinds
-/// (kMetricsSnapshot/kSpans) are the member-side primitives that
-/// federation pulls; kHealth is always answered inline on the IO
-/// thread so it measures event-loop responsiveness itself.
+/// What an OBSERVE frame asks the server to export. Exports are data,
+/// not rendered text: gteactl renders kMetricsSnapshot as Prometheus
+/// text (obs::RenderPrometheusSnapshot) and kSpans as Chrome trace JSON
+/// (obs::RenderChromeTrace). Both federate across the cluster when the
+/// serving oracle is an obs::ClusterObservable (the router); kHealth is
+/// always answered inline on the IO thread so it measures event-loop
+/// responsiveness itself.
 enum class ObserveKind : uint8_t {
-  kMetrics = 0,          // Prometheus text exposition
-  kTrace = 1,            // Chrome trace-event JSON
-  kSlowlog = 2,          // slow-query log dump
-  kMetricsSnapshot = 3,  // binary registry snapshot (obs/federation.h)
-  kHealth = 4,           // binary HealthReport
-  kSpans = 5,            // binary span dump (obs/federation.h)
+  kSlowlog = 0,          // slow-query log dump
+  kMetricsSnapshot = 1,  // binary registry snapshot (obs/federation.h)
+  kHealth = 2,           // binary HealthReport
+  kSpans = 3,            // binary span groups (obs/federation.h)
 };
-/// A non-zero `trace_id` filters kTrace/kSpans exports to one trace.
+/// A non-zero `trace_id` filters kSpans exports to one trace.
 std::string EncodeObserveRequest(ObserveKind kind, uint64_t trace_id = 0);
 Status DecodeObserveRequest(std::string_view payload, ObserveKind* kind,
                             uint64_t* trace_id);
-
-/// OBSERVE_RESULT carries the rendered or binary export verbatim.
-std::string EncodeObserveResult(std::string_view body);
-Status DecodeObserveResult(std::string_view payload, std::string* out);
 
 /// Lightweight liveness report (OBSERVE kind = kHealth). Answered
 /// inline on the server's IO thread — a response proves the event loop

@@ -12,7 +12,8 @@ namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x4d505447;  // "GTPM"
 constexpr uint32_t kSpansMagic = 0x53505447;     // "GTPS"
-constexpr uint32_t kCodecVersion = 1;
+/// v2: span dumps carry per-process groups (v1: one flat list).
+constexpr uint32_t kCodecVersion = 2;
 
 /// Appends a CRC-32 over everything written so far.
 void SealCrc(storage::Writer* w) {
@@ -141,45 +142,58 @@ Status DecodeMetricsSnapshot(std::string_view bytes,
   return r.ExpectEnd();
 }
 
-std::string EncodeSpans(const std::vector<Span>& spans) {
+std::string EncodeSpans(const std::vector<ProcessSpans>& groups) {
   storage::Writer w;
   w.WriteU32(kSpansMagic);
   w.WriteU32(kCodecVersion);
-  w.WriteU64(spans.size());
-  for (const Span& span : spans) {
-    w.WriteU64(span.trace_id);
-    w.WriteU64(span.span_id);
-    w.WriteU64(span.parent_span);
-    w.WriteString(span.name);
-    w.WriteU64(std::bit_cast<uint64_t>(span.start_us));
-    w.WriteU64(std::bit_cast<uint64_t>(span.dur_us));
-    w.WriteU32(span.tid);
+  w.WriteU64(groups.size());
+  for (const ProcessSpans& group : groups) {
+    w.WriteString(group.process_name);
+    w.WriteU32(group.pid);
+    w.WriteU64(group.spans.size());
+    for (const Span& span : group.spans) {
+      w.WriteU64(span.trace_id);
+      w.WriteU64(span.span_id);
+      w.WriteU64(span.parent_span);
+      w.WriteString(span.name);
+      w.WriteU64(std::bit_cast<uint64_t>(span.start_us));
+      w.WriteU64(std::bit_cast<uint64_t>(span.dur_us));
+      w.WriteU32(span.tid);
+    }
   }
   SealCrc(&w);
   return w.buffer();
 }
 
-Status DecodeSpans(std::string_view bytes, std::vector<Span>* out) {
+Status DecodeSpans(std::string_view bytes, std::vector<ProcessSpans>* out) {
   std::string_view body;
   GTPQ_RETURN_NOT_OK(CheckCrcAndStrip(bytes, "span dump", &body));
   storage::Reader r(body);
   GTPQ_RETURN_NOT_OK(CheckHeader(&r, kSpansMagic, "span dump"));
-  uint64_t count = 0;
-  GTPQ_RETURN_NOT_OK(r.ReadU64(&count));
+  uint64_t num_groups = 0;
+  GTPQ_RETURN_NOT_OK(r.ReadU64(&num_groups));
   out->clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    Span span;
-    uint64_t start_bits = 0, dur_bits = 0;
-    GTPQ_RETURN_NOT_OK(r.ReadU64(&span.trace_id));
-    GTPQ_RETURN_NOT_OK(r.ReadU64(&span.span_id));
-    GTPQ_RETURN_NOT_OK(r.ReadU64(&span.parent_span));
-    GTPQ_RETURN_NOT_OK(r.ReadString(&span.name));
-    GTPQ_RETURN_NOT_OK(r.ReadU64(&start_bits));
-    GTPQ_RETURN_NOT_OK(r.ReadU64(&dur_bits));
-    GTPQ_RETURN_NOT_OK(r.ReadU32(&span.tid));
-    span.start_us = std::bit_cast<double>(start_bits);
-    span.dur_us = std::bit_cast<double>(dur_bits);
-    out->push_back(std::move(span));
+  for (uint64_t g = 0; g < num_groups; ++g) {
+    ProcessSpans group;
+    uint64_t count = 0;
+    GTPQ_RETURN_NOT_OK(r.ReadString(&group.process_name));
+    GTPQ_RETURN_NOT_OK(r.ReadU32(&group.pid));
+    GTPQ_RETURN_NOT_OK(r.ReadU64(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      Span span;
+      uint64_t start_bits = 0, dur_bits = 0;
+      GTPQ_RETURN_NOT_OK(r.ReadU64(&span.trace_id));
+      GTPQ_RETURN_NOT_OK(r.ReadU64(&span.span_id));
+      GTPQ_RETURN_NOT_OK(r.ReadU64(&span.parent_span));
+      GTPQ_RETURN_NOT_OK(r.ReadString(&span.name));
+      GTPQ_RETURN_NOT_OK(r.ReadU64(&start_bits));
+      GTPQ_RETURN_NOT_OK(r.ReadU64(&dur_bits));
+      GTPQ_RETURN_NOT_OK(r.ReadU32(&span.tid));
+      span.start_us = std::bit_cast<double>(start_bits);
+      span.dur_us = std::bit_cast<double>(dur_bits);
+      group.spans.push_back(std::move(span));
+    }
+    out->push_back(std::move(group));
   }
   return r.ExpectEnd();
 }

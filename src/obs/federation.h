@@ -15,7 +15,7 @@ namespace obs {
 
 /// Cross-process observability federation: binary codecs that carry a
 /// whole registry (full histogram buckets, not rendered text) or a span
-/// ring over the OBSERVE wire frame, plus the merge that folds N shard
+/// groups over the OBSERVE wire frame, plus the merge that folds N shard
 /// snapshots into one cluster view. Histogram merging is exact by the
 /// bucket-addition property of Histogram::Snapshot::Merge, so the
 /// cluster-level _count/_bucket series equal what one process recording
@@ -27,11 +27,13 @@ namespace obs {
 std::string EncodeMetricsSnapshot(const MetricsSnapshot& snapshot);
 Status DecodeMetricsSnapshot(std::string_view bytes, MetricsSnapshot* out);
 
-/// Binary span-dump codec ("GTPS" magic, same CRC framing) — the
-/// member-side export the router pulls to stitch one multi-process
-/// Chrome trace.
-std::string EncodeSpans(const std::vector<Span>& spans);
-Status DecodeSpans(std::string_view bytes, std::vector<Span>* out);
+/// Binary span-dump codec ("GTPS" magic, same CRC framing): span
+/// groups, one per process, each with its name and pid. A server
+/// exports its own ring as one group, a router the stitched groups of
+/// every process (ClusterObservable::CollectClusterSpans); the client
+/// renders them with RenderChromeTrace.
+std::string EncodeSpans(const std::vector<ProcessSpans>& groups);
+Status DecodeSpans(std::string_view bytes, std::vector<ProcessSpans>* out);
 
 /// One member's registry as scraped for a federated view.
 struct MemberSnapshot {
@@ -75,7 +77,7 @@ class ClusterObservable {
   /// skipped (the health gauges say why), never block the scrape.
   virtual Result<MetricsSnapshot> FederatedMetricsSnapshot() const = 0;
 
-  /// Pulls span rings from every member (filtered to `trace_id` when
+  /// Pulls span groups from every member (filtered to `trace_id` when
   /// non-zero) and groups them per process, self first, for the
   /// multi-process RenderChromeTrace.
   virtual Result<std::vector<ProcessSpans>> CollectClusterSpans(

@@ -385,9 +385,5 @@ std::string RenderPrometheusSnapshot(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-std::string Registry::RenderPrometheus() const {
-  return RenderPrometheusSnapshot(Snap());
-}
-
 }  // namespace obs
 }  // namespace gtpq

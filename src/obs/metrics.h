@@ -165,9 +165,6 @@ class Registry {
   /// Every registered series, copied under the registry lock.
   MetricsSnapshot Snap() const;
 
-  /// RenderPrometheusSnapshot(Snap()).
-  std::string RenderPrometheus() const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

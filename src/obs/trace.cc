@@ -178,9 +178,5 @@ std::string RenderChromeTrace(const std::vector<ProcessSpans>& processes) {
   return out;
 }
 
-std::string TraceRecorder::RenderChromeTrace() const {
-  return gtpq::obs::RenderChromeTrace({{"gtpq", 1, Spans()}});
-}
-
 }  // namespace obs
 }  // namespace gtpq

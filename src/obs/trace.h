@@ -138,10 +138,6 @@ class TraceRecorder {
   }
   void Clear();
 
-  /// Chrome trace-event JSON ("X" complete events; ts/dur in
-  /// microseconds, trace/span/parent ids in args).
-  std::string RenderChromeTrace() const;
-
   static constexpr size_t kCapacity = 4096;
 
  private:

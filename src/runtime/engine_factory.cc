@@ -112,28 +112,8 @@ Status SharedEngineFactory::ApplyUpdates(const UpdateBatch& batch) {
   // remembers this batch's removals (a tombstone is just an isolated
   // vertex in the materialized graph), so enforce the durable rule
   // here, uniformly for every engine spec.
-  if (!tombstones_.empty()) {
-    for (const EdgeRef& e : batch.add_edges) {
-      if (tombstones_.count(e.from) != 0 || tombstones_.count(e.to) != 0) {
-        return Status::FailedPrecondition(
-            "add_edge touches a removed vertex: (" +
-            std::to_string(e.from) + ", " + std::to_string(e.to) + ")");
-      }
-    }
-    for (const EdgeRef& e : batch.remove_edges) {
-      if (tombstones_.count(e.from) != 0 || tombstones_.count(e.to) != 0) {
-        return Status::FailedPrecondition(
-            "remove_edge touches a removed vertex: (" +
-            std::to_string(e.from) + ", " + std::to_string(e.to) + ")");
-      }
-    }
-    for (NodeId v : batch.remove_nodes) {
-      if (tombstones_.count(v) != 0) {
-        return Status::FailedPrecondition("vertex already removed: " +
-                                          std::to_string(v));
-      }
-    }
-  }
+  GTPQ_RETURN_NOT_OK(CheckRemovedVertices(
+      batch, [this](NodeId v) { return tombstones_.count(v) != 0; }));
 
   // Successor graph view: a one-batch delta materialized over the
   // current snapshot's DataGraph (shared attribute namespace, stable

@@ -52,20 +52,28 @@ class EngineSnapshot {
   std::shared_ptr<const ReachabilityOracle> oracle_;
 };
 
-/// Per-worker engine stamping for the serving runtime. MakeEngine()
-/// builds an index per call, which is exactly wrong for a thread pool:
-/// N workers would pay N index builds for one immutable artifact. This
-/// factory parses an engine spec once, builds the spec's shared
+/// The engine registry, and per-worker engine stamping for the serving
+/// runtime. Building an index per engine is exactly wrong for a thread
+/// pool: N workers would pay N index builds for one immutable artifact.
+/// This factory parses an engine spec once, builds the spec's shared
 /// immutable pieces once (reachability oracle, transitive closure,
 /// SSPI, interval index, region encoding — all read-only after
 /// construction, with thread-confined counters), and then stamps out
 /// cheap per-worker Evaluators that share them.
 ///
-/// Accepts every MakeEngine spec, including "gtea:<oracle-spec>" with
-/// sharded:/delta: decorator chains. Create() is safe to call
-/// from any thread; each returned Evaluator must stay thread-confined
-/// (the Evaluator contract says nothing about concurrent Evaluate calls
-/// on ONE instance — sharing happens at the oracle layer).
+/// Specs:
+///   gtea            GTEA on the default (contour) backend
+///   gtea:<spec>     GTEA on any reachability spec: a registered
+///                   backend name or a decorator chain
+///                   (e.g. gtea:interval, gtea:sharded:interval)
+///   naive           brute force over the transitive closure
+///   twigstack, twig2stack, twigstackd, hgjoin+, hgjoin*
+///   decompose:<engine-spec>
+/// Twig engines get no decomposition points (construct TwigStackEngine
+/// directly to seed them). Create() is safe to call from any thread;
+/// each returned Evaluator must stay thread-confined (the Evaluator
+/// contract says nothing about concurrent Evaluate calls on ONE
+/// instance — sharing happens at the oracle layer).
 ///
 /// The factory is also the write side of dynamic serving: ApplyUpdates
 /// folds an UpdateBatch into a NEW EngineSnapshot and installs it

@@ -300,8 +300,8 @@ TEST(ProbeCodecTest, RejectsMalformedFrames) {
   w.WritePodVec(std::vector<uint8_t>{0xff});
   EXPECT_FALSE(net::DecodeProbeResult(w.buffer(), &out).ok());
 
-  // A v1, v2 or v3 peer fails at HELLO instead of misreading a frame.
-  for (const uint32_t version : {1u, 2u, 3u}) {
+  // A v1-v4 peer fails at HELLO instead of misreading a frame.
+  for (const uint32_t version : {1u, 2u, 3u, 4u}) {
     storage::Writer hello;
     hello.WriteU32(net::kWireMagic);
     hello.WriteU32(version);
@@ -628,11 +628,13 @@ TEST(ShardRouterTest, TracedProbeRecordsShardChildSpans) {
         << "serve span not parented under a router probe span";
   }
 
-  // The router's Chrome-trace export carries the trace id.
+  // The router's Chrome-trace rendering carries the trace id.
   char hex[32];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(trace));
-  EXPECT_NE(recorder.RenderChromeTrace().find(hex), std::string::npos);
+  EXPECT_NE(obs::RenderChromeTrace({{"router", 1, recorder.Spans()}})
+                .find(hex),
+            std::string::npos);
 
   // Untraced probes stay out of the ring entirely.
   const uint64_t before = recorder.total_recorded();
@@ -712,8 +714,7 @@ TEST(ShardRouterTest, FederatedSnapshotAndStitchedClusterTrace) {
 
   // Stitched cluster trace: one traced probe, then pull spans from
   // every process. Four groups (router + 3 shards) with distinct pids,
-  // rendered as ONE Chrome trace with a process_name metadata event
-  // per group.
+  // which RenderChromeTrace draws as four process tracks.
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   const uint64_t trace = obs::NewTraceId();
   {
@@ -733,17 +734,34 @@ TEST(ShardRouterTest, FederatedSnapshotAndStitchedClusterTrace) {
   std::sort(pids.begin(), pids.end());
   EXPECT_EQ(pids, (std::vector<uint32_t>{1, 2, 3, 4}));
 
-  const std::string json = obs::RenderChromeTrace(*groups);
-  size_t metadata_events = 0;
-  for (size_t pos = json.find("\"ph\":\"M\""); pos != std::string::npos;
-       pos = json.find("\"ph\":\"M\"", pos + 1)) {
-    ++metadata_events;
+  // Behind a NetServer (what `gteactl route` runs), the router's
+  // kSpans export carries the same four groups and kMetricsSnapshot
+  // the federated registry.
+  std::string spec = "gtea:cluster:" + cluster.art.map_path + "@";
+  for (const auto& server : cluster.servers) {
+    spec += "127.0.0.1:" + std::to_string(server->port()) + ",";
   }
-  EXPECT_EQ(metadata_events, 4u);
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(trace));
-  EXPECT_NE(json.find(hex), std::string::npos);
+  spec.pop_back();
+  net::NetServerOptions options;
+  options.runtime.num_threads = 1;
+  options.runtime.engine_spec = spec;
+  net::NetServer route(cluster.g, options);
+  START_OR_SKIP(route);
+  net::NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", route.port()).ok());
+  const auto exported = client.Spans(trace);
+  ASSERT_TRUE(exported.ok()) << exported.status().ToString();
+  ASSERT_EQ(exported->size(), groups->size());
+  for (size_t i = 0; i < groups->size(); ++i) {
+    EXPECT_EQ((*exported)[i].process_name, (*groups)[i].process_name);
+    EXPECT_EQ((*exported)[i].pid, (*groups)[i].pid);
+    EXPECT_EQ((*exported)[i].spans.size(), (*groups)[i].spans.size());
+  }
+  const auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(obs::RenderPrometheusSnapshot(*metrics).find(
+                "gtpq_queries_total{shard=\"0\"}"),
+            std::string::npos);
 }
 
 TEST(ShardRouterTest, HealthProberDemotesDeadShardAndFederationSkipsIt) {

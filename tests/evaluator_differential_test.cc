@@ -11,6 +11,7 @@
 #include "core/gtea.h"
 #include "graph/generators.h"
 #include "query/query_generator.h"
+#include "runtime/engine_factory.h"
 #include "tests/test_util.h"
 
 namespace gtpq {
@@ -94,8 +95,9 @@ INSTANTIATE_TEST_SUITE_P(
 // twigstackd, hgjoin) agree on conjunctive queries.
 TEST(MakeEngineTest, GraphExactEnginesAgree) {
   DataGraph g = SmallDag();
-  auto reference = MakeEngine("naive", g);
-  ASSERT_NE(reference, nullptr);
+  auto naive = SharedEngineFactory::Make("naive", g);
+  ASSERT_NE(naive, nullptr);
+  auto reference = naive->Create();
 
   QueryGenOptions qo;
   qo.num_nodes = 4;
@@ -110,9 +112,9 @@ TEST(MakeEngineTest, GraphExactEnginesAgree) {
          {"gtea", "gtea:three_hop", "gtea:interval", "gtea:chain_cover",
           "gtea:transitive_closure", "gtea:sspi", "twigstackd", "hgjoin+",
           "hgjoin*"}) {
-      auto engine = MakeEngine(spec, g);
-      ASSERT_NE(engine, nullptr) << spec;
-      EXPECT_EQ(engine->Evaluate(*q), expected)
+      auto factory = SharedEngineFactory::Make(spec, g);
+      ASSERT_NE(factory, nullptr) << spec;
+      EXPECT_EQ(factory->Create()->Evaluate(*q), expected)
           << spec << " disagrees with naive on seed " << seed;
     }
   }
@@ -127,13 +129,16 @@ TEST(MakeEngineTest, ResultLimitHonoredAcrossEngines) {
   qo.seed = 2;
   auto q = GenerateRandomQueryWithRetry(g, qo);
   ASSERT_TRUE(q.has_value());
-  auto full = MakeEngine("naive", g)->Evaluate(*q);
+  auto naive = SharedEngineFactory::Make("naive", g);
+  ASSERT_NE(naive, nullptr);
+  auto full = naive->Create()->Evaluate(*q);
   ASSERT_GT(full.tuples.size(), 1u) << "query too selective for the test";
   GteaOptions capped;
   capped.result_limit = 1;
   for (const char* spec : {"gtea", "naive", "twigstackd", "hgjoin+"}) {
-    auto engine = MakeEngine(spec, g);
-    auto limited = engine->Evaluate(*q, capped);
+    auto factory = SharedEngineFactory::Make(spec, g);
+    ASSERT_NE(factory, nullptr) << spec;
+    auto limited = factory->Create()->Evaluate(*q, capped);
     ASSERT_EQ(limited.tuples.size(), 1u) << spec;
     EXPECT_TRUE(std::find(full.tuples.begin(), full.tuples.end(),
                           limited.tuples[0]) != full.tuples.end())
@@ -146,12 +151,12 @@ TEST(MakeEngineTest, ResolvesAllSpecsAndRejectsUnknown) {
   for (const char* spec :
        {"gtea", "naive", "twigstack", "twig2stack", "twigstackd",
         "hgjoin+", "hgjoin*", "decompose:twigstackd"}) {
-    auto engine = MakeEngine(spec, g);
-    ASSERT_NE(engine, nullptr) << spec;
-    EXPECT_FALSE(std::string(engine->name()).empty());
+    auto factory = SharedEngineFactory::Make(spec, g);
+    ASSERT_NE(factory, nullptr) << spec;
+    EXPECT_FALSE(std::string(factory->Create()->name()).empty());
   }
-  EXPECT_EQ(MakeEngine("no_such_engine", g), nullptr);
-  EXPECT_EQ(MakeEngine("gtea:no_such_backend", g), nullptr);
+  EXPECT_EQ(SharedEngineFactory::Make("no_such_engine", g), nullptr);
+  EXPECT_EQ(SharedEngineFactory::Make("gtea:no_such_backend", g), nullptr);
 }
 
 }  // namespace

@@ -370,8 +370,9 @@ TEST(FileSpecTest, GteaOverLoadedIndexMatchesNaive) {
   ASSERT_TRUE(
       storage::SaveReachabilityIndex(*built, g.graph(), path).ok());
 
-  auto engine = MakeEngine("gtea:file:" + path, g);
-  ASSERT_NE(engine, nullptr);
+  auto factory = SharedEngineFactory::Make("gtea:file:" + path, g);
+  ASSERT_NE(factory, nullptr);
+  auto engine = factory->Create();
   BruteForceEngine naive(g);
   int evaluated = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {

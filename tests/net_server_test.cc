@@ -62,8 +62,6 @@ TEST(WireCodecTest, FrameRoundTripsEveryType) {
     std::string payload;
   } cases[] = {
       {FrameType::kHello, net::EncodeHello()},
-      {FrameType::kQuery,
-       net::EncodeQueryRequest({42, "backbone a root *\n"})},
       {FrameType::kBatch,
        net::EncodeBatchRequest({7, {"q0\n", "q1\n", ""}})},
       {FrameType::kApplyUpdates, "gtpq-updates v1\naddedge 0 1\n"},
@@ -72,7 +70,6 @@ TEST(WireCodecTest, FrameRoundTripsEveryType) {
        net::EncodeError(Status::InvalidArgument("boom"))},
       {FrameType::kHelloOk,
        net::EncodeHelloOk({3, 999, "gtea[contour]"})},
-      {FrameType::kResult, net::EncodeResult({5, {{0, 2}, {{1, 4}}}})},
       {FrameType::kBatchResult,
        net::EncodeBatchResult({6, {{{0}, {{1}, {2}}}, {{1}, {}}}})},
       {FrameType::kApplyOk, net::EncodeApplyOk({9, 4})},
@@ -130,32 +127,12 @@ TEST(WireCodecTest, PayloadCodecsRoundTrip) {
   EXPECT_EQ(hello2.graph_nodes, 1234u);
   EXPECT_EQ(hello2.engine, "gtea[delta:contour]");
 
-  net::QueryRequest query{64, "backbone a root *\nattr a label=3\n"};
-  net::QueryRequest query2;
-  ASSERT_TRUE(
-      net::DecodeQueryRequest(net::EncodeQueryRequest(query), &query2)
-          .ok());
-  EXPECT_EQ(query2.result_limit, 64u);
-  EXPECT_EQ(query2.text, query.text);
-  // v4 layout: u64 result_limit, string text, nothing after.
-  storage::Writer query_layout;
-  query_layout.WriteU64(64);
-  query_layout.WriteString(query.text);
-  EXPECT_EQ(net::EncodeQueryRequest(query), query_layout.buffer());
-
   net::BatchRequest batch{0, {"a\n", "b\n"}};
   net::BatchRequest batch2;
   ASSERT_TRUE(net::DecodeBatchRequest(net::EncodeBatchRequest(batch), {},
                                       &batch2)
                   .ok());
   EXPECT_EQ(batch2.texts, batch.texts);
-  // v4 layout: u64 result_limit, u32 count, the strings, nothing after.
-  storage::Writer batch_layout;
-  batch_layout.WriteU64(0);
-  batch_layout.WriteU32(2);
-  batch_layout.WriteString("a\n");
-  batch_layout.WriteString("b\n");
-  EXPECT_EQ(net::EncodeBatchRequest(batch), batch_layout.buffer());
   // Batch count above the limit is an admission error, not a crash.
   net::WireLimits tiny;
   tiny.max_batch_queries = 1;
@@ -163,12 +140,6 @@ TEST(WireCodecTest, PayloadCodecsRoundTrip) {
                                     &batch2)
                 .code(),
             StatusCode::kInvalidArgument);
-
-  net::WireResult result{3, {{1, 5}, {{2, 7}, {4, 9}}}};
-  net::WireResult result2;
-  ASSERT_TRUE(net::DecodeResult(net::EncodeResult(result), &result2).ok());
-  EXPECT_EQ(result2.epoch, 3u);
-  EXPECT_EQ(result2.result, result.result);
 
   net::WireBatchResult batch_result{
       2, {{{0}, {{3}}}, {{0, 1}, {{4, 5}, {6, 7}}}}};
@@ -184,6 +155,52 @@ TEST(WireCodecTest, PayloadCodecsRoundTrip) {
       net::DecodeError(net::EncodeError(Status::NotFound("gone")));
   EXPECT_EQ(carried.code(), StatusCode::kNotFound);
   EXPECT_EQ(carried.message(), "gone");
+}
+
+// gtpq-wire v5 sends one query as a BATCH of one, pinned byte for byte:
+// frame length, the header, u64 result_limit, u32 count = 1, the
+// u32-length-prefixed text, then the CRC-32 of everything after the
+// length. Its answer is a BATCH_RESULT of one, and the one-query
+// decoders reject any other count.
+TEST(WireCodecTest, OneQueryBatchKeepsTheV5Layout) {
+  const std::vector<uint8_t> body = {
+      0x02,                         // type: BATCH
+      7, 0, 0, 0, 0, 0, 0, 0,       // request id
+      0x11, 0, 0, 0, 0, 0, 0, 0,    // trace id
+      0x22, 0, 0, 0, 0, 0, 0, 0,    // parent span
+      64, 0, 0, 0, 0, 0, 0, 0,      // result limit
+      1, 0, 0, 0,                   // one query
+      2, 0, 0, 0, 'q', '\n',        // its text
+  };
+  const uint32_t crc = storage::Crc32(body.data(), body.size());
+  std::string expected = {47, 0, 0, 0};  // length: body + CRC
+  expected.append(body.begin(), body.end());
+  for (int shift = 0; shift < 32; shift += 8) {
+    expected.push_back(static_cast<char>(crc >> shift));
+  }
+  std::string frame;
+  net::EncodeFrame(FrameType::kBatch, 7, {0x11, 0x22},
+                   net::EncodeQueryRequest({64, "q\n"}), &frame);
+  EXPECT_EQ(frame, expected);
+
+  const net::WireResult result{5, {{0, 2}, {{1, 4}}}};
+  EXPECT_EQ(net::EncodeResult(result),
+            net::EncodeBatchResult({5, {result.result}}));
+
+  net::QueryRequest query;
+  net::WireResult one;
+  for (const size_t n : {0, 2}) {
+    EXPECT_EQ(net::DecodeQueryRequest(
+                  net::EncodeBatchRequest({0, std::vector<std::string>(n)}),
+                  &query)
+                  .code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(net::DecodeResult(net::EncodeBatchResult(
+                                    {5, std::vector<QueryResult>(n)}),
+                                &one)
+                  .code(),
+              StatusCode::kParseError);
+  }
 }
 
 // Every payload has exactly one layout: each strict prefix of an
@@ -203,11 +220,6 @@ TEST(WireCodecTest, FixedLayoutsRejectPrefixesAndTrailingBytes) {
     std::string payload;
     Status (*decode)(std::string_view);
   } cases[] = {
-      {"QUERY", net::EncodeQueryRequest({42, "backbone a root *\n"}),
-       [](std::string_view p) {
-         net::QueryRequest out;
-         return net::DecodeQueryRequest(p, &out);
-       }},
       {"BATCH", net::EncodeBatchRequest({7, {"q0\n", "q1\n"}}),
        [](std::string_view p) {
          net::BatchRequest out;
@@ -228,11 +240,6 @@ TEST(WireCodecTest, FixedLayoutsRejectPrefixesAndTrailingBytes) {
        [](std::string_view p) {
          ServingStats out;
          return net::DecodeServingStats(p, &out);
-       }},
-      {"RESULT", net::EncodeResult({5, {{0, 2}, {{1, 4}}}}),
-       [](std::string_view p) {
-         net::WireResult out;
-         return net::DecodeResult(p, &out);
        }},
       {"BATCH_RESULT",
        net::EncodeBatchResult({6, {{{0}, {{1}, {2}}}, {{1}, {}}}}),
@@ -304,8 +311,7 @@ TEST(WireCodecTest, ProbeLimitsMatchTheEncoder) {
 
 TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
   for (net::ObserveKind kind :
-       {net::ObserveKind::kMetrics, net::ObserveKind::kTrace,
-        net::ObserveKind::kSlowlog, net::ObserveKind::kMetricsSnapshot,
+       {net::ObserveKind::kSlowlog, net::ObserveKind::kMetricsSnapshot,
         net::ObserveKind::kHealth, net::ObserveKind::kSpans}) {
     net::ObserveKind out;
     uint64_t filter = 7;
@@ -315,14 +321,17 @@ TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
     EXPECT_EQ(out, kind);
     EXPECT_EQ(filter, 0u);
   }
-  {
+  // Every kind past kSpans (v4's rendered kinds sat there) is rejected.
+  for (int raw = static_cast<int>(net::ObserveKind::kSpans) + 1; raw < 256;
+       ++raw) {
     storage::Writer w;
-    w.WriteU8(6);  // out of range
+    w.WriteU8(static_cast<uint8_t>(raw));
     w.WriteU64(0);
     net::ObserveKind out;
     uint64_t filter = 0;
     EXPECT_EQ(net::DecodeObserveRequest(w.buffer(), &out, &filter).code(),
-              StatusCode::kParseError);
+              StatusCode::kParseError)
+        << raw;
   }
   {
     // The trace-id filter round-trips.
@@ -334,12 +343,6 @@ TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
     EXPECT_EQ(out, net::ObserveKind::kSpans);
     EXPECT_EQ(filter, 0xabcdefu);
   }
-  const std::string body = "# TYPE x counter\nx 1\n";
-  std::string body2;
-  ASSERT_TRUE(
-      net::DecodeObserveResult(net::EncodeObserveResult(body), &body2)
-          .ok());
-  EXPECT_EQ(body2, body);
   EXPECT_TRUE(net::IsRequestType(
       static_cast<uint8_t>(FrameType::kObserve)));
   EXPECT_FALSE(net::IsRequestType(
@@ -376,9 +379,10 @@ TEST(WireCodecTest, HealthReportRoundTripAndValidate) {
   EXPECT_FALSE(net::DecodeHealthReport(wrong, &junk).ok());
 }
 
-// The STATS_RESULT payload is gtpq-wire v4's fixed layout, pinned
-// byte for byte: engine, the five serving counters, the four work
-// counters, busy ms, then the six stage timings in pipeline order.
+// The STATS_RESULT payload is gtpq-wire's fixed layout (unchanged in
+// v5), pinned byte for byte: engine, the five serving counters, the
+// four work counters, busy ms, then the six stage timings in pipeline
+// order.
 TEST(WireCodecTest, ServingStatsKeepsTheV4Layout) {
   ServingStats stats;
   stats.engine = "gtea[contour]";
@@ -596,7 +600,7 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   {
     const obs::ScopedTraceContext traced({trace_id, 1});
     for (const std::string& text : texts) {
-      auto id = client.SendQuery(text);
+      auto id = client.SendBatch({text});
       ASSERT_TRUE(id.ok()) << id.status().ToString();
       ids.push_back(*id);
     }
@@ -604,7 +608,7 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   // Collect in reverse order to exercise response parking.
   for (size_t i = ids.size(); i-- > 0;) {
     auto payload =
-        client.WaitForResponse(ids[i], FrameType::kResult);
+        client.WaitForResponse(ids[i], FrameType::kBatchResult);
     ASSERT_TRUE(payload.ok()) << payload.status().ToString();
     net::WireResult result;
     ASSERT_TRUE(net::DecodeResult(*payload, &result).ok());
@@ -617,25 +621,6 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   }();
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->results.size(), texts.size());
-
-  // METRICS: parses as Prometheus exposition and shows the load.
-  auto metrics = client.Observe(net::ObserveKind::kMetrics);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_NE(metrics->find("# TYPE gtpq_queries_total counter"),
-            std::string::npos);
-  EXPECT_NE(metrics->find("gtpq_batch_latency_us_bucket"),
-            std::string::npos);
-  EXPECT_NE(metrics->find("gtpq_connections_total"), std::string::npos);
-
-  // TRACE: the dispatch/evaluate spans of our trace id are in the dump.
-  auto trace = client.Observe(net::ObserveKind::kTrace);
-  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(trace_id));
-  EXPECT_NE(trace->find(hex), std::string::npos);
-  EXPECT_NE(trace->find("\"name\":\"dispatch\""), std::string::npos);
-  EXPECT_NE(trace->find("\"name\":\"evaluate\""), std::string::npos);
 
   // SLOWLOG: renders (the worst of this tiny load is still a query).
   auto slowlog = client.Observe(net::ObserveKind::kSlowlog);
@@ -657,21 +642,20 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   EXPECT_GE(health->uptime_seconds, 0.0);
   EXPECT_FALSE(health->engine.empty());
 
-  // Binary METRICS_SNAPSHOT: decodes to the same series the text
-  // exposition rendered, with full histogram buckets.
-  auto snap_body = client.Observe(net::ObserveKind::kMetricsSnapshot);
-  ASSERT_TRUE(snap_body.ok()) << snap_body.status().ToString();
-  obs::MetricsSnapshot snapshot;
-  ASSERT_TRUE(obs::DecodeMetricsSnapshot(*snap_body, &snapshot).ok());
+  // METRICS: the binary snapshot shows the load, with full histogram
+  // buckets (gteactl renders it as Prometheus text).
+  auto snapshot = client.Metrics();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   const auto counter_value = [&snapshot](const std::string& name) {
-    for (const auto& [n, v] : snapshot.counters) {
+    for (const auto& [n, v] : snapshot->counters) {
       if (n == name) return v;
     }
     return uint64_t{0};
   };
   EXPECT_GE(counter_value("gtpq_queries_total"), texts.size());
+  EXPECT_GT(counter_value("gtpq_connections_total"), 0u);
   bool found_latency = false;
-  for (const auto& [n, h] : snapshot.histograms) {
+  for (const auto& [n, h] : snapshot->histograms) {
     if (n == "gtpq_query_latency_us") {
       found_latency = true;
       EXPECT_GE(h.TotalCount(), texts.size());
@@ -679,12 +663,13 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   }
   EXPECT_TRUE(found_latency);
 
-  // Binary SPANS with the trace-id filter: only our trace comes back.
-  auto spans_body =
-      client.Observe(net::ObserveKind::kSpans, trace_id);
-  ASSERT_TRUE(spans_body.ok()) << spans_body.status().ToString();
-  std::vector<obs::Span> spans;
-  ASSERT_TRUE(obs::DecodeSpans(*spans_body, &spans).ok());
+  // SPANS with the trace-id filter: one group for this process, holding
+  // only our trace.
+  auto groups = client.Spans(trace_id);
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups->size(), 1u);
+  EXPECT_EQ((*groups)[0].process_name, "gtpq");
+  const std::vector<obs::Span>& spans = (*groups)[0].spans;
   ASSERT_FALSE(spans.empty());
   size_t dispatch_spans = 0;
   for (const obs::Span& span : spans) {
@@ -695,7 +680,7 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
       ++dispatch_spans;
     }
   }
-  // One per traced QUERY plus the traced BATCH.
+  // One per traced single query plus the traced BATCH.
   EXPECT_EQ(dispatch_spans, texts.size() + 1);
 
   server.Stop();
@@ -765,12 +750,12 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
   net::NetServer server(g, options);
   START_OR_SKIP(server);
 
-  // QUERY before HELLO: typed error, connection stays open.
+  // BATCH before HELLO: typed error, connection stays open.
   {
     RawConn conn(server.port());
     ASSERT_TRUE(conn.connected());
     std::string bytes;
-    net::EncodeFrame(FrameType::kQuery, 9, {},
+    net::EncodeFrame(FrameType::kBatch, 9, {},
                      net::EncodeQueryRequest({0, "backbone a root *\n"}),
                      &bytes);
     conn.Send(bytes);
@@ -795,7 +780,7 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
     RawConn conn(server.port());
     ASSERT_TRUE(conn.connected());
     std::string bytes;
-    net::EncodeFrame(FrameType::kResult, 3, {}, "", &bytes);
+    net::EncodeFrame(FrameType::kBatchResult, 3, {}, "", &bytes);
     conn.Send(bytes);
     auto frame = conn.ReadFrame();
     ASSERT_TRUE(frame.ok());
@@ -859,13 +844,13 @@ TEST(NetServerTest, AdmissionControlRejectsWithTypedErrors) {
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   constexpr size_t kSends = 8;
   for (size_t i = 0; i < kSends; ++i) {
-    ASSERT_TRUE(client.SendQuery(texts[0]).ok());
+    ASSERT_TRUE(client.SendBatch({texts[0]}).ok());
   }
   size_t ok_count = 0, rejected = 0;
   for (size_t i = 0; i < kSends; ++i) {
     auto frame = client.Receive();
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    if (frame->type == FrameType::kResult) {
+    if (frame->type == FrameType::kBatchResult) {
       ++ok_count;
     } else {
       ASSERT_EQ(frame->type, FrameType::kError);
@@ -945,7 +930,11 @@ TEST(NetServerTest, OverLimitInlineResponseIsATypedError) {
   net::NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), options.limits).ok());
   ASSERT_TRUE(client.Query(text).ok());
-  auto metrics = client.Observe(net::ObserveKind::kMetrics);
+  // The metrics snapshot is the over-limit answer: one series name
+  // longer than the frame limit guarantees it.
+  obs::Registry::Global().GetCounter(
+      "gtpq_test_" + std::string(options.limits.max_frame_bytes, 'x'));
+  auto metrics = client.Metrics();
   EXPECT_EQ(metrics.status().code(), StatusCode::kOutOfRange)
       << metrics.status().ToString();
   auto again = client.Query(text);
@@ -993,7 +982,7 @@ TEST(NetServerTest, EightPipelinedClientsMatchInProcessServer) {
       while (done < total) {
         while (sent < total && pending.size() < kPipeline) {
           const size_t index = (sent * (c + 1)) % texts.size();
-          auto id = client.SendQuery(texts[index]);
+          auto id = client.SendBatch({texts[index]});
           if (!id.ok()) {
             ++failures;
             return;
@@ -1002,7 +991,7 @@ TEST(NetServerTest, EightPipelinedClientsMatchInProcessServer) {
           ++sent;
         }
         auto frame = client.Receive();
-        if (!frame.ok() || frame->type != FrameType::kResult) {
+        if (!frame.ok() || frame->type != FrameType::kBatchResult) {
           ++failures;
           return;
         }

@@ -159,7 +159,7 @@ TEST(RegistryTest, PrometheusRenderIsWellFormed) {
   registry.GetCounter("gtpq_test_render_labeled_total{shard=\"1\"}")
       ->Add(7);
 
-  const std::string text = registry.RenderPrometheus();
+  const std::string text = RenderPrometheusSnapshot(registry.Snap());
 
   // Every non-comment line is `name[{labels}] value`; every series is
   // preceded by exactly one TYPE line for its family.
@@ -221,7 +221,7 @@ TEST(RegistryTest, LabelValuesEscapeOnRender) {
   EXPECT_TRUE(IsValidSeriesName(name));
   Registry& registry = Registry::Global();
   registry.GetCounter(name)->Add(2);
-  const std::string text = registry.RenderPrometheus();
+  const std::string text = RenderPrometheusSnapshot(registry.Snap());
   // Rendered escaped — one line, no raw newline or bare quote breaks
   // the exposition grammar.
   EXPECT_NE(
@@ -293,30 +293,39 @@ TEST(FederationTest, SnapshotCodecRoundTripsEverySeriesType) {
   EXPECT_EQ(out.histograms[1].second.TotalCount(), 0u);
 }
 
-TEST(FederationTest, SnapshotCodecRejectsTruncationAndCorruption) {
+// Both federation codecs end in a CRC-32 over everything before it, so
+// no prefix of a valid encoding and no single bit flip decodes.
+template <typename T>
+void ExpectDamageRejected(const std::string& bytes,
+                          Status (*decode)(std::string_view, T*)) {
+  T out;
+  ASSERT_TRUE(decode(bytes, &out).ok());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(decode(bytes.substr(0, cut), &out).ok())
+        << "prefix of " << cut << " bytes decoded";
+  }
+  for (size_t i = 0; i < bytes.size(); i += 7) {
+    std::string corrupt = bytes;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x20);
+    EXPECT_FALSE(decode(corrupt, &out).ok())
+        << "bit flip at byte " << i << " decoded";
+  }
+}
+
+TEST(FederationTest, CodecsRejectTruncationAndCorruption) {
   MetricsSnapshot snapshot;
   snapshot.counters.emplace_back("gtpq_a_total", 1);
   Histogram h;
   h.Record(42);
   snapshot.histograms.emplace_back("gtpq_lat_us", h.Snap());
-  const std::string bytes = EncodeMetricsSnapshot(snapshot);
-
-  // Truncation at EVERY byte boundary is rejected (the trailing CRC
-  // guarantees no prefix of a valid encoding validates).
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    MetricsSnapshot out;
-    EXPECT_FALSE(
-        DecodeMetricsSnapshot(bytes.substr(0, cut), &out).ok())
-        << "prefix of " << cut << " bytes decoded";
-  }
-  // So is any single bit flip.
-  for (size_t i = 0; i < bytes.size(); i += 7) {
-    std::string corrupt = bytes;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x20);
-    MetricsSnapshot out;
-    EXPECT_FALSE(DecodeMetricsSnapshot(corrupt, &out).ok())
-        << "bit flip at byte " << i << " decoded";
-  }
+  ExpectDamageRejected(EncodeMetricsSnapshot(snapshot),
+                       DecodeMetricsSnapshot);
+  Span span;
+  span.trace_id = 0xabc;
+  span.name = "dispatch";
+  ExpectDamageRejected(
+      EncodeSpans({{"router", 1, {span}}, {"shard 0", 2, {span, span}}}),
+      DecodeSpans);
 }
 
 TEST(FederationTest, ShardLabelInjection) {
@@ -436,8 +445,7 @@ TEST(FederationTest, MergedShardSnapshotsEqualOneProcess) {
             std::string::npos);
 }
 
-TEST(FederationTest, SpanCodecRoundTripsAndRejectsTruncation) {
-  std::vector<Span> spans;
+TEST(FederationTest, SpanCodecRoundTripsProcessGroups) {
   Span a;
   a.trace_id = 0xdeadbeefcafe1234ull;
   a.span_id = 0x1111;
@@ -453,35 +461,30 @@ TEST(FederationTest, SpanCodecRoundTripsAndRejectsTruncation) {
   b.name = "probe shard=1";
   b.start_us = 12;
   b.dur_us = 80;
-  spans.push_back(a);
-  spans.push_back(b);
+  // A shard with no matching spans still exports its (empty) group.
+  const std::vector<ProcessSpans> groups = {
+      {"router", 1, {a, b}}, {"shard 0 (127.0.0.1:7501)", 2, {}}};
 
-  const std::string bytes = EncodeSpans(spans);
-  std::vector<Span> out;
-  ASSERT_TRUE(DecodeSpans(bytes, &out).ok());
+  std::vector<ProcessSpans> out;
+  ASSERT_TRUE(DecodeSpans(EncodeSpans(groups), &out).ok());
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].trace_id, a.trace_id);
-  EXPECT_EQ(out[0].span_id, a.span_id);
-  EXPECT_EQ(out[0].name, "route query");
-  EXPECT_EQ(out[0].start_us, 10.5);  // bit-exact via bit_cast framing
-  EXPECT_EQ(out[0].dur_us, 250.25);
-  EXPECT_EQ(out[0].tid, 3u);
-  EXPECT_EQ(out[1].parent_span, 0x1111u);
+  EXPECT_EQ(out[0].process_name, "router");
+  EXPECT_EQ(out[0].pid, 1u);
+  ASSERT_EQ(out[0].spans.size(), 2u);
+  EXPECT_EQ(out[0].spans[0].trace_id, a.trace_id);
+  EXPECT_EQ(out[0].spans[0].span_id, a.span_id);
+  EXPECT_EQ(out[0].spans[0].name, "route query");
+  EXPECT_EQ(out[0].spans[0].start_us, 10.5);  // bit-exact via bit_cast
+  EXPECT_EQ(out[0].spans[0].dur_us, 250.25);
+  EXPECT_EQ(out[0].spans[0].tid, 3u);
+  EXPECT_EQ(out[0].spans[1].parent_span, 0x1111u);
+  EXPECT_EQ(out[1].process_name, "shard 0 (127.0.0.1:7501)");
+  EXPECT_EQ(out[1].pid, 2u);
+  EXPECT_TRUE(out[1].spans.empty());
 
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::vector<Span> rejected;
-    EXPECT_FALSE(DecodeSpans(bytes.substr(0, cut), &rejected).ok())
-        << "prefix of " << cut << " bytes decoded";
-  }
-  std::string corrupt = bytes;
-  corrupt[bytes.size() / 2] ^= 0x01;
-  std::vector<Span> rejected;
-  EXPECT_FALSE(DecodeSpans(corrupt, &rejected).ok());
-
-  // Empty dumps are legal (shard with no matching spans).
-  std::vector<Span> none;
-  ASSERT_TRUE(DecodeSpans(EncodeSpans({}), &none).ok());
-  EXPECT_TRUE(none.empty());
+  // No groups at all is legal too.
+  ASSERT_TRUE(DecodeSpans(EncodeSpans({}), &out).ok());
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(FederationTest, MultiProcessChromeTraceStitching) {
@@ -569,7 +572,8 @@ TEST(TraceTest, RecorderKeepsTraceSpansAndDropsUntraced) {
   EXPECT_EQ(spans[1].parent_span, root);
   EXPECT_EQ(recorder.Spans().size(), 2u);
 
-  const std::string json = recorder.RenderChromeTrace();
+  const std::string json =
+      RenderChromeTrace({{"gtpq", 1, recorder.Spans()}});
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_EQ(json.substr(json.size() - 2), "]}");
   EXPECT_NE(json.find("\"name\":\"root\""), std::string::npos);

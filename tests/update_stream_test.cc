@@ -486,11 +486,13 @@ TEST(DeltaOverlayTest, RetiredVerticesStayDeadAcrossCompactionAndReload) {
   ASSERT_TRUE(compacted.ok());
   EXPECT_EQ((*compacted)->PendingOps(), 0u);
   EXPECT_EQ((*compacted)->retired_nodes(), std::vector<NodeId>{2});
-  EXPECT_EQ(
-      (*compacted)->WithUpdates(EdgeAdd({{1, 2}})).status().code(),
-      StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*compacted)->WithUpdates(NodeRemove({2})).status().code(),
-            StatusCode::kFailedPrecondition);
+  // Every kind of op at a retired vertex is rejected, with the same
+  // check the serving factory applies (TombstonesStayDeadAcrossBatches).
+  for (const UpdateBatch& batch :
+       {EdgeAdd({{1, 2}}), EdgeRemove({{2, 3}}), NodeRemove({2})}) {
+    EXPECT_EQ((*compacted)->WithUpdates(batch).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
 
   const std::string path = TempPath("retired");
   ASSERT_TRUE(storage::SaveReachabilityIndex(
@@ -659,6 +661,9 @@ TEST_P(QueryServerUpdateTest, TombstonesStayDeadAcrossBatches) {
               StatusCode::kFailedPrecondition)
         << spec;
     EXPECT_EQ(server.ApplyUpdates(EdgeAdd({{2, 3}})).code(),
+              StatusCode::kFailedPrecondition)
+        << spec;
+    EXPECT_EQ(server.ApplyUpdates(EdgeRemove({{2, 3}})).code(),
               StatusCode::kFailedPrecondition)
         << spec;
     EXPECT_EQ(server.ApplyUpdates(NodeRemove({2})).code(),

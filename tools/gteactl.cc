@@ -56,17 +56,18 @@
 // `--connect=` subcommands (`query`, `apply`, `stats`, `metrics`,
 // `trace`, `slowlog`, `top`) are thin net/client.h wrappers, so a
 // built index can be served from one shell and queried/updated/
-// observed from another: `metrics` scrapes Prometheus text exposition,
-// `trace` dumps the server's span ring as Chrome trace-event JSON
-// (load it at chrome://tracing), and `slowlog` prints the worst-query
-// ring with per-stage timings. Against a `route` front-end, `metrics`
-// and `trace` return CLUSTER-wide views: the router pulls every
-// shard's binary snapshot/span ring and merges them (per-shard
-// shard="N" labels plus exact cluster aggregates; one stitched
-// multi-process Chrome trace). `query --trace` stamps the request
-// with a fresh trace id so `trace --id=<hex>` can pull exactly that
-// request's spans, and `top` turns successive federated snapshots
-// into a live per-shard QPS/latency/health dashboard.
+// observed from another: `metrics` renders the server's binary metrics
+// snapshot as Prometheus text exposition, `trace` renders its span
+// ring as Chrome trace-event JSON (load it at chrome://tracing), and
+// `slowlog` prints the worst-query ring with per-stage timings.
+// Against a `route` front-end, `metrics` and `trace` return
+// CLUSTER-wide views: the router pulls every shard's binary
+// snapshot/span groups and merges them (per-shard shard="N" labels
+// plus exact cluster aggregates; one stitched multi-process Chrome
+// trace). `query --trace` stamps the request with a fresh trace id so
+// `trace --id=<hex>` can pull exactly that request's spans, and `top`
+// turns successive federated snapshots into a live per-shard
+// QPS/latency/health dashboard.
 // A global `--quiet` drops log output below error level.
 //
 // `partition` splits a graph into contiguous vertex shards
@@ -938,41 +939,59 @@ int RunRemoteStats(int argc, char** argv) {
 }
 
 /// Shared body of the metrics/trace/slowlog subcommands: one OBSERVE
-/// round trip, body printed verbatim (or written to --out= for trace
-/// dumps destined for chrome://tracing). `trace --id=<hex>` narrows
-/// the dump to one trace — against a router, that is the stitched
+/// round trip, printed (or written to --out= for trace dumps destined
+/// for chrome://tracing). The server exports data and this renders it:
+/// `metrics` prints the metrics snapshot as Prometheus text, `trace`
+/// the span groups as one Chrome trace. `trace --id=<hex>` narrows the
+/// dump to one trace — against a router, that is the stitched
 /// multi-process view of a single request.
 int RunObserve(int argc, char** argv, const char* command,
                net::ObserveKind kind) {
   uint64_t filter = 0;
   if (auto id = FlagValue(argc, argv, "--id=")) {
-    filter = std::strtoull(id->c_str(), nullptr, 16);
+    // Only a whole hex id of at most 16 digits: no sign, prefix or junk.
+    if (!id->empty() && id->size() <= 16 &&
+        id->find_first_not_of("0123456789abcdefABCDEF") == std::string::npos) {
+      filter = std::strtoull(id->c_str(), nullptr, 16);
+    }
     if (filter == 0) {
       std::fprintf(stderr,
                    "%s: --id= wants the non-zero hex trace id that "
-                   "`gteactl query --trace` printed\n",
-                   command);
+                   "`gteactl query --trace` printed, got '%s'\n",
+                   command, id->c_str());
       return 1;
     }
   }
   auto client = ConnectFlag(argc, argv, command);
   if (client == nullptr) return 1;
-  auto body = client->Observe(kind, filter);
+  const auto fetch = [&]() -> Result<std::string> {
+    if (kind == net::ObserveKind::kSlowlog) return client->Observe(kind);
+    if (kind == net::ObserveKind::kMetricsSnapshot) {
+      auto snapshot = client->Metrics();
+      if (!snapshot.ok()) return snapshot.status();
+      return obs::RenderPrometheusSnapshot(*snapshot);
+    }
+    auto groups = client->Spans(filter);
+    if (!groups.ok()) return groups.status();
+    size_t spans = 0;
+    for (const obs::ProcessSpans& group : *groups) {
+      spans += group.spans.size();
+    }
+    if (filter != 0 && spans == 0) {
+      std::fprintf(stderr,
+                   "%s: no spans matched trace %016" PRIx64
+                   " — each process keeps only the most recent %zu "
+                   "spans, so an older trace may have been evicted from "
+                   "the ring\n",
+                   command, filter, obs::TraceRecorder::kCapacity);
+    }
+    return obs::RenderChromeTrace(*groups);
+  };
+  auto body = fetch();
   if (!body.ok()) {
     std::fprintf(stderr, "%s: %s\n", command,
                  body.status().ToString().c_str());
     return 1;
-  }
-  if (filter != 0) {
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "%016" PRIx64, filter);
-    if (body->find(hex) == std::string::npos) {
-      std::fprintf(stderr,
-                   "%s: no spans matched trace %s — each process keeps "
-                   "only the most recent %zu spans, so an older trace "
-                   "may have been evicted from the ring\n",
-                   command, hex, obs::TraceRecorder::kCapacity);
-    }
   }
   if (auto out = FlagValue(argc, argv, "--out=")) {
     std::ofstream file(*out, std::ios::binary);
@@ -1080,19 +1099,13 @@ int RunTop(int argc, char** argv) {
     if (have_prev) {
       std::this_thread::sleep_for(std::chrono::duration<double>(interval_s));
     }
-    auto body = client->Observe(net::ObserveKind::kMetricsSnapshot);
-    if (!body.ok()) {
+    auto snapshot = client->Metrics();
+    if (!snapshot.ok()) {
       std::fprintf(stderr, "top: %s\n",
-                   body.status().ToString().c_str());
+                   snapshot.status().ToString().c_str());
       return 1;
     }
-    obs::MetricsSnapshot snapshot;
-    const Status decoded = obs::DecodeMetricsSnapshot(*body, &snapshot);
-    if (!decoded.ok()) {
-      std::fprintf(stderr, "top: %s\n", decoded.ToString().c_str());
-      return 1;
-    }
-    const std::map<std::string, TopRow> rows = ExtractTopRows(snapshot);
+    const std::map<std::string, TopRow> rows = ExtractTopRows(*snapshot);
     if (rows.empty()) {
       std::fprintf(stderr,
                    "top: the snapshot carries no shard=\"...\" series — "
@@ -1168,10 +1181,11 @@ int Run(int argc, char** argv) {
   if (command == "query") return RunRemoteQuery(argc, argv);
   if (command == "stats") return RunRemoteStats(argc, argv);
   if (command == "metrics") {
-    return RunObserve(argc, argv, "metrics", net::ObserveKind::kMetrics);
+    return RunObserve(argc, argv, "metrics",
+                      net::ObserveKind::kMetricsSnapshot);
   }
   if (command == "trace") {
-    return RunObserve(argc, argv, "trace", net::ObserveKind::kTrace);
+    return RunObserve(argc, argv, "trace", net::ObserveKind::kSpans);
   }
   if (command == "slowlog") {
     return RunObserve(argc, argv, "slowlog", net::ObserveKind::kSlowlog);
