@@ -96,22 +96,15 @@ Result<PartitionArtifacts> BuildPartition(
   out.map.num_nodes = n;
   out.map.num_edges = g.NumEdges();
   out.map.inner_spec = options.inner_spec;
-  out.map.ranges.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    out.map.ranges.push_back(ShardRange{cuts[s], cuts[s + 1]});
-  }
+  out.map.set_layout(oracle.layout());
   out.map.endpoints = options.endpoints.empty()
                           ? std::vector<std::string>(shards)
                           : options.endpoints;
-  out.map.boundary = oracle.boundary_vertices();
-  out.map.cross_edges = oracle.cross_edges();
-  out.map.shard_overlay = oracle.shard_overlay_contributions();
-  out.map.overlay_closure = oracle.overlay_closure();
 
   for (size_t s = 0; s < shards; ++s) {
     const size_t begin = cuts[s], end = cuts[s + 1];
     // Induced local subgraph with local ids [0, end - begin). Node and
-    // edge insertion order mirrors ShardedOracle::BuildShard exactly, so
+    // edge insertion order mirrors ShardedOracle's shard build exactly, so
     // the local fingerprint matches the sub-index the oracle built.
     DataGraph local(0);
     for (size_t v = begin; v < end; ++v) {

@@ -29,8 +29,8 @@ struct PartitionPlanOptions {
 /// boundary size is wire traffic per probe, not just overlay memory —
 /// via an exact per-position span count (an edge (u, v) crosses cut p
 /// iff min < p <= max) and an argmin slide within the slack window.
-/// The cuts feed both ShardedOracleOptions::custom_starts and the
-/// PartitionMap ranges so oracle and map always agree.
+/// The cuts feed ShardedOracleOptions::custom_starts, and the
+/// PartitionMap takes that oracle's layout, so oracle and map agree.
 std::vector<size_t> PlanContiguousCuts(const Digraph& g,
                                        const PartitionPlanOptions& plan);
 

@@ -2,21 +2,19 @@
 #define GTPQ_CLUSTER_PARTITION_MAP_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "graph/digraph.h"
-#include "reachability/transitive_closure.h"
+#include "reachability/boundary_closure.h"
+#include "storage/checked_file.h"
 
 namespace gtpq {
 namespace cluster {
 
 /// On-disk layout of a ".gtpqmap" cluster partition map (all scalars
-/// little-endian, same prologue discipline as ".gtpqidx"):
+/// little-endian; the prologue is storage/checked_file.h's):
 ///
 ///   [0..8)    magic "GTPQMAP\n"
 ///   [8..12)   u32 format version (kMapFormatVersion)
@@ -25,17 +23,12 @@ namespace cluster {
 ///               u64     full-graph fingerprint (storage::GraphFingerprint)
 ///               u64     num nodes, u64 num edges of that graph
 ///               string  per-shard index spec ("interval", ...)
-///               u64     shard count S
-///               S x     u64 range begin, u64 range end  [begin, end)
-///               S x     string shard endpoint ("host:port")
-///               S x     u64 fingerprint of the shard's induced local
+///               u64 E + E x string  shard endpoints ("host:port")
+///               vec     u64 fingerprint of each shard's induced local
 ///                       subgraph (what its .gtpqidx is stamped with)
-///               vec     boundary vertices (global NodeIds, ascending)
-///               vec     cross-shard edges (interleaved u32 global pairs)
-///               S x     vec per-shard overlay contribution (interleaved
-///                       u32 boundary-index pairs)
-///               ...     replicated boundary-overlay TransitiveClosure
-///                       (TransitiveClosure::SaveBody)
+///               ...     BoundaryLayout codec: cut points, boundary
+///                       vertices, cross edges, per-shard overlay
+///                       contributions, and the overlay closure
 ///
 /// The map is everything a router needs to answer cross-shard
 /// reachability without touching a shard: range ownership for id
@@ -44,12 +37,14 @@ namespace cluster {
 /// after a routed update changes one shard's boundary connectivity.
 ///
 /// Load rejects, with a clean Status: wrong magic, version mismatch,
-/// checksum mismatch, overlapping shard ranges, ranges that leave a
-/// vertex uncovered, and per-shard layout miscounts. Save writes the
-/// struct verbatim (no validation), so tests can author bad maps.
+/// checksum mismatch, and every map Validate rejects. Save writes the
+/// struct verbatim (no validation), so tests can author bad maps, and
+/// replaces the file atomically against a killed process.
 inline constexpr std::string_view kMapMagic = "GTPQMAP\n";
-inline constexpr uint32_t kMapFormatVersion = 1;
+inline constexpr uint32_t kMapFormatVersion = 2;
 inline constexpr std::string_view kMapFileExtension = ".gtpqmap";
+inline constexpr storage::FileFormat kMapFormat{kMapMagic, kMapFormatVersion,
+                                                "partition map"};
 
 /// One shard's contiguous global-vertex range [begin, end).
 struct ShardRange {
@@ -64,6 +59,7 @@ struct PartitionMap {
   /// Factory spec of every shard's index (the partitioner builds one
   /// sub-index per shard from this).
   std::string inner_spec = "interval";
+  /// The shards' ranges, as set_layout fills them from the cut points.
   std::vector<ShardRange> ranges;
   /// Per-shard serving endpoint ("host:port"); may be overridden at
   /// route time.
@@ -71,21 +67,17 @@ struct PartitionMap {
   /// GraphFingerprint of each shard's induced local subgraph — what the
   /// shard's own .gtpqidx must be stamped with.
   std::vector<uint64_t> shard_fingerprints;
-
-  // Boundary machinery (mirrors ShardedOracle; see its class comment).
-  std::vector<NodeId> boundary;
-  std::vector<std::pair<NodeId, NodeId>> cross_edges;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> shard_overlay;
-  /// Closure of (cross edges + all contributions) over boundary ids.
-  std::shared_ptr<const TransitiveClosure> overlay_closure;
+  /// Cut points and boundary machinery (what ShardedOracle built).
+  BoundaryLayout layout;
 
   size_t num_shards() const { return ranges.size(); }
-  /// Owning shard of a global vertex; num_shards() when uncovered.
-  size_t ShardOf(NodeId v) const;
+  /// Installs `layout` and fills `ranges` from its cut points.
+  void set_layout(BoundaryLayout layout);
 
-  /// Structural consistency: >= 1 shard, ranges ascending and exactly
-  /// tiling [0, num_nodes), per-shard vector sizes agreeing, boundary/
-  /// overlay indices in range. Load runs this; builders may too.
+  /// Structural consistency: the layout passes BoundaryLayout::Validate,
+  /// its cut points end at num_nodes, and the per-shard vectors (ranges
+  /// included) are sized by its shard count. Load runs this; builders
+  /// may too.
   Status Validate() const;
 };
 

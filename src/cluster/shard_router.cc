@@ -11,32 +11,23 @@ namespace gtpq {
 namespace cluster {
 
 ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
-    : map_(std::move(map)),
-      endpoints_(options.endpoints.empty() ? map_.endpoints
+    : endpoints_(options.endpoints.empty() ? std::move(map.endpoints)
                                            : std::move(options.endpoints)),
       limits_(options.limits),
       health_interval_ms_(options.health_interval_ms),
-      name_("cluster:" + map_.inner_spec) {
-  BoundaryLayout layout;
-  for (const ShardRange& range : map_.ranges) {
-    layout.shard_starts.push_back(static_cast<size_t>(range.begin));
-  }
-  layout.shard_starts.push_back(static_cast<size_t>(map_.num_nodes));
-  layout.boundary = map_.boundary;
-  layout.cross_edges = map_.cross_edges;
-  layout.contributions = map_.shard_overlay;
-  layout.closure = map_.overlay_closure;
-  // Connect() validated the map, cross edges included.
-  GTPQ_CHECK_OK(InitBoundaries(std::move(layout)));
-  shard_epochs_.assign(map_.num_shards(), 0);
+      name_("cluster:" + map.inner_spec) {
+  // Connect() validated the map, and with it the layout.
+  InitBoundaries(std::move(map.layout));
+  const size_t shards = NumShards();
+  shard_epochs_.assign(shards, 0);
 
   obs::Registry& reg = obs::Registry::Global();
-  shard_probes_.reserve(map_.num_shards());
-  probe_failures_.reserve(map_.num_shards());
-  shard_probe_latency_us_.reserve(map_.num_shards());
-  shard_healthy_.reserve(map_.num_shards());
-  health_failures_.reserve(map_.num_shards());
-  for (size_t s = 0; s < map_.num_shards(); ++s) {
+  shard_probes_.reserve(shards);
+  probe_failures_.reserve(shards);
+  shard_probe_latency_us_.reserve(shards);
+  shard_healthy_.reserve(shards);
+  health_failures_.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) {
     const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
     shard_probes_.push_back(
         reg.GetCounter("gtpq_shard_probes_total" + label));
@@ -51,8 +42,8 @@ ShardRouter::ShardRouter(PartitionMap map, ShardRouterOptions options)
     // answered HELLO, so shards start healthy; the prober demotes them.
     shard_healthy_.back()->Set(1);
   }
-  healthy_.assign(map_.num_shards(), true);
-  health_streak_.assign(map_.num_shards(), 0);
+  healthy_.assign(shards, true);
+  health_streak_.assign(shards, 0);
   reconnects_ = reg.GetCounter("gtpq_shard_reconnects_total");
 }
 
@@ -76,7 +67,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Connect(
   }
   auto router = std::unique_ptr<ShardRouter>(
       new ShardRouter(std::move(map), std::move(options)));
-  for (size_t s = 0; s < router->num_shards(); ++s) {
+  for (size_t s = 0; s < router->NumShards(); ++s) {
     net::NetClient* client = router->Client(s);
     if (client == nullptr) {
       return Status::Internal(
@@ -96,7 +87,7 @@ net::NetClient* ShardRouter::Client(size_t shard) const {
 
 net::NetClient* ShardRouter::Client(size_t shard, int attempts) const {
   auto& slots = clients_.Local();
-  if (slots.size() != num_shards()) slots.resize(num_shards());
+  if (slots.size() != NumShards()) slots.resize(NumShards());
   if (slots[shard] != nullptr && slots[shard]->connected()) {
     return slots[shard].get();
   }
@@ -116,7 +107,7 @@ net::NetClient* ShardRouter::Client(size_t shard, int attempts) const {
     return nullptr;
   }
   const uint64_t expect =
-      map_.ranges[shard].end - map_.ranges[shard].begin;
+      shard_starts()[shard + 1] - shard_starts()[shard];
   if (client->server_info().graph_nodes != expect) {
     GTPQ_LOG(Warning) << "shard " << shard << " at " << endpoints_[shard]
                       << " serves " << client->server_info().graph_nodes
@@ -163,7 +154,7 @@ Status ShardRouter::ProbeShards(std::span<ShardProbe> probes) const {
   // A failure drops the shard's connection, which every other frame to
   // that shard in this call was pipelined on: those are abandoned too,
   // and the failure is reported once.
-  std::vector<char> failed(num_shards(), 0);
+  std::vector<char> failed(NumShards(), 0);
   const auto fail = [&](size_t i, const Status& status) {
     const size_t shard = probes[i].shard;
     if (!failed[shard]) {
@@ -275,9 +266,9 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
     return Status::OK();
   };
   auto check_edge = [&](const EdgeRef& e) -> Status {
-    const size_t sf = map_.ShardOf(e.from);
-    const size_t st = map_.ShardOf(e.to);
-    if (sf >= num_shards() || st >= num_shards()) {
+    const size_t sf = ShardOf(e.from);
+    const size_t st = ShardOf(e.to);
+    if (sf >= NumShards() || st >= NumShards()) {
       return Status::InvalidArgument(
           "update references vertex beyond the partitioned graph (" +
           std::to_string(e.from) + " -> " + std::to_string(e.to) + ")");
@@ -290,17 +281,18 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
     GTPQ_RETURN_NOT_OK(check_edge(e));
   }
   for (const NodeId v : batch.remove_nodes) {
-    if (map_.ShardOf(v) >= num_shards()) {
+    if (ShardOf(v) >= NumShards()) {
       return Status::InvalidArgument("update removes unknown vertex " +
                                      std::to_string(v));
     }
-    if (std::binary_search(map_.boundary.begin(), map_.boundary.end(), v)) {
+    if (std::binary_search(boundary_vertices().begin(),
+                           boundary_vertices().end(), v)) {
       return RejectStructural("boundary-vertex removals");
     }
-    GTPQ_RETURN_NOT_OK(claim(map_.ShardOf(v)));
+    GTPQ_RETURN_NOT_OK(claim(ShardOf(v)));
   }
 
-  std::vector<uint64_t> epochs(num_shards(), 0);
+  std::vector<uint64_t> epochs(NumShards(), 0);
   const UpdateBatch barrier;  // empty batch: epoch bump, no mutation
 
   if (owner != kNoOwner) {
@@ -340,7 +332,7 @@ Status ShardRouter::ApplyNativeUpdate(const UpdateBatch& batch) const {
   // Epoch barrier: every shard that did not apply the batch commits one
   // empty batch, so all shard epochs advance together and a probe can
   // never observe some shards before and some after this update.
-  for (size_t s = 0; s < num_shards(); ++s) {
+  for (size_t s = 0; s < NumShards(); ++s) {
     if (s == owner) continue;
     net::NetClient* client = Client(s);
     if (client == nullptr) {
@@ -381,8 +373,8 @@ Result<obs::MetricsSnapshot> ShardRouter::FederatedMetricsSnapshot()
     uint64_t request_id = 0;
   };
   std::vector<Pending> pending;
-  pending.reserve(num_shards());
-  for (size_t s = 0; s < num_shards(); ++s) {
+  pending.reserve(NumShards());
+  for (size_t s = 0; s < NumShards(); ++s) {
     net::NetClient* client = Client(s, /*attempts=*/2);
     if (client == nullptr) continue;
     auto id = client->SendObserve(net::ObserveKind::kMetricsSnapshot);
@@ -418,13 +410,13 @@ Result<obs::MetricsSnapshot> ShardRouter::FederatedMetricsSnapshot()
 Result<std::vector<obs::ProcessSpans>> ShardRouter::CollectClusterSpans(
     uint64_t trace_id) const {
   std::vector<obs::ProcessSpans> groups;
-  groups.reserve(num_shards() + 1);
+  groups.reserve(NumShards() + 1);
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   groups.push_back({"router", 1,
                     trace_id != 0 ? recorder.SpansForTrace(trace_id)
                                   : recorder.Spans()});
   uint32_t next_pid = 2;
-  for (size_t s = 0; s < num_shards(); ++s) {
+  for (size_t s = 0; s < NumShards(); ++s) {
     net::NetClient* client = Client(s, /*attempts=*/2);
     if (client == nullptr) continue;
     auto member = client->Spans(trace_id);
@@ -451,7 +443,7 @@ std::vector<bool> ShardRouter::shard_health() const {
 }
 
 void ShardRouter::ProbeHealthOnce() const {
-  for (size_t s = 0; s < num_shards(); ++s) {
+  for (size_t s = 0; s < NumShards(); ++s) {
     // One connect attempt only: a down shard must cost one refused
     // connect per sweep, not a reconnect backoff budget.
     bool ok = false;

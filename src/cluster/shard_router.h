@@ -37,9 +37,10 @@ struct ShardRouterOptions {
 /// Set-at-a-time reachability over a cluster of `gteactl serve`
 /// processes, one per contiguous vertex shard of a PartitionMap.
 ///
-/// The router replicates only the map's boundary machinery (boundary
+/// The router keeps only the map's BoundaryLayout (cut points, boundary
 /// vertex ids, cross edges, per-shard overlay contributions, and the
-/// overlay transitive closure) in its BoundaryClosure core; per-shard
+/// overlay transitive closure), installed in its BoundaryClosure core,
+/// plus the endpoints; per-shard
 /// labelings live in the shard processes. This class is the core's
 /// wire prober: each call's probes go out as gtpq-wire PROBE frames on
 /// this thread's connections, all sent before any answer is read, so
@@ -100,8 +101,6 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   Result<std::vector<obs::ProcessSpans>> CollectClusterSpans(
       uint64_t trace_id) const override;
 
-  size_t num_shards() const { return map_.num_shards(); }
-  const PartitionMap& map() const { return map_; }
   /// Last epoch each shard committed (HELLO at connect, then every
   /// routed update).
   std::vector<uint64_t> shard_epochs() const;
@@ -137,7 +136,6 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   void StartProber();
   void ProberLoop();
 
-  PartitionMap map_;
   std::vector<std::string> endpoints_;
   net::WireLimits limits_;
   // Fresh-connect attempts of a probe: about 23 s of bounded backoff,

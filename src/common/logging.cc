@@ -24,7 +24,6 @@ const char* LevelName(LogLevel level) {
 }  // namespace
 
 void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
 
 namespace internal {
 

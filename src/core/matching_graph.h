@@ -22,8 +22,6 @@ class MatchingGraph {
   const std::vector<NodeId>& Candidates(QNodeId u) const {
     return cand_[u];
   }
-  /// True when u belongs to the prime subtree this graph covers.
-  bool Covers(QNodeId u) const { return !cand_[u].empty() || covered_[u]; }
   bool InTree(QNodeId u) const { return covered_[u] != 0; }
 
   /// Branch list: indices into Candidates(child) matched by candidate
@@ -35,10 +33,6 @@ class MatchingGraph {
   /// Prime children of u, in query order.
   const std::vector<QNodeId>& PrimeChildren(QNodeId u) const {
     return prime_children_[u];
-  }
-  /// True when candidate #i of u survived reduction.
-  bool Alive(QNodeId u, size_t cand_index) const {
-    return alive_[u][cand_index] != 0;
   }
 
   size_t TotalNodes() const;

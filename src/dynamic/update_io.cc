@@ -59,13 +59,6 @@ Status SaveUpdateBatches(std::span<const UpdateBatch> batches,
   return Status::OK();
 }
 
-Status SaveUpdateBatchesToFile(std::span<const UpdateBatch> batches,
-                               const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::NotFound("cannot open " + path + " for writing");
-  return SaveUpdateBatches(batches, &out);
-}
-
 Result<std::vector<UpdateBatch>> LoadUpdateBatches(std::istream* in) {
   std::string line;
   if (!std::getline(*in, line) ||

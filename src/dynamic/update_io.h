@@ -29,8 +29,6 @@ namespace gtpq {
 /// and '#' comments are ignored.
 Status SaveUpdateBatches(std::span<const UpdateBatch> batches,
                          std::ostream* out);
-Status SaveUpdateBatchesToFile(std::span<const UpdateBatch> batches,
-                               const std::string& path);
 
 /// Parses the format above. Malformed lines are rejected with the line
 /// number; semantic validation (absent edges, removed vertices) happens

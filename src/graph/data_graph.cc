@@ -80,13 +80,6 @@ std::span<const NodeId> DataGraph::NodesWithLabel(int64_t label) const {
   return {it->second.data(), it->second.size()};
 }
 
-std::vector<int64_t> DataGraph::DistinctLabels() const {
-  std::vector<int64_t> out;
-  out.reserve(label_index_.size());
-  for (const auto& [label, nodes] : label_index_) out.push_back(label);
-  return out;
-}
-
 void DataGraph::SetTreeParent(NodeId v, NodeId parent) {
   if (tree_parent_.empty()) {
     tree_parent_.assign(graph_.NumNodes(), kInvalidNode);

@@ -80,8 +80,6 @@ class DataGraph {
 
   /// Number of distinct labels present.
   size_t NumDistinctLabels() const { return label_index_.size(); }
-  /// All distinct labels (unsorted).
-  std::vector<int64_t> DistinctLabels() const;
 
   /// Optional spanning-tree annotation for tree+cross-edge graphs
   /// (XMark-style). kInvalidNode marks roots / unset entries. Baselines

@@ -7,12 +7,6 @@
 namespace gtpq {
 namespace logic {
 
-size_t Cnf::NumLiterals() const {
-  size_t n = 0;
-  for (const auto& c : clauses) n += c.size();
-  return n;
-}
-
 namespace {
 
 // Sorts, dedupes, and detects complementary pairs. Returns false if the

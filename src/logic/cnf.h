@@ -31,7 +31,6 @@ struct Cnf {
   int max_var = -1;
 
   size_t NumClauses() const { return clauses.size(); }
-  size_t NumLiterals() const;
 };
 
 /// Disjunctive normal form: OR of cubes. An empty cube list means

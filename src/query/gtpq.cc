@@ -18,14 +18,6 @@ std::vector<QNodeId> Gtpq::PredicateChildren(QNodeId u) const {
   return out;
 }
 
-std::vector<QNodeId> Gtpq::BackboneChildren(QNodeId u) const {
-  std::vector<QNodeId> out;
-  for (QNodeId c : nodes_[u].children) {
-    if (nodes_[c].role == NodeRole::kBackbone) out.push_back(c);
-  }
-  return out;
-}
-
 FormulaRef Gtpq::ExtendedPredicate(QNodeId u) const {
   std::vector<FormulaRef> parts;
   for (QNodeId c : nodes_[u].children) {

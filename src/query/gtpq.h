@@ -61,7 +61,6 @@ class Gtpq {
   bool IsLeaf(QNodeId u) const { return nodes_[u].children.empty(); }
 
   std::vector<QNodeId> PredicateChildren(QNodeId u) const;
-  std::vector<QNodeId> BackboneChildren(QNodeId u) const;
 
   /// fext(u) = p_c1 & ... & p_ck & fs(u) over backbone children c_i.
   logic::FormulaRef ExtendedPredicate(QNodeId u) const;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "storage/serializer.h"
 
 namespace gtpq {
 
@@ -40,7 +41,127 @@ void ForEachBit(const std::vector<Word>& bits, F&& f) {
   ForEachBit(std::span<const Word>(bits), std::forward<F>(f));
 }
 
+// std::pair is not trivially copyable under libstdc++, so pair vectors
+// are flattened to interleaved u32 runs for the pod-vector codec.
+std::vector<uint32_t> FlattenPairs(
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
+  std::vector<uint32_t> flat;
+  flat.reserve(pairs.size() * 2);
+  for (const auto& [a, b] : pairs) {
+    flat.push_back(a);
+    flat.push_back(b);
+  }
+  return flat;
+}
+
+Status UnflattenPairs(const std::vector<uint32_t>& flat,
+                      std::vector<std::pair<uint32_t, uint32_t>>* out) {
+  if (flat.size() % 2 != 0) {
+    return Status::ParseError("partition layout has an odd-length pair run");
+  }
+  out->clear();
+  out->reserve(flat.size() / 2);
+  for (size_t i = 0; i < flat.size(); i += 2) {
+    out->emplace_back(flat[i], flat[i + 1]);
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+// -------------------------------------------------------------- layout
+
+Status BoundaryLayout::Validate() const {
+  const auto fail = [](const std::string& what) {
+    return Status::ParseError("partition layout " + what);
+  };
+  using std::to_string;
+  if (shard_starts.size() < 2) return fail("has no shards");
+  if (shard_starts.front() != 0) {
+    return fail("leaves vertex 0 uncovered (first cut " +
+                to_string(shard_starts.front()) + ")");
+  }
+  for (size_t s = 1; s < shard_starts.size(); ++s) {
+    if (shard_starts[s] < shard_starts[s - 1]) {
+      return fail("has overlapping shards (cut " + to_string(s) +
+                  " precedes cut " + to_string(s - 1) + ")");
+    }
+  }
+  for (size_t i = 0; i < boundary.size(); ++i) {
+    if (boundary[i] >= shard_starts.back() ||
+        (i > 0 && boundary[i] <= boundary[i - 1])) {
+      return fail("boundary is not strictly ascending within the graph");
+    }
+  }
+  for (const auto& [x, y] : cross_edges) {
+    if (!std::binary_search(boundary.begin(), boundary.end(), x) ||
+        !std::binary_search(boundary.begin(), boundary.end(), y)) {
+      return fail("cross edge " + to_string(x) + " -> " + to_string(y) +
+                  " does not join two boundary vertices");
+    }
+  }
+  if (contributions.size() != shard_starts.size() - 1) {
+    return fail("has " + to_string(contributions.size()) +
+                " contribution lists for " +
+                to_string(shard_starts.size() - 1) + " shards");
+  }
+  for (const auto& contribution : contributions) {
+    for (const auto& [a, b] : contribution) {
+      if (std::max(a, b) >= boundary.size()) {
+        return fail("contribution names boundary index " +
+                    to_string(std::max(a, b)) + " of " +
+                    to_string(boundary.size()));
+      }
+    }
+  }
+  if (closure == nullptr) return fail("has no overlay closure");
+  if (closure->NumNodes() != boundary.size()) {
+    return fail("overlay closure covers " + to_string(closure->NumNodes()) +
+                " of " + to_string(boundary.size()) + " boundary vertices");
+  }
+  return Status::OK();
+}
+
+void BoundaryLayout::Save(storage::Writer* w) const {
+  w->WritePodVec(std::vector<uint64_t>(shard_starts.begin(),
+                                       shard_starts.end()));
+  w->WritePodVec(boundary);
+  w->WritePodVec(FlattenPairs(cross_edges));
+  std::vector<std::vector<uint32_t>> flat_contributions;
+  for (const auto& contribution : contributions) {
+    flat_contributions.push_back(FlattenPairs(contribution));
+  }
+  w->WriteNestedVec(flat_contributions);
+  if (closure != nullptr) {
+    closure->SaveBody(w);
+  } else {
+    Digraph empty(0);
+    empty.Finalize();
+    TransitiveClosure::Build(empty).SaveBody(w);
+  }
+}
+
+Status BoundaryLayout::Load(storage::Reader* r, BoundaryLayout* out) {
+  std::vector<uint64_t> starts;
+  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&starts));
+  out->shard_starts.assign(starts.begin(), starts.end());
+  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&out->boundary));
+  std::vector<uint32_t> flat;
+  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&flat));
+  GTPQ_RETURN_NOT_OK(UnflattenPairs(flat, &out->cross_edges));
+  std::vector<std::vector<uint32_t>> flat_contributions;
+  GTPQ_RETURN_NOT_OK(r->ReadNestedVec(&flat_contributions));
+  out->contributions.resize(flat_contributions.size());
+  for (size_t s = 0; s < flat_contributions.size(); ++s) {
+    GTPQ_RETURN_NOT_OK(
+        UnflattenPairs(flat_contributions[s], &out->contributions[s]));
+  }
+  auto closure = TransitiveClosure::LoadBody(r);
+  GTPQ_RETURN_NOT_OK(closure.status());
+  out->closure =
+      std::make_shared<const TransitiveClosure>(closure.TakeValue());
+  return Status::OK();
+}
 
 void AnswerShardProbe(const ReachabilityOracle& oracle, bool reverse,
                       std::span<const NodeId> pivots,
@@ -153,9 +274,9 @@ struct BoundaryClosure::Columns {
   std::vector<std::vector<char>> counts;
 };
 
-// ------------------------------------------------------------- layout
+// ------------------------------------------------------- boundaries
 
-Status BoundaryClosure::InitBoundaries(BoundaryLayout layout) {
+void BoundaryClosure::InitBoundaries(BoundaryLayout layout) {
   GTPQ_CHECK(layout.shard_starts.size() >= 2);
   shard_starts_ = std::move(layout.shard_starts);
   boundary_ = std::move(layout.boundary);
@@ -172,12 +293,8 @@ Status BoundaryClosure::InitBoundaries(BoundaryLayout layout) {
   cross_b_.reserve(cross_edges_.size());
   for (const auto& [x, y] : cross_edges_) {
     cross_b_.emplace_back(BoundaryIndex(x), BoundaryIndex(y));
-    if (cross_b_.back().first == kNotBoundary ||
-        cross_b_.back().second == kNotBoundary) {
-      return Status::ParseError("cross edge " + std::to_string(x) + " -> " +
-                                std::to_string(y) +
-                                " joins non-boundary vertices");
-    }
+    GTPQ_DCHECK(cross_b_.back().first != kNotBoundary &&
+                cross_b_.back().second != kNotBoundary);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -185,7 +302,6 @@ Status BoundaryClosure::InitBoundaries(BoundaryLayout layout) {
   contributions_.resize(shards);
   overlay_.reset();
   if (layout.closure != nullptr) RebuildOverlayLocked(layout.closure);
-  return Status::OK();
 }
 
 void BoundaryClosure::RebuildOverlayLocked(
@@ -213,15 +329,15 @@ std::shared_ptr<const BoundaryClosure::Overlay> BoundaryClosure::overlay()
   return overlay_;
 }
 
-std::vector<std::vector<std::pair<uint32_t, uint32_t>>>
-BoundaryClosure::shard_overlay_contributions() const {
+BoundaryLayout BoundaryClosure::layout() const {
+  BoundaryLayout out;
+  out.shard_starts = shard_starts_;
+  out.boundary = boundary_;
+  out.cross_edges = cross_edges_;
   std::lock_guard<std::mutex> lock(mu_);
-  return contributions_;
-}
-
-std::shared_ptr<const TransitiveClosure> BoundaryClosure::overlay_closure()
-    const {
-  return overlay()->closure;
+  out.contributions = contributions_;
+  if (overlay_ != nullptr) out.closure = overlay_->closure;
+  return out;
 }
 
 size_t BoundaryClosure::ShardOf(NodeId v) const {

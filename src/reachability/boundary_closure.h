@@ -15,6 +15,11 @@
 
 namespace gtpq {
 
+namespace storage {
+class Writer;
+class Reader;
+}  // namespace storage
+
 /// One shard's intra-shard reachability question, pivots x ids, and its
 /// answer. Bit (r, c) of the row-major `bits` answers "does pivots[r]
 /// reach ids[c]?" (or "does ids[c] reach pivots[r]?" when `reverse`),
@@ -52,7 +57,9 @@ void AnswerShardProbe(const ReachabilityOracle& oracle, bool reverse,
                       std::span<const NodeId> ids,
                       std::vector<uint8_t>* bits);
 
-/// Boundary machinery of a contiguous-range vertex partition.
+/// The layout of a contiguous-range vertex partition: its cut points and
+/// boundary machinery. The `sharded:` index section and the `.gtpqmap`
+/// body both persist it through this one codec and validator.
 struct BoundaryLayout {
   /// num_shards + 1 ascending cut points; the last is the node count.
   std::vector<size_t> shard_starts;
@@ -65,6 +72,25 @@ struct BoundaryLayout {
   /// Closure of cross edges + contributions over boundary indices; may
   /// be null (see InitBoundaries).
   std::shared_ptr<const TransitiveClosure> closure;
+
+  /// ParseError naming the first broken rule: the cut points tile
+  /// [0, n) (at least one shard, first cut 0, ascending; n is the last
+  /// cut), boundaries are strictly ascending and below n, every cross
+  /// edge joins two boundaries, there is one contribution list per
+  /// shard and it names only boundaries, and the closure is present and
+  /// covers the boundary.
+  Status Validate() const;
+
+  /// The codec, in the pod_align layout:
+  ///   vec  cut points (u64)
+  ///   vec  boundary vertices (u32 global ids)
+  ///   vec  cross edges (interleaved u32 pairs)
+  ///   nested vec  per-shard contributions (interleaved u32 pairs)
+  ///   ...  closure (TransitiveClosure::SaveBody)
+  /// A null closure is written as the closure of the empty graph.
+  void Save(storage::Writer* w) const;
+  /// Reads what Save wrote, without validating it.
+  static Status Load(storage::Reader* r, BoundaryLayout* out);
 };
 
 /// Partitioned reachability from per-shard answers and a boundary
@@ -131,24 +157,19 @@ class BoundaryClosure : public ReachabilityOracle {
   size_t NumShards() const { return shard_starts_.size() - 1; }
   /// Owning shard of `v`; NumShards() when v is past the last shard.
   size_t ShardOf(NodeId v) const;
-  size_t NumBoundaryVertices() const { return boundary_.size(); }
   const std::vector<size_t>& shard_starts() const { return shard_starts_; }
   const std::vector<NodeId>& boundary_vertices() const { return boundary_; }
-  const std::vector<std::pair<NodeId, NodeId>>& cross_edges() const {
-    return cross_edges_;
-  }
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>>
-  shard_overlay_contributions() const;
-  std::shared_ptr<const TransitiveClosure> overlay_closure() const;
+  /// A copy of the installed layout, with the current contributions and
+  /// overlay closure.
+  BoundaryLayout layout() const;
 
  protected:
   BoundaryClosure() = default;
 
-  /// Installs the layout. The overlay is layout.closure; when that is
-  /// null, the first RefreshContributions (over every shard) builds it,
-  /// and no probe may run before. ParseError (nothing installed) when a
-  /// cross edge joins non-boundary vertices.
-  Status InitBoundaries(BoundaryLayout layout);
+  /// Installs `layout`, which must pass Validate() except that its
+  /// closure may be null: then the first RefreshContributions (over
+  /// every shard) builds the overlay, and no probe may run before.
+  void InitBoundaries(BoundaryLayout layout);
 
   /// Re-probes the boundary-to-boundary reachability of `shards` (one
   /// probe each, pivots = ids = the shard's boundaries), then rebuilds

@@ -37,10 +37,8 @@ struct ShardedOracleOptions {
 /// overlay of BoundaryClosure, which also supplies the whole native
 /// set-reachability API. This class is its in-process prober: a shard
 /// probe is answered by the shard's sub-index (AnswerShardProbe). The
-/// point is build economics on large graphs — when data changes land
-/// in one partition, only that shard's sub-index (plus the small
-/// overlay closure) is rebuilt (RebuildShard), instead of relabeling
-/// the whole graph. The conformance suite checks it against the
+/// cluster partitioner builds one to cut a graph into shard indexes and
+/// a partition map. The conformance suite checks it against the
 /// materialized closure like any base backend.
 class ShardedOracle : public BoundaryClosure {
  public:
@@ -48,27 +46,13 @@ class ShardedOracle : public BoundaryClosure {
 
   std::string_view name() const override { return name_; }
 
-  size_t ShardSize(size_t shard) const {
-    return shard_starts()[shard + 1] - shard_starts()[shard];
-  }
   const ReachabilityOracle& shard_index(size_t shard) const {
     return *sub_[shard];
   }
 
-  /// Rebuilds one shard's sub-index and the overlay rows it
-  /// contributes, leaving every other shard's labeling untouched. `g`
-  /// must have the same node count and shard-crossing edges as the
-  /// graph the oracle was built from (intra-shard edits only).
-  ///
-  /// NOT thread-safe with concurrent probes: rebuilding swaps the
-  /// shard's sub-index in place. Quiesce every reader first (e.g. drain
-  /// the QueryServer batch, or rebuild into a fresh oracle and swap the
-  /// shared_ptr at the serving layer).
-  void RebuildShard(const Digraph& g, size_t shard);
-
-  /// Persistence hooks (storage/index_io.h): the body carries the shard
-  /// layout, one nested sub-index section per shard, the boundary
-  /// machinery, and the overlay closure, so a load reconstructs the
+  /// Persistence hooks (storage/index_io.h): the section carries the
+  /// inner spec, the BoundaryLayout (its codec; load validates it), and
+  /// one nested sub-index section per shard, so a load reconstructs the
   /// oracle without touching the graph.
   void SaveBody(storage::Writer* w) const;
   static Result<std::unique_ptr<ShardedOracle>> LoadBody(
@@ -79,8 +63,6 @@ class ShardedOracle : public BoundaryClosure {
 
  private:
   ShardedOracle() = default;
-
-  void BuildShard(const Digraph& g, size_t shard);
 
   std::string inner_spec_;
   std::string name_;

@@ -1,6 +1,5 @@
 #include "storage/index_io.h"
 
-#include <fstream>
 #include <utility>
 
 #include "dynamic/delta_overlay.h"
@@ -12,6 +11,7 @@
 #include "reachability/sspi.h"
 #include "reachability/three_hop.h"
 #include "reachability/transitive_closure.h"
+#include "storage/checked_file.h"
 #include "storage/mmap_file.h"
 
 namespace gtpq {
@@ -22,55 +22,17 @@ namespace {
 constexpr std::string_view kShardedPrefix = "sharded:";
 constexpr std::string_view kDeltaPrefix = "delta:";
 
-// Offsets within the fixed file prologue (see index_io.h): magic,
-// then u32 version at 8, u32 CRC at 12, checksummed bytes from 16.
-constexpr size_t kVersionOffset = 8;
-constexpr size_t kChecksummedOffset = 16;
-
-Status ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open index file: " + path);
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::Internal("read failed: " + path);
-  return Status::OK();
-}
-
-/// Validates the fixed prologue and the checksum, leaving `r` positioned
-/// at the spec string. Fills every IndexFileInfo field except payload
-/// parsing side effects.
-Status OpenHeader(std::string_view bytes, const std::string& path,
-                  IndexFileInfo* info, Reader* r) {
-  if (bytes.size() < kChecksummedOffset) {
-    return Status::ParseError("index file too short (" +
-                              std::to_string(bytes.size()) + " bytes): " +
-                              path);
-  }
-  if (std::string_view(bytes.data(), kIndexMagic.size()) != kIndexMagic) {
-    return Status::ParseError("bad magic: not a gtpq index file: " + path);
-  }
-  Reader prologue(std::string_view(bytes.data() + kVersionOffset,
-                                   kChecksummedOffset - kVersionOffset));
-  uint32_t version = 0, stored_crc = 0;
-  GTPQ_RETURN_NOT_OK(prologue.ReadU32(&version));
-  GTPQ_RETURN_NOT_OK(prologue.ReadU32(&stored_crc));
-  if (version != kIndexFormatVersion) {
-    return Status::FailedPrecondition(
-        "index format version mismatch: file has v" +
-        std::to_string(version) + ", this build reads v" +
-        std::to_string(kIndexFormatVersion) + ": " + path);
-  }
-  const uint32_t actual_crc = Crc32(bytes.data() + kChecksummedOffset,
-                                    bytes.size() - kChecksummedOffset);
-  if (actual_crc != stored_crc) {
-    return Status::ParseError(
-        "index checksum mismatch (truncated or corrupted file): " + path);
-  }
-
-  *r = Reader(bytes.substr(kChecksummedOffset));
+/// Parses the header that follows the prologue of a file CheckPrologue
+/// accepted (`body`), leaving `r` positioned at the payload.
+/// FailedPrecondition when `expected_graph` is given and is not the
+/// graph the file was built from.
+Status OpenHeader(std::string_view body, const std::string& path,
+                  const Digraph* expected_graph, IndexFileInfo* info,
+                  Reader* r) {
+  *r = Reader(body);
   r->set_pod_align(true);
-  info->format_version = version;
-  info->file_bytes = bytes.size();
+  info->format_version = kIndexFormatVersion;
+  info->file_bytes = body.size() + kPrologueBytes;
   GTPQ_RETURN_NOT_OK(r->ReadString(&info->spec));
   GTPQ_RETURN_NOT_OK(r->ReadU64(&info->graph_fingerprint));
   GTPQ_RETURN_NOT_OK(r->ReadU64(&info->num_nodes));
@@ -86,56 +48,41 @@ Status OpenHeader(std::string_view bytes, const std::string& path,
         std::to_string(info->payload_bytes) + " bytes, file carries " +
         std::to_string(r->remaining()) + ": " + path);
   }
+  if (expected_graph == nullptr) return Status::OK();
+  const uint64_t expected = GraphFingerprint(*expected_graph);
+  if (expected != info->graph_fingerprint) {
+    return Status::FailedPrecondition(
+        "index was built for a different graph (file fingerprint " +
+        std::to_string(info->graph_fingerprint) + ", serving graph " +
+        std::to_string(expected) + "): " + path);
+  }
   return Status::OK();
 }
 
+/// Loads the index at `path`, read onto the heap or, with `zero_copy`,
+/// mapped read-only so POD arrays borrow the mapped pages.
 Result<std::unique_ptr<ReachabilityOracle>> LoadImpl(
-    const std::string& path, const Digraph* expected_graph) {
+    const std::string& path, const Digraph* expected_graph, bool zero_copy) {
   std::string bytes;
-  GTPQ_RETURN_NOT_OK(ReadFile(path, &bytes));
+  std::shared_ptr<MmapFile> mapping;
+  if (zero_copy) {
+    auto mapped = MmapFile::Map(path);
+    GTPQ_RETURN_NOT_OK(mapped.status());
+    mapping = mapped.TakeValue();
+  }
+  auto body = zero_copy ? CheckPrologue(mapping->bytes(), kIndexFormat, path)
+                        : ReadChecksummedFile(path, kIndexFormat, &bytes);
+  GTPQ_RETURN_NOT_OK(body.status());
   IndexFileInfo info;
   Reader r{std::string_view()};
-  GTPQ_RETURN_NOT_OK(OpenHeader(bytes, path, &info, &r));
-  if (expected_graph != nullptr) {
-    const uint64_t expected = GraphFingerprint(*expected_graph);
-    if (expected != info.graph_fingerprint) {
-      return Status::FailedPrecondition(
-          "index was built for a different graph (file fingerprint " +
-          std::to_string(info.graph_fingerprint) + ", serving graph " +
-          std::to_string(expected) + "): " + path);
-    }
-  }
-  auto oracle = LoadOracleBody(info.spec, &r);
-  GTPQ_RETURN_NOT_OK(oracle.status());
-  GTPQ_RETURN_NOT_OK(r.ExpectEnd());
-  return oracle;
-}
-
-Result<std::unique_ptr<ReachabilityOracle>> LoadViewImpl(
-    const std::string& path, const Digraph* expected_graph) {
-  auto mapping_r = MmapFile::Map(path);
-  GTPQ_RETURN_NOT_OK(mapping_r.status());
-  std::shared_ptr<MmapFile> mapping = mapping_r.TakeValue();
-  IndexFileInfo info;
-  Reader r{std::string_view()};
-  GTPQ_RETURN_NOT_OK(OpenHeader(mapping->bytes(), path, &info, &r));
-  if (expected_graph != nullptr) {
-    const uint64_t expected = GraphFingerprint(*expected_graph);
-    if (expected != info.graph_fingerprint) {
-      return Status::FailedPrecondition(
-          "index was built for a different graph (file fingerprint " +
-          std::to_string(info.graph_fingerprint) + ", serving graph " +
-          std::to_string(expected) + "): " + path);
-    }
-  }
-  // From here on POD arrays borrow the mapped pages instead of copying.
-  r.set_zero_copy(true);
+  GTPQ_RETURN_NOT_OK(OpenHeader(*body, path, expected_graph, &info, &r));
+  r.set_zero_copy(zero_copy);
   auto oracle = LoadOracleBody(info.spec, &r);
   GTPQ_RETURN_NOT_OK(oracle.status());
   GTPQ_RETURN_NOT_OK(r.ExpectEnd());
   // The root oracle owns every nested sub-index, so pinning the mapping
   // here keeps all borrowed views valid for the oracle's whole life.
-  (*oracle)->RetainBuffer(std::move(mapping));
+  if (mapping != nullptr) (*oracle)->RetainBuffer(std::move(mapping));
   return oracle;
 }
 
@@ -178,55 +125,39 @@ Status SaveReachabilityIndex(const ReachabilityOracle& oracle,
   // placed its own pod pads assuming an 8-aligned start.
   header.AlignTo8();
 
-  // Chain the CRC across header and body so neither needs to be
-  // concatenated into a third buffer — the payload (quadratic for
-  // transitive_closure) is the dominant allocation, keep it single.
-  const uint32_t crc =
-      Crc32(body.buffer().data(), body.buffer().size(),
-            Crc32(header.buffer().data(), header.buffer().size()));
-
-  Writer prologue;
-  prologue.WriteBytes(kIndexMagic.data(), kIndexMagic.size());
-  prologue.WriteU32(kIndexFormatVersion);
-  prologue.WriteU32(crc);
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::NotFound("cannot create index file: " + path);
-  for (const Writer* part : {&prologue, &header, &body}) {
-    out.write(part->buffer().data(),
-              static_cast<std::streamsize>(part->buffer().size()));
-  }
-  out.close();
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::OK();
+  // Header and body go out as two parts, so the payload (quadratic for
+  // transitive_closure), the dominant allocation, is never copied.
+  return WriteChecksummedFile(path, kIndexFormat,
+                              {header.buffer(), body.buffer()});
 }
 
 Result<std::unique_ptr<ReachabilityOracle>> LoadReachabilityIndex(
     const std::string& path) {
-  return LoadImpl(path, nullptr);
+  return LoadImpl(path, nullptr, /*zero_copy=*/false);
 }
 
 Result<std::unique_ptr<ReachabilityOracle>> LoadReachabilityIndex(
     const std::string& path, const Digraph& expected_graph) {
-  return LoadImpl(path, &expected_graph);
+  return LoadImpl(path, &expected_graph, /*zero_copy=*/false);
 }
 
 Result<std::unique_ptr<ReachabilityOracle>> LoadReachabilityIndexView(
     const std::string& path) {
-  return LoadViewImpl(path, nullptr);
+  return LoadImpl(path, nullptr, /*zero_copy=*/true);
 }
 
 Result<std::unique_ptr<ReachabilityOracle>> LoadReachabilityIndexView(
     const std::string& path, const Digraph& expected_graph) {
-  return LoadViewImpl(path, &expected_graph);
+  return LoadImpl(path, &expected_graph, /*zero_copy=*/true);
 }
 
 Result<IndexFileInfo> InspectReachabilityIndex(const std::string& path) {
   std::string bytes;
-  GTPQ_RETURN_NOT_OK(ReadFile(path, &bytes));
+  auto body = ReadChecksummedFile(path, kIndexFormat, &bytes);
+  GTPQ_RETURN_NOT_OK(body.status());
   IndexFileInfo info;
   Reader r{std::string_view()};
-  GTPQ_RETURN_NOT_OK(OpenHeader(bytes, path, &info, &r));
+  GTPQ_RETURN_NOT_OK(OpenHeader(*body, path, nullptr, &info, &r));
   return info;
 }
 

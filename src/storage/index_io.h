@@ -12,13 +12,14 @@
 #include "reachability/chain_cover.h"
 #include "reachability/index_view.h"
 #include "reachability/reachability_index.h"
+#include "storage/checked_file.h"
 #include "storage/serializer.h"
 
 namespace gtpq {
 namespace storage {
 
 /// On-disk layout of a ".gtpqidx" reachability index file (all scalars
-/// little-endian):
+/// little-endian; the prologue is storage/checked_file.h's):
 ///
 ///   [0..8)    magic "GTPQIDX\n"
 ///   [8..12)   u32 format version (kIndexFormatVersion)
@@ -33,20 +34,26 @@ namespace storage {
 ///             payload: backend-specific body (each backend's SaveBody;
 ///             decorators nest their inner oracle's section)
 ///
-/// Format v2 is the pod_align layout (storage/serializer.h): the header
-/// is padded so the payload starts 8-aligned, and every POD vector in
-/// the payload pads after its count prefix so its element bytes sit on
-/// an 8-byte file offset. Since offset 16 is itself 8-aligned, file
-/// alignment equals mapped-memory alignment — which is what lets
-/// LoadReachabilityIndexView hand out element views pointing straight
-/// into read-only mmap'd pages instead of heap copies.
+/// The file uses the pod_align layout (storage/serializer.h): the
+/// header is padded so the payload starts 8-aligned, and every POD
+/// vector in the payload pads after its count prefix so its element
+/// bytes sit on an 8-byte file offset. Since offset 16 is itself
+/// 8-aligned, file alignment equals mapped-memory alignment — which is
+/// what lets LoadReachabilityIndexView hand out element views pointing
+/// straight into read-only mmap'd pages instead of heap copies.
+///
+/// v3 dropped two derived arrays from the `sharded:` section, which now
+/// carries the BoundaryLayout codec (reachability/boundary_closure.h).
 ///
 /// Readers reject, with a clean Status and no crash: wrong magic,
 /// version mismatch, checksum mismatch (covers truncation and bit
 /// corruption), trailing bytes, and — when the caller supplies the
-/// graph being served — a fingerprint mismatch.
+/// graph being served — a fingerprint mismatch. Saves replace the file
+/// atomically against a killed process (WriteChecksummedFile).
 inline constexpr std::string_view kIndexMagic = "GTPQIDX\n";
-inline constexpr uint32_t kIndexFormatVersion = 2;
+inline constexpr uint32_t kIndexFormatVersion = 3;
+inline constexpr FileFormat kIndexFormat{kIndexMagic, kIndexFormatVersion,
+                                         "index"};
 inline constexpr std::string_view kIndexFileExtension = ".gtpqidx";
 
 /// Order-sensitive 64-bit digest of a finalized graph's structure

@@ -17,8 +17,8 @@ namespace storage {
 /// pages, page-faulted on demand — the substrate of zero-copy index
 /// serving. The mapping stays valid for the lifetime of this object
 /// even if the path is later renamed over (loads pin the inode, which
-/// is what makes `gteactl apply`'s write-temp + rename re-save safe
-/// under live readers).
+/// is what makes a save's write-temp + rename (WriteChecksummedFile)
+/// safe under live readers).
 class MmapFile {
  public:
   /// Maps `path` read-only. NotFound when the file cannot be opened,

@@ -136,11 +136,5 @@ DataGraph GenerateXmark(const XmarkOptions& options) {
   return b.Build();
 }
 
-size_t XmarkApproxNodes(double scale) {
-  return static_cast<size_t>(
-      kPersonsPerScale * 7.2 * scale + kItemsPerScale * 6.0 * scale +
-      kOpenPerScale * 12.0 * scale + kClosedPerScale * 6.0 * scale + 5);
-}
-
 }  // namespace workload
 }  // namespace gtpq

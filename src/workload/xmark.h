@@ -65,9 +65,6 @@ struct XmarkOptions {
 /// full graph — the property the paper's decomposition relies on.
 DataGraph GenerateXmark(const XmarkOptions& options);
 
-/// Approximate node count at a given scale (for harness reporting).
-size_t XmarkApproxNodes(double scale);
-
 }  // namespace workload
 }  // namespace gtpq
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -20,6 +21,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -88,20 +90,26 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-/// A minimal structurally-valid map over an 8-vertex path graph with no
-/// boundary machinery — the seed the rejection tests corrupt.
+/// Two shards over the 8-vertex path 0 -> 1 -> ... -> 7: boundary
+/// {3, 4} and the one cross edge 3 -> 4.
+ShardedOracle TinyOracle() {
+  Digraph path(8);
+  for (NodeId v = 0; v + 1 < 8; ++v) path.AddEdge(v, v + 1);
+  path.Finalize();
+  ShardedOracleOptions options;
+  options.num_shards = 2;
+  return ShardedOracle(path, options);
+}
+
+/// A minimal structurally-valid map with TinyOracle's layout — the seed
+/// the rejection tests corrupt.
 PartitionMap TinyMap() {
   PartitionMap map;
   map.num_nodes = 8;
-  map.num_edges = 0;
-  map.ranges = {{0, 4}, {4, 8}};
+  map.num_edges = 7;
+  map.set_layout(TinyOracle().layout());
   map.endpoints = {"127.0.0.1:1", "127.0.0.1:2"};
   map.shard_fingerprints = {1, 2};
-  map.shard_overlay.resize(2);
-  Digraph empty_overlay(0);
-  empty_overlay.Finalize();
-  map.overlay_closure = std::make_shared<const TransitiveClosure>(
-      TransitiveClosure::Build(empty_overlay));
   return map;
 }
 
@@ -133,28 +141,19 @@ TEST(PartitionMapTest, BuildRoundTripsThroughDisk) {
     EXPECT_EQ(a.ranges[s].end, b.ranges[s].end);
     EXPECT_EQ(a.endpoints[s], b.endpoints[s]);
     EXPECT_EQ(a.shard_fingerprints[s], b.shard_fingerprints[s]);
-    EXPECT_EQ(a.shard_overlay[s], b.shard_overlay[s]);
   }
-  EXPECT_EQ(a.boundary, b.boundary);
-  EXPECT_EQ(a.cross_edges, b.cross_edges);
-  ASSERT_NE(b.overlay_closure, nullptr);
-  EXPECT_EQ(a.overlay_closure->NumNodes(), b.overlay_closure->NumNodes());
-  for (uint32_t x = 0; x < a.boundary.size(); ++x) {
-    for (uint32_t y = 0; y < a.boundary.size(); ++y) {
-      EXPECT_EQ(a.overlay_closure->Reaches(x, y),
-                b.overlay_closure->Reaches(x, y));
+  EXPECT_EQ(a.layout.shard_starts, b.layout.shard_starts);
+  EXPECT_EQ(a.layout.contributions, b.layout.contributions);
+  EXPECT_EQ(a.layout.boundary, b.layout.boundary);
+  EXPECT_EQ(a.layout.cross_edges, b.layout.cross_edges);
+  ASSERT_NE(b.layout.closure, nullptr);
+  EXPECT_EQ(a.layout.closure->NumNodes(), b.layout.closure->NumNodes());
+  for (uint32_t x = 0; x < a.layout.boundary.size(); ++x) {
+    for (uint32_t y = 0; y < a.layout.boundary.size(); ++y) {
+      EXPECT_EQ(a.layout.closure->Reaches(x, y),
+                b.layout.closure->Reaches(x, y));
     }
   }
-
-  // ShardOf agrees with the ranges, and uncovered ids are flagged.
-  for (NodeId v = 0; v < graph->NumNodes(); ++v) {
-    const size_t s = b.ShardOf(v);
-    ASSERT_LT(s, b.num_shards());
-    EXPECT_GE(v, b.ranges[s].begin);
-    EXPECT_LT(v, b.ranges[s].end);
-  }
-  EXPECT_EQ(b.ShardOf(static_cast<NodeId>(graph->NumNodes())),
-            b.num_shards());
 
   // Every written shard index is stamped with the fingerprint the map
   // expects; pairing a shard with another shard's index is rejected.
@@ -169,64 +168,119 @@ TEST(PartitionMapTest, BuildRoundTripsThroughDisk) {
 
 // ------------------------------------------------------ rejection suite
 
-TEST(PartitionMapTest, RejectsBadMagic) {
-  const std::string path = TempDirFor("badmagic.gtpqmap");
+// A map shares the .gtpqidx prologue (storage/checked_file.h): damage
+// anywhere, or a file of the previous format (.gtpqmap v1, and
+// .gtpqidx v2 for the index), is refused before the body is parsed.
+TEST(PartitionMapTest, RejectsDamagedFilesAndOlderFormats) {
+  const std::string path = TempDirFor("damaged.gtpqmap");
   ASSERT_TRUE(SavePartitionMap(TinyMap(), path).ok());
-  std::string bytes = ReadFileBytes(path);
-  bytes[0] = 'X';
-  WriteFileBytes(path, bytes);
-  const Status st = LoadPartitionMap(path).status();
-  EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("magic"), std::string::npos);
+  const std::string good = ReadFileBytes(path);
+  std::string magic = good, flipped = good, v1 = good;
+  magic[0] = 'X';
+  flipped[good.size() / 2] ^= 0x40;
+  v1[8] = 1;
+  const std::tuple<std::string, StatusCode, const char*> cases[] = {
+      {magic, StatusCode::kParseError, "magic"},
+      {flipped, StatusCode::kParseError, "checksum"},
+      {good.substr(0, good.size() - 5), StatusCode::kParseError, "checksum"},
+      {v1, StatusCode::kFailedPrecondition,
+       "format version mismatch: file has v1"},
+  };
+  for (const auto& [bytes, code, says] : cases) {
+    WriteFileBytes(path, bytes);
+    const Status st = LoadPartitionMap(path).status();
+    EXPECT_EQ(st.code(), code) << st.ToString();
+    EXPECT_NE(st.message().find(says), std::string::npos) << st.ToString();
+  }
+
+  Digraph graph(8);
+  graph.Finalize();
+  const std::string index_path = TempDirFor("v2.gtpqidx");
+  ASSERT_TRUE(
+      storage::SaveReachabilityIndex(TinyOracle(), graph, index_path).ok());
+  std::string v2 = ReadFileBytes(index_path);
+  v2[8] = 2;
+  WriteFileBytes(index_path, v2);
+  const Status st = storage::LoadReachabilityIndex(index_path).status();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("format version mismatch: file has v2"),
+            std::string::npos)
+      << st.ToString();
 }
 
-TEST(PartitionMapTest, RejectsCorruptedBody) {
-  const std::string path = TempDirFor("corrupt.gtpqmap");
-  ASSERT_TRUE(SavePartitionMap(TinyMap(), path).ok());
-  std::string bytes = ReadFileBytes(path);
-  bytes[bytes.size() / 2] ^= 0x40;
-  WriteFileBytes(path, bytes);
+// One table of broken layouts, each run through the .gtpqmap loader and
+// through a sharded: index section: the one validator must reject both
+// with the same ParseError.
+TEST(PartitionMapTest, RejectsBadLayoutsInMapsAndShardedSections) {
+  const ShardedOracle oracle = TinyOracle();
+  const BoundaryLayout good = oracle.layout();
+  struct Case {
+    const char* name;
+    std::function<void(BoundaryLayout*)> mutate;
+    const char* says;
+  };
+  const Case cases[] = {
+      {"no change", [](BoundaryLayout*) {}, nullptr},
+      {"overlapping ranges",
+       [](BoundaryLayout* l) { l->shard_starts = {0, 5, 4, 8}; },
+       "overlapping"},
+      {"uncovered vertex 0",
+       [](BoundaryLayout* l) { l->shard_starts = {1, 4, 8}; }, "uncovered"},
+      {"cross edge off the boundary",
+       [](BoundaryLayout* l) { l->cross_edges.push_back({2, 5}); },
+       "does not join two boundary vertices"},
+      {"out-of-range contribution",
+       [](BoundaryLayout* l) { l->contributions[1].push_back({0, 2}); },
+       "contribution names boundary index 2"},
+      {"missing closure",
+       [](BoundaryLayout* l) { l->closure = nullptr; }, "closure covers 0"},
+  };
+  const std::string path = TempDirFor("badlayout.gtpqmap");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    BoundaryLayout layout = good;
+    c.mutate(&layout);
+
+    PartitionMap map = TinyMap();
+    map.set_layout(layout);
+    ASSERT_TRUE(SavePartitionMap(map, path).ok());  // Save trusts callers
+    const Status from_map = LoadPartitionMap(path).status();
+
+    storage::Writer section;
+    section.set_pod_align(true);
+    section.WriteString("interval");
+    layout.Save(&section);
+    for (size_t s = 0; s < oracle.NumShards(); ++s) {
+      ASSERT_TRUE(
+          storage::SaveOracleBody(oracle.shard_index(s), &section).ok());
+    }
+    storage::Reader reader(section.buffer());
+    reader.set_pod_align(true);
+    const Status from_index =
+        storage::LoadOracleBody("sharded:interval", &reader).status();
+
+    if (c.says == nullptr) {
+      EXPECT_TRUE(from_map.ok()) << from_map.ToString();
+      EXPECT_TRUE(from_index.ok()) << from_index.ToString();
+      continue;
+    }
+    EXPECT_EQ(from_map.code(), StatusCode::kParseError);
+    EXPECT_EQ(from_index.code(), StatusCode::kParseError);
+    EXPECT_EQ(from_map.message(), from_index.message());
+    EXPECT_NE(from_map.message().find(c.says), std::string::npos)
+        << from_map.ToString();
+  }
+
+  // A map also knows its graph's node count: cuts ending short of it
+  // leave the last vertices unowned.
+  PartitionMap short_map = TinyMap();
+  BoundaryLayout short_layout = good;
+  short_layout.shard_starts = {0, 4, 7};
+  short_map.set_layout(short_layout);
+  ASSERT_TRUE(SavePartitionMap(short_map, path).ok());
   const Status st = LoadPartitionMap(path).status();
   EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("checksum"), std::string::npos);
-}
-
-TEST(PartitionMapTest, RejectsTruncation) {
-  const std::string path = TempDirFor("trunc.gtpqmap");
-  ASSERT_TRUE(SavePartitionMap(TinyMap(), path).ok());
-  std::string bytes = ReadFileBytes(path);
-  WriteFileBytes(path, bytes.substr(0, bytes.size() - 5));
-  EXPECT_EQ(LoadPartitionMap(path).status().code(),
-            StatusCode::kParseError);
-}
-
-TEST(PartitionMapTest, RejectsOverlappingRanges) {
-  PartitionMap map = TinyMap();
-  map.ranges = {{0, 5}, {4, 8}};  // vertex 4 owned twice
-  const std::string path = TempDirFor("overlap.gtpqmap");
-  ASSERT_TRUE(SavePartitionMap(map, path).ok());  // Save trusts callers
-  const Status st = LoadPartitionMap(path).status();
-  EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("overlapping"), std::string::npos);
-}
-
-TEST(PartitionMapTest, RejectsUncoveredVertex) {
-  PartitionMap map = TinyMap();
-  map.ranges = {{0, 3}, {4, 8}};  // vertex 3 unowned
-  const std::string path = TempDirFor("gap.gtpqmap");
-  ASSERT_TRUE(SavePartitionMap(map, path).ok());
-  const Status st = LoadPartitionMap(path).status();
-  EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("uncovered"), std::string::npos);
-
-  map.ranges = {{1, 4}, {4, 8}};  // vertex 0 unowned
-  ASSERT_TRUE(SavePartitionMap(map, path).ok());
-  EXPECT_NE(LoadPartitionMap(path).status().message().find("uncovered"),
-            std::string::npos);
-
-  map.ranges = {{0, 4}, {4, 7}};  // vertex 7 unowned
-  ASSERT_TRUE(SavePartitionMap(map, path).ok());
-  EXPECT_FALSE(LoadPartitionMap(path).ok());
+  EXPECT_NE(st.message().find("covers 7 of 8"), std::string::npos);
 }
 
 TEST(PartitionMapTest, RejectsShardCountDisagreement) {
@@ -876,16 +930,17 @@ TEST(ShardRouterTest, NativeUpdateCommitsEpochBarrier) {
   EXPECT_EQ(cluster.router->ApplyNativeUpdate(add_nodes).code(),
             StatusCode::kFailedPrecondition);
 
-  ASSERT_FALSE(map.cross_edges.empty());
+  const BoundaryLayout& layout = map.layout;
+  ASSERT_FALSE(layout.cross_edges.empty());
   UpdateBatch cross;
   cross.add_edges.push_back(
-      {map.cross_edges[0].second, map.cross_edges[0].first});
+      {layout.cross_edges[0].second, layout.cross_edges[0].first});
   EXPECT_EQ(cluster.router->ApplyNativeUpdate(cross).code(),
             StatusCode::kFailedPrecondition);
 
-  ASSERT_FALSE(map.boundary.empty());
+  ASSERT_FALSE(layout.boundary.empty());
   UpdateBatch remove_boundary;
-  remove_boundary.remove_nodes.push_back(map.boundary[0]);
+  remove_boundary.remove_nodes.push_back(layout.boundary[0]);
   EXPECT_EQ(cluster.router->ApplyNativeUpdate(remove_boundary).code(),
             StatusCode::kFailedPrecondition);
 

@@ -3,20 +3,32 @@
 // round-trip through SaveReachabilityIndex / LoadReachabilityIndex and
 // still agree with the materialized closure on the full point + set
 // API; corrupted, truncated, version-skewed, and wrong-graph files must
-// be rejected with clean Status errors, never crashes; and the
-// factory's "file:<path>" spec must serve a loaded index through the
-// same seams (gtea:file:..., SharedEngineFactory) a built index uses.
+// be rejected with clean Status errors, never crashes; the factory's
+// "file:<path>" spec must serve a loaded index through the same seams
+// (gtea:file:..., SharedEngineFactory) a built index uses; and a save
+// killed midway must leave the previous file loadable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
+
 #include "baselines/engines.h"
+#include "cluster/partition_map.h"
 #include "common/rng.h"
+#include "common/timer.h"
 #include "core/gtea.h"
 #include "graph/generators.h"
 #include "query/query_generator.h"
@@ -336,16 +348,10 @@ TEST(FileSpecTest, LegacyCachedFileIsUnimplemented) {
   header.WriteU64(g.NumEdges());
   header.WriteU64(body.buffer().size());
   header.AlignTo8();
-  storage::Writer prologue;
-  prologue.WriteBytes(storage::kIndexMagic.data(),
-                      storage::kIndexMagic.size());
-  prologue.WriteU32(storage::kIndexFormatVersion);
-  prologue.WriteU32(storage::Crc32(
-      body.buffer().data(), body.buffer().size(),
-      storage::Crc32(header.buffer().data(), header.buffer().size())));
   const std::string path = TempPath("legacy_cached");
-  WriteFileBytes(path,
-                 prologue.buffer() + header.buffer() + body.buffer());
+  ASSERT_TRUE(storage::WriteChecksummedFile(path, storage::kIndexFormat,
+                                            {header.buffer(), body.buffer()})
+                  .ok());
 
   auto info = storage::InspectReachabilityIndex(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
@@ -420,6 +426,98 @@ TEST(FileSpecTest, SharedEngineFactoryStampsWorkersOverALoadedIndex) {
   EXPECT_EQ(b->Evaluate(*q), expected);
   std::remove(path.c_str());
 }
+
+// ------------------------------------------------------- crash drill
+
+#ifdef __linux__
+
+/// Saves A to `path` and times one save of B elsewhere. Then, up to 20
+/// rounds with one child at a time: a forked child saves B over `path`
+/// and is SIGKILLed after a random delay of 0.5 to 1.5 times that save
+/// time (so most kills land while it serializes or writes), and `check`
+/// looks at `path`.
+template <typename SaveA, typename SaveB, typename Check>
+void KillSavesMidway(const std::string& path, SaveA save_a, SaveB save_b,
+                     Check check) {
+  Timer timer;
+  ASSERT_TRUE(save_b(path + ".timing").ok());
+  const auto save_us = static_cast<uint64_t>(1000 * timer.ElapsedMillis());
+  ASSERT_TRUE(save_a(path).ok());
+  Rng rng(17);
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) _exit(save_b(path).ok() ? 0 : 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        save_us / 2 + rng.NextBounded(save_us + 1)));
+    kill(child, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    check();
+  }
+  for (const std::string& p : {path, path + ".tmp", path + ".timing"}) {
+    std::remove(p.c_str());
+  }
+}
+
+TEST(CrashDrillTest, KilledIndexSaveLeavesALoadableFile) {
+  const DataGraph a = TestDag();
+  const DataGraph b = RandomDag({.num_nodes = 3000, .seed = 8});
+  const auto saver = [](const DataGraph& g, std::string_view spec) {
+    return [&g, index = MakeReachabilityIndex(spec, g.graph())](
+               const std::string& path) {
+      return storage::SaveReachabilityIndex(*index, g.graph(), path);
+    };
+  };
+  const std::string path = TempPath("crash_drill");
+  KillSavesMidway(
+      path, saver(a, "interval"), saver(b, "transitive_closure"), [&] {
+        const Digraph& g = storage::LoadReachabilityIndex(path, a.graph()).ok()
+                               ? a.graph()
+                               : b.graph();
+        EXPECT_NE(MakeReachabilityIndex("file:" + path, g), nullptr);
+        EXPECT_NE(MakeReachabilityIndex("mmap:" + path, g), nullptr);
+      });
+}
+
+/// A one-shard map whose boundary is every vertex of a random DAG of
+/// `n` nodes, so its closure (and file) grows as n^2.
+cluster::PartitionMap MapOver(size_t n) {
+  const DataGraph dag = RandomDag({.num_nodes = n, .seed = 9});
+  BoundaryLayout layout;
+  layout.shard_starts = {0, n};
+  layout.boundary.resize(n);
+  std::iota(layout.boundary.begin(), layout.boundary.end(), NodeId{0});
+  layout.contributions.resize(1);
+  layout.closure = std::make_shared<const TransitiveClosure>(
+      TransitiveClosure::Build(dag.graph()));
+  cluster::PartitionMap map;
+  map.num_nodes = n;
+  map.set_layout(std::move(layout));
+  map.endpoints = {"127.0.0.1:1"};
+  map.shard_fingerprints = {0};
+  return map;
+}
+
+TEST(CrashDrillTest, KilledMapSaveLeavesALoadableFile) {
+  const cluster::PartitionMap a = MapOver(8);
+  const cluster::PartitionMap b = MapOver(3000);
+  const auto saver = [](const cluster::PartitionMap& map) {
+    return [&map](const std::string& path) {
+      return cluster::SavePartitionMap(map, path);
+    };
+  };
+  const std::string path = TempPath("crash_drill_map");
+  KillSavesMidway(path, saver(a), saver(b), [&] {
+    auto loaded = cluster::LoadPartitionMap(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(loaded->num_nodes == a.num_nodes ||
+                loaded->num_nodes == b.num_nodes);
+  });
+}
+
+#endif  // __linux__
 
 }  // namespace
 }  // namespace gtpq

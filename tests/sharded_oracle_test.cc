@@ -1,13 +1,9 @@
-// ShardedOracle structural tests, focused on the rebuild-economics
-// API: RebuildShard must fold intra-shard edge edits into exactly the
-// touched shard (plus the overlay closure) and restore full
-// conformance with a ground-truth closure of the edited graph.
-// Point/set conformance of the decorator itself is covered by the
-// spec-parameterized suite in reachability_conformance_test.cc.
+// ShardedOracle structural tests: shard cuts, shard ownership, the
+// boundary, and agreement with a ground-truth closure on a graph whose
+// cycle threads two shards. Point/set conformance of the decorator
+// itself is covered by the spec-parameterized suite in
+// reachability_conformance_test.cc.
 #include <gtest/gtest.h>
-
-#include <utility>
-#include <vector>
 
 #include "reachability/sharded_oracle.h"
 #include "reachability/transitive_closure.h"
@@ -15,112 +11,40 @@
 namespace gtpq {
 namespace {
 
-constexpr size_t kNodes = 20;  // 4 shards x 5 vertices
-
-Digraph BuildGraph(const std::vector<std::pair<NodeId, NodeId>>& edges) {
-  Digraph g(kNodes);
-  for (const auto& [a, b] : edges) g.AddEdge(a, b);
-  g.Finalize();
-  return g;
-}
-
-// Base edge list: intra-shard chains in every shard plus fixed
-// cross-shard edges (which RebuildShard requires to stay unchanged).
-std::vector<std::pair<NodeId, NodeId>> BaseEdges() {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId s = 0; s < 4; ++s) {
-    const NodeId base = s * 5;
-    edges.push_back({base, base + 1});
-    edges.push_back({base + 1, base + 2});
-    edges.push_back({base + 3, base + 4});
-  }
-  // Cross edges plus the intra edge 4 -> 0, which closes a cycle
+TEST(ShardedOracleTest, StructureAndBaseConformance) {
+  // Four shards of five vertices: intra-shard chains in every shard,
+  // cross edges, and the intra edge 4 -> 0, which closes a cycle
   // threading shards 0 and 3: 0 -> 1 -> 2 -> 15 -> 16 -> 4 -> 0.
-  edges.push_back({4, 7});
-  edges.push_back({9, 12});
-  edges.push_back({14, 17});
-  edges.push_back({2, 15});
-  edges.push_back({16, 4});
-  edges.push_back({4, 0});
-  return edges;
-}
+  constexpr NodeId kNodes = 20;
+  Digraph g(kNodes);
+  for (NodeId base = 0; base < kNodes; base += 5) {
+    g.AddEdge(base, base + 1);
+    g.AddEdge(base + 1, base + 2);
+    g.AddEdge(base + 3, base + 4);
+  }
+  for (const auto& [a, b] : {std::pair<NodeId, NodeId>{4, 7},
+                             {9, 12}, {14, 17}, {2, 15}, {16, 4}, {4, 0}}) {
+    g.AddEdge(a, b);
+  }
+  g.Finalize();
 
-void ExpectMatchesClosure(const ShardedOracle& oracle, const Digraph& g) {
-  auto tc = TransitiveClosure::Build(g);
+  ShardedOracleOptions options;
+  options.num_shards = 4;
+  options.inner_spec = "interval";
+  ShardedOracle oracle(g, options);
+  EXPECT_EQ(oracle.name(), "sharded:interval");
+  EXPECT_EQ(oracle.NumShards(), 4u);
+  for (size_t s = 0; s <= 4; ++s) EXPECT_EQ(oracle.shard_starts()[s], 5 * s);
+  for (NodeId v = 0; v < kNodes; ++v) EXPECT_EQ(oracle.ShardOf(v), v / 5);
+  EXPECT_FALSE(oracle.boundary_vertices().empty());
+
+  const auto tc = TransitiveClosure::Build(g);
   for (NodeId a = 0; a < kNodes; ++a) {
     for (NodeId b = 0; b < kNodes; ++b) {
       ASSERT_EQ(oracle.Reaches(a, b), tc.Reaches(a, b))
           << "(" << a << ", " << b << ")";
     }
   }
-}
-
-ShardedOracleOptions FourShards() {
-  ShardedOracleOptions options;
-  options.num_shards = 4;
-  options.inner_spec = "interval";
-  return options;
-}
-
-TEST(ShardedOracleTest, StructureAndBaseConformance) {
-  Digraph g = BuildGraph(BaseEdges());
-  ShardedOracle oracle(g, FourShards());
-  EXPECT_EQ(oracle.name(), "sharded:interval");
-  EXPECT_EQ(oracle.NumShards(), 4u);
-  for (size_t s = 0; s < 4; ++s) EXPECT_EQ(oracle.ShardSize(s), 5u);
-  for (NodeId v = 0; v < kNodes; ++v) EXPECT_EQ(oracle.ShardOf(v), v / 5);
-  EXPECT_GT(oracle.NumBoundaryVertices(), 0u);
-  ExpectMatchesClosure(oracle, g);
-}
-
-TEST(ShardedOracleTest, RebuildShardIsNoOpOnSameGraph) {
-  Digraph g = BuildGraph(BaseEdges());
-  ShardedOracle oracle(g, FourShards());
-  for (size_t s = 0; s < oracle.NumShards(); ++s) {
-    oracle.RebuildShard(g, s);
-    ExpectMatchesClosure(oracle, g);
-  }
-}
-
-TEST(ShardedOracleTest, RebuildShardTracksIntraShardEdits) {
-  const auto base = BaseEdges();
-  Digraph g1 = BuildGraph(base);
-  ShardedOracle oracle(g1, FourShards());
-  ExpectMatchesClosure(oracle, g1);
-
-  // Edit shard 0 only: connect its two chain fragments (2 -> 3) and
-  // add a shortcut (0 -> 4). Cross-shard edges are untouched, so the
-  // boundary set is stable — the RebuildShard contract.
-  auto edited = base;
-  edited.push_back({2, 3});
-  edited.push_back({0, 4});
-  Digraph g2 = BuildGraph(edited);
-  oracle.RebuildShard(g2, 0);
-  ExpectMatchesClosure(oracle, g2);
-
-  // Remove one of the edits again (drop 2 -> 3): rebuilding the same
-  // shard must also forget reachability, not just add it — stale
-  // overlay rows from the previous rebuild would show up here.
-  auto shrunk = base;
-  shrunk.push_back({0, 4});
-  Digraph g3 = BuildGraph(shrunk);
-  oracle.RebuildShard(g3, 0);
-  ExpectMatchesClosure(oracle, g3);
-}
-
-TEST(ShardedOracleTest, RebuildShardTracksEditsInTwoShards) {
-  const auto base = BaseEdges();
-  Digraph g1 = BuildGraph(base);
-  ShardedOracle oracle(g1, FourShards());
-
-  // Intra edits in shards 1 and 3; rebuild exactly those two.
-  auto edited = base;
-  edited.push_back({7, 8});    // shard 1
-  edited.push_back({15, 19});  // shard 3
-  Digraph g2 = BuildGraph(edited);
-  oracle.RebuildShard(g2, 1);
-  oracle.RebuildShard(g2, 3);
-  ExpectMatchesClosure(oracle, g2);
 }
 
 }  // namespace

@@ -16,9 +16,9 @@
 //                   --text=<query>) [--limit=<n>] [--trace]
 //   gteactl apply   --connect=<host:port> --updates=<file>
 //   gteactl stats   --connect=<host:port>
-//   gteactl metrics --connect=<host:port>
+//   gteactl metrics --connect=<host:port> [--out=<file>]
 //   gteactl trace   --connect=<host:port> [--id=<hex>] [--out=<file>]
-//   gteactl slowlog --connect=<host:port>
+//   gteactl slowlog --connect=<host:port> [--out=<file>]
 //   gteactl top     --connect=<host:port> [--interval=<sec>]
 //                   [--count=<n>]
 //   gteactl partition (--graph=<file> | --gen=<spec>) --out=<dir>
@@ -68,7 +68,9 @@
 // `trace --id=<hex>` can pull exactly that request's spans, and `top`
 // turns successive federated snapshots into a live per-shard
 // QPS/latency/health dashboard.
-// A global `--quiet` drops log output below error level.
+// A global `--quiet` drops log output below error level. Each
+// subcommand accepts only its own flags: any other argument, such as a
+// misspelt flag, exits 2 with the usage text before any work.
 //
 // `partition` splits a graph into contiguous vertex shards
 // (degree-aware cuts by default), writing per-shard graphs + indexes
@@ -85,6 +87,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -143,10 +146,10 @@ int Usage() {
       "                  [--limit=<n>] [--trace]\n"
       "  gteactl apply   --connect=<host:port> --updates=<file>\n"
       "  gteactl stats   --connect=<host:port>\n"
-      "  gteactl metrics --connect=<host:port>\n"
+      "  gteactl metrics --connect=<host:port> [--out=<file>]\n"
       "  gteactl trace   --connect=<host:port> [--id=<hex-trace-id>] "
       "[--out=<file>]\n"
-      "  gteactl slowlog --connect=<host:port>\n"
+      "  gteactl slowlog --connect=<host:port> [--out=<file>]\n"
       "  gteactl top     --connect=<host:port> [--interval=<sec>] "
       "[--count=<n>]\n"
       "  gteactl partition (--graph=<file> | --gen=<spec>) --out=<dir>\n"
@@ -168,7 +171,8 @@ int Usage() {
       "                 sharded:<spec>, delta:<spec>,\n"
       "                 file:<path>, mmap:<path>; serve --mmap rewrites\n"
       "                 a file: index to the zero-copy mmap: loader)\n"
-      "global flags:    --quiet (suppress log output below error level)\n");
+      "global flags:    --quiet (suppress log output below error level)\n"
+      "An argument a subcommand does not accept exits 2.\n");
   return 2;
 }
 
@@ -180,6 +184,35 @@ std::optional<std::string> FlagValue(int argc, char** argv,
     if (std::strncmp(argv[i], prefix, len) == 0) value = argv[i] + len;
   }
   return value;
+}
+
+/// A subcommand: its entry point and what it accepts besides the global
+/// --quiet: the path of the file it works on first (when `path`), then
+/// `flags`, where a flag ending in '=' takes a value and any other must
+/// match whole.
+struct Subcommand {
+  int (*run)(int argc, char** argv);
+  bool path = false;
+  std::vector<std::string_view> flags;
+};
+
+/// The exact-match check bench/harness.h's RejectUnknownFlags makes;
+/// complains and returns false on an argument `command` does not accept.
+bool OnlyAccepted(int argc, char** argv, const Subcommand& command) {
+  if (command.path && (argc < 3 || argv[2][0] == '-')) return false;
+  for (int i = command.path ? 3 : 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg != "--quiet" &&
+        std::none_of(command.flags.begin(), command.flags.end(),
+                     [arg](std::string_view flag) {
+                       return flag.ends_with('=') ? arg.starts_with(flag)
+                                                  : arg == flag;
+                     })) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[1], argv[i]);
+      return false;
+    }
+  }
+  return true;
 }
 
 bool HasFlag(int argc, char** argv, const char* flag) {
@@ -314,14 +347,6 @@ int RunBuild(int argc, char** argv) {
   return 0;
 }
 
-bool HasPartitionMapMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::string_view(magic, sizeof(magic)) == cluster::kMapMagic;
-}
-
 int InspectPartitionMap(const std::string& path) {
   auto map = cluster::LoadPartitionMap(path);
   if (!map.ok()) {
@@ -339,7 +364,7 @@ int InspectPartitionMap(const std::string& path) {
               FormatWithCommas(static_cast<long long>(map->num_edges))
                   .c_str());
   std::printf("boundary       : %zu vertex(es), %zu cross edge(s)\n",
-              map->boundary.size(), map->cross_edges.size());
+              map->layout.boundary.size(), map->layout.cross_edges.size());
   for (size_t s = 0; s < map->num_shards(); ++s) {
     std::printf("shard %-2zu       : [%llu, %llu) %s nodes, endpoint %s, "
                 "index fingerprint %016llx\n",
@@ -358,8 +383,9 @@ int InspectPartitionMap(const std::string& path) {
 }
 
 int RunInspect(int argc, char** argv) {
-  if (argc < 3 || argv[2][0] == '-') return Usage();
-  if (HasPartitionMapMagic(argv[2])) return InspectPartitionMap(argv[2]);
+  if (storage::HasMagic(argv[2], cluster::kMapMagic)) {
+    return InspectPartitionMap(argv[2]);
+  }
   auto info = storage::InspectReachabilityIndex(argv[2]);
   if (!info.ok()) {
     std::fprintf(stderr, "inspect: %s\n",
@@ -385,7 +411,6 @@ int RunInspect(int argc, char** argv) {
 }
 
 int RunVerify(int argc, char** argv) {
-  if (argc < 3) return Usage();
   const std::string path = argv[2];
   unsigned long long probes = 64, seed = 1;
   if (!ParseBoundedFlag(argc, argv, "verify", "--probes=", 1, ULLONG_MAX,
@@ -458,7 +483,6 @@ int RunVerify(int argc, char** argv) {
 }
 
 int RunApply(int argc, char** argv) {
-  if (argc < 3) return Usage();
   const std::string path = argv[2];
   const auto updates_path = FlagValue(argc, argv, "--updates=");
   const auto out = FlagValue(argc, argv, "--out=");
@@ -467,10 +491,7 @@ int RunApply(int argc, char** argv) {
                  "apply: --updates=<file> and --out=<path> are required\n");
     return Usage();
   }
-  bool force_compact = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--compact") == 0) force_compact = true;
-  }
+  const bool force_compact = HasFlag(argc, argv, "--compact");
 
   auto graph = ResolveGraph(argc, argv);
   if (!graph.ok()) {
@@ -543,20 +564,12 @@ int RunApply(int argc, char** argv) {
   const double apply_ms = apply_timer.ElapsedMillis();
 
   const DataGraph updated = view.MaterializeDataGraph(g);
-  // Write-temp + rename: a live server mapping (or re-reading) the old
-  // file under `out` keeps its pinned inode; the new index appears
-  // atomically — no reader ever sees a half-written file.
-  const std::string tmp = *out + ".tmp";
+  // The save replaces `out` atomically: a live server mapping (or
+  // re-reading) the old file keeps its pinned inode.
   const Status saved =
-      storage::SaveReachabilityIndex(*overlay, updated.graph(), tmp);
+      storage::SaveReachabilityIndex(*overlay, updated.graph(), *out);
   if (!saved.ok()) {
     std::fprintf(stderr, "apply: %s\n", saved.ToString().c_str());
-    return 1;
-  }
-  if (std::rename(tmp.c_str(), out->c_str()) != 0) {
-    std::fprintf(stderr, "apply: cannot rename %s over %s: %s\n",
-                 tmp.c_str(), out->c_str(), std::strerror(errno));
-    std::remove(tmp.c_str());
     return 1;
   }
   if (auto graph_out = FlagValue(argc, argv, "--graph-out=")) {
@@ -772,8 +785,8 @@ int RunPartition(int argc, char** argv) {
   const cluster::PartitionMap& map = built->map;
   std::printf("%zu shard(s), %zu boundary vertex(es), %zu cross "
               "edge(s), %s cuts, in %.1f ms\n",
-              map.num_shards(), map.boundary.size(),
-              map.cross_edges.size(),
+              map.num_shards(), map.layout.boundary.size(),
+              map.layout.cross_edges.size(),
               options.plan.degree_aware ? "degree-aware" : "equal", ms);
   for (size_t s = 0; s < map.num_shards(); ++s) {
     std::printf("shard %-2zu: [%llu, %llu) -> %s + %s\n", s,
@@ -945,8 +958,8 @@ int RunRemoteStats(int argc, char** argv) {
 /// the span groups as one Chrome trace. `trace --id=<hex>` narrows the
 /// dump to one trace — against a router, that is the stitched
 /// multi-process view of a single request.
-int RunObserve(int argc, char** argv, const char* command,
-               net::ObserveKind kind) {
+int RunObserve(int argc, char** argv, net::ObserveKind kind) {
+  const char* command = argv[1];
   uint64_t filter = 0;
   if (auto id = FlagValue(argc, argv, "--id=")) {
     // Only a whole hex id of at most 16 digits: no sign, prefix or junk.
@@ -1166,33 +1179,65 @@ int RunTop(int argc, char** argv) {
 
 int Run(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string_view command = argv[1];
   if (HasFlag(argc, argv, "--quiet")) SetLogLevel(LogLevel::kError);
-  const bool remote = FlagValue(argc, argv, "--connect=").has_value();
-  if (command == "build") return RunBuild(argc, argv);
-  if (command == "inspect") return RunInspect(argc, argv);
-  if (command == "verify") return RunVerify(argc, argv);
-  if (command == "apply") {
-    return remote ? RunRemoteApply(argc, argv) : RunApply(argc, argv);
+  static const std::map<std::string_view, Subcommand> kSubcommands = {
+      {"build",
+       {RunBuild, false, {"--graph=", "--gen=", "--index=", "--out="}}},
+      {"inspect", {RunInspect, true, {"--mmap"}}},
+      {"verify",
+       {RunVerify, true, {"--graph=", "--gen=", "--probes=", "--seed="}}},
+      {"apply",
+       {RunApply, true,
+        {"--updates=", "--graph=", "--gen=", "--out=", "--graph-out=",
+         "--compact"}}},
+      {"apply --connect",
+       {RunRemoteApply, false, {"--connect=", "--updates="}}},
+      {"serve",
+       {RunServe, false,
+        {"--graph=", "--gen=", "--index=", "--engine=", "--mmap", "--port=",
+         "--bind=", "--threads=", "--coalesce=", "--window-us="}}},
+      {"partition",
+       {RunPartition, false,
+        {"--graph=", "--gen=", "--out=", "--shards=", "--inner=",
+         "--endpoints=", "--no-degree-aware"}}},
+      {"route",
+       {RunRoute, false,
+        {"--map=", "--graph=", "--gen=", "--endpoints=", "--port=",
+         "--bind=", "--threads=", "--coalesce=", "--window-us="}}},
+      {"query",
+       {RunRemoteQuery, false,
+        {"--connect=", "--file=", "--text=", "--limit=", "--trace"}}},
+      {"stats", {RunRemoteStats, false, {"--connect="}}},
+      {"metrics",
+       {[](int argc, char** argv) {
+          return RunObserve(argc, argv, net::ObserveKind::kMetricsSnapshot);
+        },
+        false, {"--connect=", "--out="}}},
+      {"trace",
+       {[](int argc, char** argv) {
+          return RunObserve(argc, argv, net::ObserveKind::kSpans);
+        },
+        false, {"--connect=", "--id=", "--out="}}},
+      {"slowlog",
+       {[](int argc, char** argv) {
+          return RunObserve(argc, argv, net::ObserveKind::kSlowlog);
+        },
+        false, {"--connect=", "--out="}}},
+      {"top", {RunTop, false, {"--connect=", "--interval=", "--count="}}},
+  };
+  // `apply` works on a local index file, or with --connect= on a server.
+  const std::string_view command =
+      argv[1] == std::string_view("apply") &&
+              FlagValue(argc, argv, "--connect=").has_value()
+          ? "apply --connect"
+          : argv[1];
+  const auto it = kSubcommands.find(command);
+  if (it == kSubcommands.end()) {
+    std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+    return Usage();
   }
-  if (command == "serve") return RunServe(argc, argv);
-  if (command == "partition") return RunPartition(argc, argv);
-  if (command == "route") return RunRoute(argc, argv);
-  if (command == "query") return RunRemoteQuery(argc, argv);
-  if (command == "stats") return RunRemoteStats(argc, argv);
-  if (command == "metrics") {
-    return RunObserve(argc, argv, "metrics",
-                      net::ObserveKind::kMetricsSnapshot);
-  }
-  if (command == "trace") {
-    return RunObserve(argc, argv, "trace", net::ObserveKind::kSpans);
-  }
-  if (command == "slowlog") {
-    return RunObserve(argc, argv, "slowlog", net::ObserveKind::kSlowlog);
-  }
-  if (command == "top") return RunTop(argc, argv);
-  std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
-  return Usage();
+  if (!OnlyAccepted(argc, argv, it->second)) return Usage();
+  return it->second.run(argc, argv);
 }
 
 }  // namespace
