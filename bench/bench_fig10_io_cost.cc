@@ -72,7 +72,7 @@ std::vector<std::string> ParseIndexFlag(int argc, char** argv) {
                        std::string(ReachabilityBackendName(k)).c_str());
         }
         std::fprintf(stderr,
-                     "; prefixes: sharded: delta: file: mmap: cluster:)\n");
+                     "; prefixes: sharded: file: mmap: cluster:)\n");
         std::exit(2);
       }
     }

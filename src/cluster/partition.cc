@@ -16,10 +16,8 @@ std::vector<size_t> PlanContiguousCuts(const Digraph& g,
                                        const PartitionPlanOptions& plan) {
   GTPQ_CHECK(g.finalized());
   const size_t n = g.NumNodes();
-  const size_t shards =
-      std::max<size_t>(1, std::min(plan.num_shards, std::max<size_t>(n, 1)));
-  std::vector<size_t> cuts(shards + 1);
-  for (size_t s = 0; s <= shards; ++s) cuts[s] = s * n / shards;
+  std::vector<size_t> cuts = EqualShardCuts(n, plan.num_shards);
+  const size_t shards = cuts.size() - 1;
   if (!plan.degree_aware || shards == 1 || n == 0) return cuts;
 
   // cost[p] = edges (u, v) with min(u, v) < p <= max(u, v) — exactly
@@ -49,7 +47,7 @@ std::vector<size_t> PlanContiguousCuts(const Digraph& g,
   const size_t slack = static_cast<size_t>(
       static_cast<double>(target) * std::max(0.0, plan.balance_slack));
   for (size_t s = 1; s < shards; ++s) {
-    const size_t ideal = s * n / shards;
+    const size_t ideal = cuts[s];  // still the equal cut
     const size_t lo = std::max(cuts[s - 1] + 1,
                                ideal > slack ? ideal - slack : size_t{1});
     const size_t hi = std::min(n - (shards - s), ideal + slack);
@@ -102,21 +100,12 @@ Result<PartitionArtifacts> BuildPartition(
                           : options.endpoints;
 
   for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = cuts[s], end = cuts[s + 1];
-    // Induced local subgraph with local ids [0, end - begin). Node and
-    // edge insertion order mirrors ShardedOracle's shard build exactly, so
-    // the local fingerprint matches the sub-index the oracle built.
-    DataGraph local(0);
-    for (size_t v = begin; v < end; ++v) {
-      local.AddNode(g.LabelOf(static_cast<NodeId>(v)));
-    }
-    for (size_t v = begin; v < end; ++v) {
-      for (NodeId w : g.OutNeighbors(static_cast<NodeId>(v))) {
-        if (w >= begin && w < end) {
-          local.AddEdge(static_cast<NodeId>(v - begin),
-                        static_cast<NodeId>(w - begin));
-        }
-      }
+    const size_t begin = cuts[s];
+    const Digraph sub = ShardSubgraph(g.graph(), begin, cuts[s + 1]);
+    DataGraph local(sub.NumNodes());
+    for (NodeId v = 0; v < sub.NumNodes(); ++v) {
+      local.SetLabel(v, g.LabelOf(static_cast<NodeId>(begin + v)));
+      for (NodeId w : sub.OutNeighbors(v)) local.AddEdge(v, w);
     }
     local.Finalize();
     out.map.shard_fingerprints.push_back(

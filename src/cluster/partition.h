@@ -16,7 +16,7 @@ struct PartitionPlanOptions {
   size_t num_shards = 3;
   /// When true, slide each equal cut within the balance window to the
   /// position crossed by the fewest edges; false keeps plain equal
-  /// cuts s * n / num_shards.
+  /// cuts (EqualShardCuts).
   bool degree_aware = true;
   /// How far (as a fraction of n / num_shards) a degree-aware cut may
   /// drift from its equal-cut position.
@@ -53,8 +53,8 @@ struct PartitionArtifacts {
 
 /// Partitions `g`: plans cuts, builds the boundary machinery (through
 /// ShardedOracle, so in-process `sharded:` and the cluster agree on
-/// semantics), then writes per-shard induced subgraphs ("gtpq-graph
-/// v1"), per-shard indexes (.gtpqidx over the LOCAL subgraph, so a
+/// semantics), then writes per-shard induced subgraphs (ShardSubgraph,
+/// as "gtpq-graph v2" files), per-shard indexes (.gtpqidx over the LOCAL subgraph, so a
 /// plain `gteactl serve --graph=shardK.graph --index=file:shardK
 /// .gtpqidx` serves it), and the .gtpqmap into `out_dir` (which must
 /// exist).

@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 namespace gtpq {
 
@@ -39,6 +41,38 @@ std::string_view StripWhitespace(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+namespace {
+
+// std::from_chars already refuses leading whitespace, '+' and (for
+// unsigned types) '-', and reports overflow; this adds the whole-token
+// check.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+bool ParseU32(std::string_view text, uint32_t* out) {
+  return ParseWhole(text, out);
+}
+
+bool ParseI64(std::string_view text, int64_t* out) {
+  return ParseWhole(text, out);
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  double value = 0;
+  if (!ParseWhole(text, &value) || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 std::string FormatWithCommas(long long n) {

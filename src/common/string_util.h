@@ -1,6 +1,7 @@
 #ifndef GTPQ_COMMON_STRING_UTIL_H_
 #define GTPQ_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,14 @@ std::string_view StripWhitespace(std::string_view s);
 
 /// True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Checked decimal parses of a whole token. Each returns false, leaving
+/// *out untouched, on an empty token, leading whitespace or '+',
+/// trailing characters, or a value out of the type's range. ParseU32
+/// also refuses '-'; ParseDouble refuses non-finite values.
+bool ParseU32(std::string_view text, uint32_t* out);
+bool ParseI64(std::string_view text, int64_t* out);
+bool ParseDouble(std::string_view text, double* out);
 
 /// Renders n with thousands separators, e.g. 1234567 -> "1,234,567".
 std::string FormatWithCommas(long long n);

@@ -20,6 +20,26 @@ void SortDedup(std::vector<Partial>* tuples) {
                 tuples->end());
 }
 
+// Slot-wise overlay of every (a, b) pair in `left` x `right`, in that
+// order, stopping once `limit` tuples are out (0 = no cap).
+std::vector<Partial> CappedProduct(const std::vector<Partial>& left,
+                                   const std::vector<Partial>& right,
+                                   size_t limit) {
+  std::vector<Partial> out;
+  out.reserve(left.size() * right.size());
+  for (const auto& a : left) {
+    for (const auto& b : right) {
+      if (limit != 0 && out.size() >= limit) return out;
+      Partial merged = a;
+      for (size_t k = 0; k < merged.size(); ++k) {
+        if (b[k] != kInvalidNode) merged[k] = b[k];
+      }
+      out.push_back(std::move(merged));
+    }
+  }
+  return out;
+}
+
 class Enumerator {
  public:
   Enumerator(const Gtpq& q, const MatchingGraph& mg,
@@ -52,26 +72,7 @@ class Enumerator {
         sub.insert(sub.end(), tuples.begin(), tuples.end());
       }
       SortDedup(&sub);
-      std::vector<Partial> next;
-      next.reserve(acc.size() * sub.size());
-      for (const auto& a : acc) {
-        for (const auto& s : sub) {
-          Partial merged = a;
-          for (size_t k = 0; k < merged.size(); ++k) {
-            if (s[k] != kInvalidNode) merged[k] = s[k];
-          }
-          next.push_back(std::move(merged));
-          if (options_.result_limit != 0 &&
-              next.size() >= options_.result_limit) {
-            break;
-          }
-        }
-        if (options_.result_limit != 0 &&
-            next.size() >= options_.result_limit) {
-          break;
-        }
-      }
-      acc = std::move(next);
+      acc = CappedProduct(acc, sub, options_.result_limit);
       if (acc.empty()) break;  // no matches from this subtree
     }
     result.tuples = std::move(acc);
@@ -185,26 +186,7 @@ class Enumerator {
         branch.insert(branch.end(), sub.begin(), sub.end());
       }
       SortDedup(&branch);
-      std::vector<Partial> next;
-      next.reserve(acc.size() * branch.size());
-      for (const auto& a : acc) {
-        for (const auto& b : branch) {
-          Partial merged = a;
-          for (size_t k = 0; k < merged.size(); ++k) {
-            if (b[k] != kInvalidNode) merged[k] = b[k];
-          }
-          next.push_back(std::move(merged));
-          if (options_.result_limit != 0 &&
-              next.size() >= options_.result_limit) {
-            break;
-          }
-        }
-        if (options_.result_limit != 0 &&
-            next.size() >= options_.result_limit) {
-          break;
-        }
-      }
-      acc = std::move(next);
+      acc = CappedProduct(acc, branch, options_.result_limit);
       if (acc.empty()) break;
     }
     memo_[u][cand_index] = std::move(acc);

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "reachability/factory.h"
-#include "storage/index_io.h"
 
 namespace gtpq {
 
@@ -18,13 +17,11 @@ uint64_t NextSnapshotTag() {
 }  // namespace
 
 DeltaOverlayOracle::DeltaOverlayOracle(
-    std::shared_ptr<const ReachabilityOracle> inner, const Digraph* base,
-    DeltaOverlayOptions options)
+    std::shared_ptr<const ReachabilityOracle> inner, const Digraph* base)
     : inner_(std::move(inner)),
       name_("delta:" + std::string(inner_->name())),
       base_(base),
       delta_(base->NumNodes()),
-      options_(options),
       scratch_(std::make_shared<PerThread<SearchScratch>>()),
       prefilter_(std::make_shared<PerThread<PrefilterCache>>()),
       snapshot_tag_(NextSnapshotTag()) {
@@ -313,30 +310,21 @@ void DeltaOverlayOracle::SuccessorsAmong(NodeId from,
 
 bool DeltaOverlayOracle::ShouldCompact() const {
   const size_t threshold = std::max(
-      options_.min_compact_ops,
-      static_cast<size_t>(options_.compact_fraction *
+      kMinCompactOps, static_cast<size_t>(
+                          kCompactFraction *
                           static_cast<double>(base_->NumEdges())));
   return delta_.NumOps() >= threshold;
 }
 
 Result<std::shared_ptr<const DeltaOverlayOracle>>
 DeltaOverlayOracle::WithUpdates(const UpdateBatch& batch) const {
-  // Compaction folds a removal into the rebuilt base as a plain
-  // isolated vertex, so the delta alone cannot keep removed ids dead;
-  // the retired list can (it survives compaction and persistence).
-  GTPQ_RETURN_NOT_OK(CheckRemovedVertices(batch, [this](NodeId v) {
-    return std::binary_search(retired_.begin(), retired_.end(), v);
-  }));
-
   auto next = std::shared_ptr<DeltaOverlayOracle>(new DeltaOverlayOracle());
   next->inner_ = inner_;
   next->name_ = name_;
   next->owned_base_ = owned_base_;
   next->base_ = base_;
   next->delta_ = delta_;
-  next->options_ = options_;
   next->compactions_ = compactions_;
-  next->retired_ = retired_;
   next->scratch_ = scratch_;
   next->prefilter_ = prefilter_;
   next->snapshot_tag_ = NextSnapshotTag();
@@ -364,67 +352,11 @@ DeltaOverlayOracle::Compact() const {
   next->owned_base_ = new_base;
   next->base_ = new_base.get();
   next->delta_ = GraphDelta(new_base->NumNodes());
-  next->options_ = options_;
   next->compactions_ = compactions_ + 1;
-  // Carry the tombstones the compaction just folded away.
-  next->retired_ = retired_;
-  for (NodeId v : delta_.RemovedNodes()) {
-    next->retired_.insert(std::lower_bound(next->retired_.begin(),
-                                           next->retired_.end(), v),
-                          v);
-  }
   next->scratch_ = scratch_;
   next->prefilter_ = prefilter_;
   next->snapshot_tag_ = NextSnapshotTag();
   return std::shared_ptr<const DeltaOverlayOracle>(std::move(next));
-}
-
-void DeltaOverlayOracle::SaveBody(storage::Writer* w) const {
-  storage::SaveDigraph(*base_, w);
-  delta_.Save(w);
-  w->WritePodVec(retired_);
-  // The inner oracle came through the factory, so this dispatch cannot
-  // hit an unknown spec.
-  GTPQ_CHECK(storage::SaveOracleBody(*inner_, w).ok());
-}
-
-Result<std::unique_ptr<DeltaOverlayOracle>> DeltaOverlayOracle::LoadBody(
-    std::string_view inner_spec, storage::Reader* r) {
-  auto oracle =
-      std::unique_ptr<DeltaOverlayOracle>(new DeltaOverlayOracle());
-  oracle->scratch_ = std::make_shared<PerThread<SearchScratch>>();
-  oracle->prefilter_ = std::make_shared<PerThread<PrefilterCache>>();
-  oracle->snapshot_tag_ = NextSnapshotTag();
-  Digraph base;
-  GTPQ_RETURN_NOT_OK(storage::LoadDigraph(r, &base));
-  auto owned = std::make_shared<const Digraph>(std::move(base));
-  oracle->owned_base_ = owned;
-  oracle->base_ = owned.get();
-  auto delta = GraphDelta::Load(r);
-  GTPQ_RETURN_NOT_OK(delta.status());
-  oracle->delta_ = delta.TakeValue();
-  if (oracle->delta_.base_nodes() != owned->NumNodes()) {
-    return Status::ParseError(
-        "delta section base node count does not match the stored graph");
-  }
-  GTPQ_RETURN_NOT_OK(r->ReadPodVec(&oracle->retired_));
-  if (!std::is_sorted(oracle->retired_.begin(), oracle->retired_.end()) ||
-      (!oracle->retired_.empty() &&
-       oracle->retired_.back() >= oracle->delta_.NumNodes())) {
-    return Status::ParseError("delta section retired list is invalid");
-  }
-  auto inner = storage::LoadOracleBody(inner_spec, r);
-  GTPQ_RETURN_NOT_OK(inner.status());
-  oracle->inner_ =
-      std::shared_ptr<const ReachabilityOracle>(inner.TakeValue());
-  if (oracle->inner_->name() != inner_spec) {
-    return Status::ParseError("delta section inner spec '" +
-                              std::string(oracle->inner_->name()) +
-                              "' does not match header spec '" +
-                              std::string(inner_spec) + "'");
-  }
-  oracle->name_ = "delta:" + std::string(inner_spec);
-  return oracle;
 }
 
 }  // namespace gtpq

@@ -14,24 +14,12 @@
 
 namespace gtpq {
 
-namespace storage {
-class Writer;
-class Reader;
-}  // namespace storage
-
-/// Tuning knobs for DeltaOverlayOracle.
-struct DeltaOverlayOptions {
-  /// WithUpdates() auto-compacts (rebuilds the inner index over the
-  /// materialized graph and resets the delta) once accumulated ops
-  /// exceed max(min_compact_ops, compact_fraction * base edges). Set
-  /// min_compact_ops to SIZE_MAX to disable auto-compaction.
-  size_t min_compact_ops = 1024;
-  double compact_fraction = 0.10;
-};
-
-/// Incremental-maintenance decorator (spec "delta:<inner>"): an
+/// Incremental-maintenance decorator, named "delta:<inner spec>": an
 /// immutable inner index built over a frozen base graph, plus a
-/// GraphDelta of pending mutations. Point reachability is answered over
+/// GraphDelta of pending mutations. The serving runtime
+/// (SharedEngineFactory::ApplyUpdates) wraps a gtea oracle in one on
+/// its first update; it is not a factory spec and is never persisted.
+/// Point reachability is answered over
 /// the combined view with a bounded incremental search that leans on
 /// the base index wherever it is still sound:
 ///
@@ -55,17 +43,26 @@ struct DeltaOverlayOptions {
 /// (and base graph) with the delta extended, and Compact() folds the
 /// delta into a rebuilt inner index. The serving runtime swaps the
 /// shared_ptr, so readers on the old snapshot never block writers.
+///
+/// The overlay validates batches only against its own pending delta: a
+/// vertex removed before the last compaction is a plain isolated vertex
+/// here. Keeping removed ids dead is the graph step's job
+/// (ApplyUpdateBatch, which sees the tombstone label).
 class DeltaOverlayOracle : public ReachabilityOracle {
  public:
+  /// WithUpdates() auto-compacts once pending ops reach
+  /// max(kMinCompactOps, kCompactFraction * base edges).
+  static constexpr size_t kMinCompactOps = 1024;
+  static constexpr double kCompactFraction = 0.10;
+
   /// Wraps a factory-built inner oracle over `base`, starting from an
   /// empty delta. UNLIKE every other backend (which is self-contained
   /// once built), the overlay ALIASES `base` — the incremental search
   /// walks its adjacency at probe time — so `base` must strictly
-  /// outlive the oracle. Snapshots created by Compact() (and loaded
-  /// from disk) own their materialized base instead.
+  /// outlive the oracle. Snapshots created by Compact() own their
+  /// materialized base instead.
   DeltaOverlayOracle(std::shared_ptr<const ReachabilityOracle> inner,
-                     const Digraph* base,
-                     DeltaOverlayOptions options = {});
+                     const Digraph* base);
 
   std::string_view name() const override { return name_; }
   bool Reaches(NodeId from, NodeId to) const override;
@@ -95,17 +92,10 @@ class DeltaOverlayOracle : public ReachabilityOracle {
   const ReachabilityOracle& inner() const { return *inner_; }
   const Digraph& base_graph() const { return *base_; }
   const GraphDelta& delta() const { return delta_; }
-  const DeltaOverlayOptions& options() const { return options_; }
   /// Current vertex-id space (base + added vertices).
   size_t NumNodes() const { return delta_.NumNodes(); }
   /// Pending (un-compacted) mutation count.
   size_t PendingOps() const { return delta_.NumOps(); }
-  /// Vertex ids removed anywhere along this snapshot chain, INCLUDING
-  /// removals already folded away by compaction (a compacted tombstone
-  /// is just an isolated vertex in the rebuilt base). WithUpdates
-  /// rejects batches touching them, so "removed ids stay dead" holds
-  /// across compaction and across save/load. Sorted ascending.
-  const std::vector<NodeId>& retired_nodes() const { return retired_; }
   /// Update batches absorbed since the last compaction base.
   uint64_t version() const { return delta_.version(); }
   /// Compactions performed along this snapshot chain.
@@ -113,7 +103,7 @@ class DeltaOverlayOracle : public ReachabilityOracle {
   bool ShouldCompact() const;
 
   /// A new snapshot with `batch` folded into the delta (inner index and
-  /// base graph shared). Auto-compacts past the options() threshold.
+  /// base graph shared). Auto-compacts past the threshold above.
   /// Rejects invalid batches without producing a snapshot.
   Result<std::shared_ptr<const DeltaOverlayOracle>> WithUpdates(
       const UpdateBatch& batch) const;
@@ -127,14 +117,6 @@ class DeltaOverlayOracle : public ReachabilityOracle {
   Digraph MaterializeGraph() const {
     return delta_.MaterializeDigraph(*base_);
   }
-
-  /// Persistence hooks (storage/index_io.h): the body is the immutable
-  /// base graph, the pending delta section, and the nested inner-index
-  /// body, so a load reconstructs the snapshot without the original
-  /// graph object.
-  void SaveBody(storage::Writer* w) const;
-  static Result<std::unique_ptr<DeltaOverlayOracle>> LoadBody(
-      std::string_view inner_spec, storage::Reader* r);
 
  private:
   DeltaOverlayOracle() = default;
@@ -154,9 +136,7 @@ class DeltaOverlayOracle : public ReachabilityOracle {
   std::shared_ptr<const Digraph> owned_base_;  // null when aliased
   const Digraph* base_ = nullptr;
   GraphDelta delta_;
-  DeltaOverlayOptions options_;
   uint64_t compactions_ = 0;
-  std::vector<NodeId> retired_;  // sorted; survives compaction
 
   // Thread-confined probe scratch. PerThread slots are reclaimed only
   // at thread exit, so per-snapshot slots would strand O(n) bytes per

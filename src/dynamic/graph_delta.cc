@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "storage/serializer.h"
 
 namespace gtpq {
 
@@ -24,36 +23,6 @@ std::string EdgeName(NodeId from, NodeId to) {
 }
 
 }  // namespace
-
-Status CheckRemovedVertices(const UpdateBatch& batch,
-                            const std::function<bool(NodeId)>& removed) {
-  for (const EdgeRef& e : batch.add_edges) {
-    if (removed(e.from) || removed(e.to)) {
-      return Status::FailedPrecondition(
-          "add_edge touches a removed vertex: " + EdgeName(e.from, e.to));
-    }
-  }
-  for (const EdgeRef& e : batch.remove_edges) {
-    if (removed(e.from) || removed(e.to)) {
-      return Status::FailedPrecondition(
-          "remove_edge touches a removed vertex: " + EdgeName(e.from, e.to));
-    }
-  }
-  for (NodeId v : batch.remove_nodes) {
-    if (removed(v)) {
-      return Status::FailedPrecondition("vertex already removed: " +
-                                        std::to_string(v));
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<NodeId> GraphDelta::RemovedNodes() const {
-  std::vector<NodeId> out(removed_node_set_.begin(),
-                          removed_node_set_.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 std::span<const NodeId> GraphDelta::AddedOut(NodeId v) const {
   auto it = added_out_.find(v);
@@ -240,56 +209,41 @@ DataGraph GraphDelta::MaterializeDataGraph(const DataGraph& base) const {
   return out;
 }
 
-void GraphDelta::Save(storage::Writer* w) const {
-  // Deterministic flat encoding: adjacency and id sets are sorted so
-  // identical deltas always serialize to identical bytes.
-  std::vector<EdgeRef> added_edges;
-  added_edges.reserve(num_added_edges_);
-  for (const auto& [v, targets] : added_out_) {
-    for (NodeId t : targets) added_edges.push_back({v, t});
-  }
-  std::sort(added_edges.begin(), added_edges.end(),
-            [](const EdgeRef& a, const EdgeRef& b) {
-              return a.from != b.from ? a.from < b.from : a.to < b.to;
-            });
-  std::vector<uint64_t> removed_edges(removed_edge_set_.begin(),
-                                      removed_edge_set_.end());
-  std::sort(removed_edges.begin(), removed_edges.end());
-  std::vector<NodeId> removed_nodes(removed_node_set_.begin(),
-                                    removed_node_set_.end());
-  std::sort(removed_nodes.begin(), removed_nodes.end());
-  storage::WriteFields(w, base_nodes_, version_, added_labels_,
-                       added_edges, removed_edges, removed_nodes);
-}
-
-Result<GraphDelta> GraphDelta::Load(storage::Reader* r) {
-  GraphDelta delta;
-  std::vector<EdgeRef> added_edges;
-  std::vector<uint64_t> removed_edges;
-  std::vector<NodeId> removed_nodes;
-  GTPQ_RETURN_NOT_OK(storage::ReadFields(
-      r, &delta.base_nodes_, &delta.version_, &delta.added_labels_,
-      &added_edges, &removed_edges, &removed_nodes));
-  const size_t n = delta.NumNodes();
-  for (const EdgeRef& e : added_edges) {
-    if (e.from >= n || e.to >= n) {
-      return Status::ParseError("delta added edge out of range");
+Result<DataGraph> ApplyUpdateBatch(const DataGraph& current,
+                                   const UpdateBatch& batch) {
+  for (int64_t label : batch.add_nodes) {
+    if (label == kRemovedNodeLabel) {
+      return Status::InvalidArgument(
+          "add_node carries the label reserved for removed vertices");
     }
-    delta.InsertAddedEdge(e.from, e.to);
   }
-  for (uint64_t key : removed_edges) {
-    const NodeId from = static_cast<NodeId>(key >> 32);
-    const NodeId to = static_cast<NodeId>(key & 0xffffffffu);
-    if (from >= delta.base_nodes_ || to >= delta.base_nodes_) {
-      return Status::ParseError("delta removed edge out of range");
+  const auto removed = [&current](NodeId v) {
+    return v < current.NumNodes() && current.LabelOf(v) == kRemovedNodeLabel;
+  };
+  const auto check_edges = [&](const std::vector<EdgeRef>& edges,
+                               const char* op) {
+    for (const EdgeRef& e : edges) {
+      if (removed(e.from) || removed(e.to)) {
+        return Status::FailedPrecondition(std::string(op) +
+                                          " touches a removed vertex: " +
+                                          EdgeName(e.from, e.to));
+      }
     }
-    delta.removed_edge_set_.insert(key);
+    return Status::OK();
+  };
+  GTPQ_RETURN_NOT_OK(check_edges(batch.add_edges, "add_edge"));
+  GTPQ_RETURN_NOT_OK(check_edges(batch.remove_edges, "remove_edge"));
+  for (NodeId v : batch.remove_nodes) {
+    if (removed(v)) {
+      return Status::FailedPrecondition("vertex already removed: " +
+                                        std::to_string(v));
+    }
   }
-  for (NodeId v : removed_nodes) {
-    if (v >= n) return Status::ParseError("delta removed node out of range");
-    delta.removed_node_set_.insert(v);
-  }
-  return delta;
+  // A one-batch delta, discarded on rejection, so the in-place apply
+  // needs no atomicity copy.
+  GraphDelta step(current.NumNodes());
+  GTPQ_RETURN_NOT_OK(step.ApplyInPlace(current.graph(), batch));
+  return step.MaterializeDataGraph(current);
 }
 
 }  // namespace gtpq

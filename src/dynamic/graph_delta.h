@@ -2,7 +2,6 @@
 #define GTPQ_DYNAMIC_GRAPH_DELTA_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <unordered_map>
@@ -15,14 +14,7 @@
 
 namespace gtpq {
 
-namespace storage {
-class Writer;
-class Reader;
-}  // namespace storage
-
-/// A directed edge reference inside one update. Unlike std::pair this
-/// is trivially copyable, so edge lists serialize through the POD-vector
-/// codecs directly.
+/// A directed edge reference inside one update.
 struct EdgeRef {
   NodeId from = 0;
   NodeId to = 0;
@@ -33,7 +25,10 @@ struct EdgeRef {
 /// Label stamped on removed vertices in materialized snapshots. The
 /// vertex id itself is never reused (ids stay dense and stable across
 /// snapshots); removal detaches every incident edge and retires the
-/// label so ordinary label predicates stop matching the tombstone.
+/// label so ordinary label predicates stop matching the tombstone. The
+/// label is the only record of a removal: ApplyUpdateBatch rejects any
+/// later op at a vertex carrying it, also after a restart from a saved
+/// graph.
 inline constexpr int64_t kRemovedNodeLabel =
     std::numeric_limits<int64_t>::min();
 
@@ -56,13 +51,6 @@ struct UpdateBatch {
   }
   bool empty() const { return NumOps() == 0; }
 };
-
-/// FailedPrecondition when `batch` adds or removes an edge at a vertex
-/// for which `removed` holds, or removes such a vertex again. The
-/// writers that outlive one delta (SharedEngineFactory's tombstones,
-/// DeltaOverlayOracle's retired list) keep removed ids dead with it.
-Status CheckRemovedVertices(const UpdateBatch& batch,
-                            const std::function<bool(NodeId)>& removed);
 
 /// Accumulated, validated difference between an immutable base Digraph
 /// and the current graph view — the mutable half of the GenomicsDB-style
@@ -116,8 +104,6 @@ class GraphDelta {
   bool NodeRemoved(NodeId v) const {
     return removed_node_set_.count(v) != 0;
   }
-  /// Removed vertex ids, sorted ascending.
-  std::vector<NodeId> RemovedNodes() const;
   bool EdgeRemoved(NodeId from, NodeId to) const {
     return removed_edge_set_.count(EdgeKey(from, to)) != 0;
   }
@@ -164,11 +150,6 @@ class GraphDelta {
   /// annotation survives exactly where the tree edge does.
   DataGraph MaterializeDataGraph(const DataGraph& base) const;
 
-  // --- Persistence (storage/index_io.h delta sections) ------------------
-
-  void Save(storage::Writer* w) const;
-  static Result<GraphDelta> Load(storage::Reader* r);
-
  private:
   static uint64_t EdgeKey(NodeId from, NodeId to) {
     return (static_cast<uint64_t>(from) << 32) | to;
@@ -188,6 +169,15 @@ class GraphDelta {
   size_t num_added_edges_ = 0;
   uint64_t version_ = 0;
 };
+
+/// The graph step every update takes: validates `batch` against
+/// `current` and returns the materialized successor graph (stable ids,
+/// shared attribute namespace; see GraphDelta::MaterializeDataGraph).
+/// Besides everything GraphDelta::Apply rejects, FailedPrecondition for
+/// any op at a vertex labelled kRemovedNodeLabel and InvalidArgument
+/// for an added vertex carrying that reserved label.
+Result<DataGraph> ApplyUpdateBatch(const DataGraph& current,
+                                   const UpdateBatch& batch);
 
 }  // namespace gtpq
 

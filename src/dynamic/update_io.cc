@@ -1,8 +1,6 @@
 #include "dynamic/update_io.h"
 
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <ostream>
 
 #include "common/string_util.h"
@@ -14,25 +12,6 @@ namespace {
 Status Malformed(size_t line_no, const std::string& line) {
   return Status::ParseError("malformed update line " +
                             std::to_string(line_no) + ": " + line);
-}
-
-bool ParseU32(const std::string& text, NodeId* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' ||
-      v > std::numeric_limits<NodeId>::max()) {
-    return false;
-  }
-  *out = static_cast<NodeId>(v);
-  return true;
-}
-
-bool ParseI64(const std::string& text, int64_t* out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace

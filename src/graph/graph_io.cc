@@ -4,30 +4,39 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/string_util.h"
 
 namespace gtpq {
 
 namespace {
+constexpr std::string_view kHeader = "gtpq-graph v2";
+
 std::string EncodeValue(const AttrValue& v) {
   if (v.is_string()) return "\"" + v.as_string() + "\"";
   return v.ToString();
 }
 
-AttrValue DecodeValue(const std::string& text) {
+bool DecodeValue(std::string_view text, AttrValue* out) {
   if (text.size() >= 2 && text.front() == '"' && text.back() == '"') {
-    return AttrValue(text.substr(1, text.size() - 2));
+    *out = AttrValue(std::string(text.substr(1, text.size() - 2)));
+    return true;
   }
-  if (text.find('.') != std::string::npos ||
-      text.find('e') != std::string::npos) {
-    return AttrValue(std::stod(text));
+  if (text.find_first_of(".e") != std::string_view::npos) {
+    double real = 0;
+    if (!ParseDouble(text, &real)) return false;
+    *out = AttrValue(real);
+    return true;
   }
-  return AttrValue(static_cast<int64_t>(std::stoll(text)));
+  int64_t integer = 0;
+  if (!ParseI64(text, &integer)) return false;
+  *out = AttrValue(integer);
+  return true;
 }
 }  // namespace
 
 Status SaveDataGraph(const DataGraph& g, std::ostream* out) {
-  (*out) << "gtpq-graph v1\n";
+  (*out) << kHeader << "\n";
   (*out) << "nodes " << g.NumNodes() << "\n";
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     const auto& tuple = g.Attrs(v);
@@ -46,78 +55,84 @@ Status SaveDataGraph(const DataGraph& g, std::ostream* out) {
       (*out) << "\n";
     }
   }
+  (*out) << "end\n";
   if (!out->good()) return Status::Internal("stream write failed");
   return Status::OK();
 }
 
 Status SaveDataGraphToFile(const DataGraph& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::NotFound("cannot open " + path + " for writing");
-  return SaveDataGraph(g, &out);
+  std::ostringstream text;
+  GTPQ_RETURN_NOT_OK(SaveDataGraph(g, &text));
+  const std::string bytes = text.str();
+  const std::string_view part = bytes;
+  return ReplaceFileAtomically(path, "graph", {&part, 1});
 }
 
 Result<DataGraph> LoadDataGraph(std::istream* in) {
   std::string line;
-  if (!std::getline(*in, line) ||
-      StripWhitespace(line) != "gtpq-graph v1") {
-    return Status::ParseError("missing 'gtpq-graph v1' header");
+  size_t line_no = 1;
+  const auto fail = [&line_no](const std::string& what) {
+    return Status::ParseError(what + " at line " + std::to_string(line_no));
+  };
+  if (!std::getline(*in, line) || StripWhitespace(line) != kHeader) {
+    return fail(StripWhitespace(line) == "gtpq-graph v1"
+                    ? "'gtpq-graph v1' is no longer read (v2 ends with an "
+                      "'end' line)"
+                    : "missing 'gtpq-graph v2' header");
   }
-  if (!std::getline(*in, line)) {
-    return Status::ParseError("missing 'nodes' line");
+  ++line_no;
+  NodeId n = 0;
+  if (!std::getline(*in, line)) return fail("missing 'nodes' line");
+  const auto head = Split(line, ' ');
+  if (head.size() != 2 || head[0] != "nodes" || !ParseU32(head[1], &n)) {
+    return fail("malformed 'nodes' line");
   }
-  auto head = Split(line, ' ');
-  if (head.size() != 2 || head[0] != "nodes") {
-    return Status::ParseError("malformed 'nodes' line: " + line);
-  }
-  size_t n = std::stoull(head[1]);
   DataGraph g(n);
 
-  size_t line_no = 2;
+  bool ended = false;
   while (std::getline(*in, line)) {
     ++line_no;
-    auto stripped = StripWhitespace(line);
+    if (ended) return fail("content after 'end'");
+    const auto stripped = StripWhitespace(line);
     if (stripped.empty() || stripped[0] == '#') continue;
-    auto parts = Split(stripped, ' ');
-    if (parts[0] == "node") {
-      if (parts.size() < 3) {
-        return Status::ParseError("malformed node line " +
-                                  std::to_string(line_no));
+    const auto parts = Split(stripped, ' ');
+    if (parts[0] == "end") {
+      if (parts.size() != 1) return fail("malformed 'end' line");
+      ended = true;
+    } else if (parts[0] == "node") {
+      NodeId id = 0;
+      int64_t label = 0;
+      if (parts.size() < 3 || !ParseU32(parts[1], &id) ||
+          !ParseI64(parts[2], &label)) {
+        return fail("malformed node line");
       }
-      NodeId id = static_cast<NodeId>(std::stoul(parts[1]));
-      if (id >= n) {
-        return Status::ParseError("node id out of range at line " +
-                                  std::to_string(line_no));
-      }
-      g.SetLabel(id, std::stoll(parts[2]));
+      if (id >= n) return fail("node id out of range");
+      g.SetLabel(id, label);
       for (size_t i = 3; i < parts.size(); ++i) {
-        auto eq = parts[i].find('=');
-        if (eq == std::string::npos) {
-          return Status::ParseError("malformed attribute at line " +
-                                    std::to_string(line_no));
+        const auto eq = parts[i].find('=');
+        AttrValue value;
+        if (eq == std::string::npos ||
+            !DecodeValue(std::string_view(parts[i]).substr(eq + 1),
+                         &value)) {
+          return fail("malformed attribute");
         }
-        g.SetAttr(id, parts[i].substr(0, eq),
-                  DecodeValue(parts[i].substr(eq + 1)));
+        g.SetAttr(id, parts[i].substr(0, eq), std::move(value));
       }
     } else if (parts[0] == "edge") {
-      if (parts.size() < 3) {
-        return Status::ParseError("malformed edge line " +
-                                  std::to_string(line_no));
+      NodeId from = 0, to = 0;
+      const bool tree = parts.size() == 4 && parts[3] == "tree";
+      if ((parts.size() != 3 && !tree) || !ParseU32(parts[1], &from) ||
+          !ParseU32(parts[2], &to)) {
+        return fail("malformed edge line");
       }
-      NodeId from = static_cast<NodeId>(std::stoul(parts[1]));
-      NodeId to = static_cast<NodeId>(std::stoul(parts[2]));
-      if (from >= n || to >= n) {
-        return Status::ParseError("edge endpoint out of range at line " +
-                                  std::to_string(line_no));
-      }
+      if (from >= n || to >= n) return fail("edge endpoint out of range");
       g.AddEdge(from, to);
-      if (parts.size() >= 4 && parts[3] == "tree") {
-        g.SetTreeParent(to, from);
-      }
+      if (tree) g.SetTreeParent(to, from);
     } else {
-      return Status::ParseError("unknown directive '" + parts[0] +
-                                "' at line " + std::to_string(line_no));
+      return fail("unknown directive '" + parts[0] + "'");
     }
   }
+  if (!ended) return fail("missing 'end' line (truncated file?)");
   g.Finalize();
   return g;
 }

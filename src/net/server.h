@@ -20,7 +20,7 @@ struct NetServerOptions {
   uint16_t port = 0;
 
   /// The serving runtime under the front-end (pool size, engine spec,
-  /// eval options, delta compaction tuning).
+  /// eval options).
   QueryServerOptions runtime;
 
   /// Coalescing: queries decoded from ALL connections are grouped into

@@ -34,6 +34,10 @@ std::vector<std::string> Tokenize(std::string_view line) {
   return tokens;
 }
 
+Status BadNumber(const std::string& token) {
+  return Status::ParseError("bad numeric value in '" + token + "'");
+}
+
 Result<AttrAtom> ParseAtom(const std::string& token, AttrNames* names) {
   static const struct {
     const char* text;
@@ -58,14 +62,13 @@ Result<AttrAtom> ParseAtom(const std::string& token, AttrNames* names) {
         return Status::ParseError("unterminated string in '" + token + "'");
       }
       atom.value = AttrValue(value.substr(1, value.size() - 2));
-    } else if (value.find('.') != std::string::npos) {
-      atom.value = AttrValue(std::stod(value));
+    } else if (double real = 0; value.find('.') != std::string::npos) {
+      if (!ParseDouble(value, &real)) return BadNumber(token);
+      atom.value = AttrValue(real);
     } else {
-      try {
-        atom.value = AttrValue(static_cast<int64_t>(std::stoll(value)));
-      } catch (...) {
-        return Status::ParseError("bad numeric value in '" + token + "'");
-      }
+      int64_t integer = 0;
+      if (!ParseI64(value, &integer)) return BadNumber(token);
+      atom.value = AttrValue(integer);
     }
     return atom;
   }

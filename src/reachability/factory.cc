@@ -3,7 +3,6 @@
 #include "cluster/partition_map.h"
 #include "cluster/shard_router.h"
 #include "common/logging.h"
-#include "dynamic/delta_overlay.h"
 #include "reachability/chain_cover_index.h"
 #include "reachability/contour.h"
 #include "reachability/interval_index.h"
@@ -17,7 +16,6 @@ namespace gtpq {
 
 namespace {
 constexpr std::string_view kShardedPrefix = "sharded:";
-constexpr std::string_view kDeltaPrefix = "delta:";
 constexpr std::string_view kFilePrefix = "file:";
 constexpr std::string_view kMmapPrefix = "mmap:";
 constexpr std::string_view kClusterPrefix = "cluster:";
@@ -144,17 +142,6 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
     }
     return router.TakeValue();
   }
-  if (spec.rfind(kDeltaPrefix, 0) == 0) {
-    std::string_view inner_spec = spec.substr(kDeltaPrefix.size());
-    // Reject file: anywhere beneath delta: up front — compaction has to
-    // rebuild the inner index through its spec, which a persisted file
-    // cannot do for a mutated graph.
-    if (!IsValidReachabilitySpec(spec)) return nullptr;
-    auto inner = MakeReachabilityIndex(inner_spec, g);
-    if (inner == nullptr) return nullptr;
-    return std::make_unique<DeltaOverlayOracle>(
-        std::shared_ptr<const ReachabilityOracle>(std::move(inner)), &g);
-  }
   if (spec.rfind(kShardedPrefix, 0) == 0) {
     std::string_view inner_spec = spec.substr(kShardedPrefix.size());
     // Validate the full spec, not just the inner one: it knows that a
@@ -172,44 +159,28 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
 }
 
 bool IsValidReachabilitySpec(std::string_view spec) {
-  bool file_forbidden = false;
+  // file:, mmap: and cluster: cannot serve beneath sharded:: a persisted
+  // index or map is fingerprinted against the whole graph, not a shard
+  // subgraph.
   bool under_sharded = false;
-  while (spec.rfind(kShardedPrefix, 0) == 0 ||
-         spec.rfind(kDeltaPrefix, 0) == 0) {
-    // delta: cannot serve beneath sharded:: each shard's sub-index is
-    // built over a transient induced-subgraph Digraph, which the
-    // overlay would have to alias past its lifetime. (Shard-local
-    // deltas need the sharded decorator itself to route updates.)
-    if (under_sharded && spec.rfind(kDeltaPrefix, 0) == 0) return false;
-    // file: cannot serve beneath sharded: (a persisted index is
-    // fingerprinted against the whole graph, not a shard subgraph) nor
-    // beneath delta: (compaction rebuilds the inner index through its
-    // spec, which a file cannot replay on a mutated graph).
-    file_forbidden = file_forbidden ||
-                     spec.rfind(kShardedPrefix, 0) == 0 ||
-                     spec.rfind(kDeltaPrefix, 0) == 0;
-    under_sharded = under_sharded || spec.rfind(kShardedPrefix, 0) == 0;
-    spec = spec.substr(spec.find(':') + 1);
-  }
-  if (spec.rfind(kFilePrefix, 0) == 0) {
-    if (file_forbidden) return false;
-    return storage::InspectReachabilityIndex(
-               std::string(spec.substr(kFilePrefix.size())))
-        .ok();
+  while (spec.rfind(kShardedPrefix, 0) == 0) {
+    under_sharded = true;
+    spec = spec.substr(kShardedPrefix.size());
   }
   // mmap: is file: with a zero-copy loader; same composition rules.
-  if (spec.rfind(kMmapPrefix, 0) == 0) {
-    if (file_forbidden) return false;
-    return storage::InspectReachabilityIndex(
-               std::string(spec.substr(kMmapPrefix.size())))
-        .ok();
+  for (const std::string_view prefix : {kFilePrefix, kMmapPrefix}) {
+    if (spec.rfind(prefix, 0) == 0) {
+      return !under_sharded &&
+             storage::InspectReachabilityIndex(
+                 std::string(spec.substr(prefix.size())))
+                 .ok();
+    }
   }
-  // cluster: shares file:'s composition rules (a map is fingerprinted
-  // against the whole graph, not a shard subgraph, and cannot replay a
-  // delta's mutations). Validity here means the map parses — whether
-  // the shard servers are up is only knowable at build time.
+  // cluster: shares file:'s composition rules. Validity here means the
+  // map parses — whether the shard servers are up is only knowable at
+  // build time.
   if (spec.rfind(kClusterPrefix, 0) == 0) {
-    if (file_forbidden) return false;
+    if (under_sharded) return false;
     std::string map_path;
     std::vector<std::string> endpoints;
     SplitClusterSpec(spec.substr(kClusterPrefix.size()), &map_path,
@@ -224,15 +195,10 @@ std::vector<std::string> AllReachabilitySpecs() {
   for (ReachabilityBackend kind : AllReachabilityBackends()) {
     specs.emplace_back(ReachabilityBackendName(kind));
   }
-  for (std::string_view prefix : {kShardedPrefix, kDeltaPrefix}) {
-    for (ReachabilityBackend kind : AllReachabilityBackends()) {
-      specs.push_back(std::string(prefix) +
-                      std::string(ReachabilityBackendName(kind)));
-    }
+  for (ReachabilityBackend kind : AllReachabilityBackends()) {
+    specs.push_back(std::string(kShardedPrefix) +
+                    std::string(ReachabilityBackendName(kind)));
   }
-  // Nesting witness: a delta overlay over a partitioned inner index.
-  // (The reverse, delta: beneath sharded:, is rejected.)
-  specs.push_back("delta:sharded:interval");
   return specs;
 }
 

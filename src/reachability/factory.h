@@ -50,19 +50,13 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
 ///   <backend>         a registered base backend name ("contour", ...)
 ///   sharded:<spec>    vertex-partitioned oracle whose per-shard
 ///                     sub-indexes are built from <spec> (ShardedOracle)
-///   delta:<spec>      incremental-maintenance overlay over <spec>
-///                     (dynamic/delta_overlay.h): starts from an empty
-///                     delta; WithUpdates() snapshots absorb update
-///                     batches without rebuilding the inner index.
-///                     Uniquely among specs, the built oracle ALIASES
-///                     `g` (the search walks its adjacency), so `g`
-///                     must outlive it — other backends are
-///                     self-contained once built
 ///   file:<path>       a pre-built index persisted by
 ///                     storage::SaveReachabilityIndex; rejected (with a
 ///                     logged warning) unless its stored fingerprint
 ///                     matches `g`. The loaded oracle's name() is the
 ///                     spec it was saved under, not "file:...".
+///   mmap:<path>       file: with a zero-copy loader (the oracle borrows
+///                     a read-only shared mapping of the file)
 ///   cluster:<map>[@<ep1,ep2,...>]
 ///                     scatter-gather router over live `gteactl serve`
 ///                     shards (cluster/shard_router.h). <map> is a
@@ -72,12 +66,13 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
 ///                     matches `g` and every shard answers its HELLO.
 ///                     Needs live servers, so it is not enrolled in
 ///                     AllReachabilitySpecs().
-/// Decorators nest: "delta:sharded:interval" overlays updates on a
-/// partitioned oracle. delta: is rejected beneath sharded:, and file:,
-/// mmap: and cluster: beneath either (see IsValidReachabilitySpec).
-/// The built oracle's name() equals the spec (file: aside). Returns
-/// nullptr for malformed specs and unreadable or mismatched index
-/// files.
+/// sharded: nests ("sharded:sharded:interval"); file:, mmap: and
+/// cluster: are rejected beneath it (see IsValidReachabilitySpec). Live
+/// updates are not a spec: the serving runtime wraps the built oracle
+/// in a DeltaOverlayOracle on its first update (runtime/engine_factory.h).
+/// The built oracle's name() equals the spec (file: and mmap: aside).
+/// Returns nullptr for malformed specs and unreadable or mismatched
+/// index files.
 std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
     std::string_view spec, const Digraph& g);
 
@@ -85,10 +80,9 @@ std::unique_ptr<ReachabilityOracle> MakeReachabilityIndex(
 bool IsValidReachabilitySpec(std::string_view spec);
 
 /// Every spec enrolled in the backend conformance suite: the base
-/// backends, each decorator over each base backend, and nested
-/// composition witnesses. Any oracle constructible through the factory
-/// appears here, so new backends and decorators cannot silently skip
-/// conformance.
+/// backends and sharded: over each of them. Any oracle constructible
+/// through the factory appears here, so new backends and decorators
+/// cannot silently skip conformance.
 std::vector<std::string> AllReachabilitySpecs();
 
 }  // namespace gtpq

@@ -9,32 +9,48 @@
 
 namespace gtpq {
 
+std::vector<size_t> EqualShardCuts(size_t n, size_t num_shards) {
+  const size_t shards =
+      std::max<size_t>(1, std::min(num_shards, std::max<size_t>(n, 1)));
+  std::vector<size_t> cuts(shards + 1);
+  for (size_t s = 0; s <= shards; ++s) cuts[s] = s * n / shards;
+  return cuts;
+}
+
+Digraph ShardSubgraph(const Digraph& g, size_t begin, size_t end) {
+  Digraph local(end - begin);
+  for (size_t v = begin; v < end; ++v) {
+    for (NodeId w : g.OutNeighbors(static_cast<NodeId>(v))) {
+      if (w >= begin && w < end) {
+        local.AddEdge(static_cast<NodeId>(v - begin),
+                      static_cast<NodeId>(w - begin));
+      }
+    }
+  }
+  local.Finalize();
+  return local;
+}
+
 ShardedOracle::ShardedOracle(const Digraph& g, ShardedOracleOptions options)
     : inner_spec_(std::move(options.inner_spec)),
       name_("sharded:" + inner_spec_) {
   GTPQ_CHECK(g.finalized());
   const size_t n = g.NumNodes();
-  const size_t num_shards = std::max<size_t>(
-      1, std::min(options.num_shards, std::max<size_t>(n, 1)));
 
   BoundaryLayout layout;
+  layout.shard_starts = EqualShardCuts(n, options.num_shards);
   if (!options.custom_starts.empty()) {
-    GTPQ_CHECK(options.custom_starts.size() == num_shards + 1)
+    GTPQ_CHECK(options.custom_starts.size() == layout.shard_starts.size())
         << "custom_starts must carry num_shards + 1 cut points";
     GTPQ_CHECK(options.custom_starts.front() == 0 &&
                options.custom_starts.back() == n)
         << "custom_starts must span [0, n)";
-    for (size_t s = 0; s < num_shards; ++s) {
-      GTPQ_CHECK(options.custom_starts[s] <= options.custom_starts[s + 1])
-          << "custom_starts must be monotone";
-    }
+    GTPQ_CHECK(std::is_sorted(options.custom_starts.begin(),
+                              options.custom_starts.end()))
+        << "custom_starts must be monotone";
     layout.shard_starts = options.custom_starts;
-  } else {
-    layout.shard_starts.resize(num_shards + 1);
-    for (size_t s = 0; s <= num_shards; ++s) {
-      layout.shard_starts[s] = s * n / num_shards;
-    }
   }
+  const size_t num_shards = layout.shard_starts.size() - 1;
   const auto shard_of = [&layout](NodeId v) {
     return std::upper_bound(layout.shard_starts.begin(),
                             layout.shard_starts.end(),
@@ -60,16 +76,9 @@ ShardedOracle::ShardedOracle(const Digraph& g, ShardedOracleOptions options)
 
   // One sub-index per shard, over the shard's induced subgraph.
   for (size_t s = 0; s < num_shards; ++s) {
-    const size_t start = shard_starts()[s];
-    const size_t end = shard_starts()[s + 1];
-    Digraph local(end - start);
-    for (NodeId v = start; v < end; ++v) {
-      for (NodeId w : g.OutNeighbors(v)) {
-        if (w >= start && w < end) local.AddEdge(LocalId(v, s), LocalId(w, s));
-      }
-    }
-    local.Finalize();
-    sub_.push_back(MakeReachabilityIndex(inner_spec_, local));
+    sub_.push_back(MakeReachabilityIndex(
+        inner_spec_,
+        ShardSubgraph(g, shard_starts()[s], shard_starts()[s + 1])));
     GTPQ_CHECK(sub_.back() != nullptr);
   }
   std::vector<size_t> all(num_shards);

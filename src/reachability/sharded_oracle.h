@@ -25,11 +25,21 @@ struct ShardedOracleOptions {
   std::string inner_spec = "interval";
   /// Explicit contiguous cut points (num_shards + 1 values: first 0,
   /// last the node count, strictly derived ranges must be monotone).
-  /// Empty = equal cuts s * n / num_shards. The cluster partitioner
+  /// Empty = EqualShardCuts. The cluster partitioner
   /// passes degree-aware cuts here (cluster/partition.h) so the oracle
   /// and the partition map agree on shard assignment.
   std::vector<size_t> custom_starts;
 };
+
+/// Equal contiguous cuts s * n / shards for s in [0, shards], with the
+/// shard count clamped to [1, max(n, 1)].
+std::vector<size_t> EqualShardCuts(size_t n, size_t num_shards);
+
+/// The induced subgraph of `g` on the id range [begin, end), with local
+/// ids v - begin: what a shard's sub-index is built over. The cluster
+/// partitioner writes the same subgraph into each shard's graph file,
+/// so the shard fingerprints match the sub-indexes.
+Digraph ShardSubgraph(const Digraph& g, size_t begin, size_t end);
 
 /// Partitioned reachability: vertices are split into contiguous-range
 /// shards, each carrying an independent sub-index over its induced

@@ -5,15 +5,15 @@
 #include "baselines/engines.h"
 #include "baselines/tree_encoding.h"
 #include "core/gtea.h"
+#include "dynamic/delta_overlay.h"
 #include "reachability/factory.h"
 
 namespace gtpq {
 
 std::unique_ptr<SharedEngineFactory> SharedEngineFactory::Make(
-    std::string_view spec, const DataGraph& g,
-    DeltaOverlayOptions delta_options) {
+    std::string_view spec, const DataGraph& g) {
   auto factory = std::unique_ptr<SharedEngineFactory>(
-      new SharedEngineFactory(std::string(spec), delta_options));
+      new SharedEngineFactory(std::string(spec)));
   if (!factory->BuildInitialSnapshot(g)) return nullptr;
   return factory;
 }
@@ -27,23 +27,9 @@ bool SharedEngineFactory::BuildInitialSnapshot(const DataGraph& g) {
   if (spec == "gtea" || spec.rfind("gtea:", 0) == 0) {
     const std::string_view oracle_spec =
         spec == "gtea" ? std::string_view("contour") : spec.substr(5);
-    std::shared_ptr<const ReachabilityOracle> shared;
-    if (oracle_spec.rfind("delta:", 0) == 0 &&
-        IsValidReachabilitySpec(oracle_spec)) {
-      // Build the explicit top-level overlay here instead of through
-      // the factory so it carries the caller's delta_options_ (the
-      // factory can only use defaults). Overlays nested deeper in the
-      // spec keep factory defaults.
-      auto inner = MakeReachabilityIndex(oracle_spec.substr(6), g.graph());
-      if (inner == nullptr) return false;
-      shared = std::make_shared<const DeltaOverlayOracle>(
-          std::shared_ptr<const ReachabilityOracle>(std::move(inner)),
-          &g.graph(), delta_options_);
-    } else {
-      auto idx = MakeReachabilityIndex(oracle_spec, g.graph());
-      if (idx == nullptr) return false;
-      shared = std::shared_ptr<const ReachabilityOracle>(std::move(idx));
-    }
+    auto idx = MakeReachabilityIndex(oracle_spec, g.graph());
+    if (idx == nullptr) return false;
+    std::shared_ptr<const ReachabilityOracle> shared(std::move(idx));
     snap->oracle_ = shared;
     snap->create_ = [&g, shared] {
       return std::make_unique<GteaEngine>(g, shared);
@@ -75,7 +61,7 @@ bool SharedEngineFactory::BuildInitialSnapshot(const DataGraph& g) {
       return std::make_unique<HgJoinEngine>(g, graph_intermediates, idx);
     };
   } else if (spec.rfind("decompose:", 0) == 0) {
-    auto inner = Make(spec.substr(10), g, delta_options_);
+    auto inner = Make(spec.substr(10), g);
     if (inner == nullptr) return false;
     // shared_ptr keeps the inner factory alive inside the creator.
     std::shared_ptr<SharedEngineFactory> inner_shared(std::move(inner));
@@ -108,20 +94,14 @@ Status SharedEngineFactory::ApplyUpdates(const UpdateBatch& batch) {
   std::lock_guard<std::mutex> writer(update_mu_);
   const std::shared_ptr<const EngineSnapshot> cur = snapshot();
 
-  // Removed ids stay dead forever. The per-batch delta below only
-  // remembers this batch's removals (a tombstone is just an isolated
-  // vertex in the materialized graph), so enforce the durable rule
-  // here, uniformly for every engine spec.
-  GTPQ_RETURN_NOT_OK(CheckRemovedVertices(
-      batch, [this](NodeId v) { return tombstones_.count(v) != 0; }));
-
-  // Successor graph view: a one-batch delta materialized over the
-  // current snapshot's DataGraph (shared attribute namespace, stable
-  // ids). This is linear work — the index stays incremental below.
-  GraphDelta step(cur->graph().NumNodes());
-  GTPQ_RETURN_NOT_OK(step.Apply(cur->graph().graph(), batch));
-  auto next_graph = std::make_shared<const DataGraph>(
-      step.MaterializeDataGraph(cur->graph()));
+  // The graph step validates the batch, removed vertices included (the
+  // tombstone label in the current graph is the record of a removal),
+  // and materializes the successor view over the current DataGraph
+  // (shared attribute namespace, stable ids). This is linear work — the
+  // index stays incremental below.
+  auto stepped = ApplyUpdateBatch(cur->graph(), batch);
+  GTPQ_RETURN_NOT_OK(stepped.status());
+  auto next_graph = std::make_shared<const DataGraph>(stepped.TakeValue());
 
   auto next = std::make_shared<EngineSnapshot>();
   next->epoch_ = cur->epoch_ + 1;
@@ -140,20 +120,18 @@ Status SharedEngineFactory::ApplyUpdates(const UpdateBatch& batch) {
         return std::make_unique<GteaEngine>(*graph, oracle);
       };
       next->engine_name_ = cur->engine_name_;
-      tombstones_.insert(batch.remove_nodes.begin(),
-                         batch.remove_nodes.end());
       Install(std::move(next));
       return Status::OK();
     }
     // Incremental oracle maintenance: the first update wraps the
     // immutable epoch-0 oracle in a delta overlay (its base digraph is
     // the caller's graph, which outlives the factory); later updates
-    // extend the delta or auto-compact per delta_options_.
+    // extend the delta or auto-compact.
     std::shared_ptr<const DeltaOverlayOracle> overlay =
         std::dynamic_pointer_cast<const DeltaOverlayOracle>(cur->oracle_);
     if (overlay == nullptr) {
       overlay = std::make_shared<const DeltaOverlayOracle>(
-          cur->oracle_, &cur->graph().graph(), delta_options_);
+          cur->oracle_, &cur->graph().graph());
     }
     auto updated = overlay->WithUpdates(batch);
     GTPQ_RETURN_NOT_OK(updated.status());
@@ -168,7 +146,7 @@ Status SharedEngineFactory::ApplyUpdates(const UpdateBatch& batch) {
   } else {
     // Non-gtea engines rebuild their shared artifacts over the updated
     // graph — same snapshot semantics, no incremental path.
-    auto rebuilt = Make(spec_, *next_graph, delta_options_);
+    auto rebuilt = Make(spec_, *next_graph);
     if (rebuilt == nullptr) {
       return Status::Internal("engine spec '" + spec_ +
                               "' cannot be rebuilt over the updated graph");
@@ -180,8 +158,6 @@ Status SharedEngineFactory::ApplyUpdates(const UpdateBatch& batch) {
     next->engine_name_ = stamped->engine_name_;
   }
 
-  tombstones_.insert(batch.remove_nodes.begin(),
-                     batch.remove_nodes.end());
   Install(std::move(next));
   return Status::OK();
 }

@@ -7,14 +7,13 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "core/evaluator.h"
-#include "dynamic/delta_overlay.h"
 #include "dynamic/graph_delta.h"
 #include "graph/data_graph.h"
+#include "reachability/reachability_index.h"
 
 namespace gtpq {
 
@@ -75,25 +74,28 @@ class EngineSnapshot {
 /// contract says nothing about concurrent Evaluate calls on ONE
 /// instance — sharing happens at the oracle layer).
 ///
-/// The factory is also the write side of dynamic serving: ApplyUpdates
-/// folds an UpdateBatch into a NEW EngineSnapshot and installs it
+/// The factory is also the write side of dynamic serving, and the only
+/// way an update enters: ApplyUpdates runs the batch through the graph
+/// step (ApplyUpdateBatch) into a NEW EngineSnapshot and installs it
 /// atomically, while readers holding the previous snapshot() continue
 /// unblocked (epoch-based snapshot isolation; readers never block
-/// writers, writers never block readers). For "gtea" specs the oracle
-/// is maintained incrementally — the first update wraps it in a
-/// DeltaOverlayOracle, later ones extend the delta (auto-compacting per
-/// `delta_options`) — so an update costs a linear graph
-/// materialization instead of an index rebuild. Other engine specs fall
-/// back to a full artifact rebuild over the updated graph, preserving
-/// the same snapshot semantics.
+/// writers, writers never block readers). Removed vertices keep their
+/// tombstone label in every successor graph, which is what rejects
+/// later ops on them, for every engine spec and across a restart from
+/// a saved graph. For "gtea" specs the oracle is maintained
+/// incrementally — the first update wraps it in a DeltaOverlayOracle,
+/// later ones extend the delta (auto-compacting past the overlay's
+/// threshold) — so an update costs a linear graph materialization
+/// instead of an index rebuild. Other engine specs fall back to a full
+/// artifact rebuild over the updated graph, preserving the same
+/// snapshot semantics.
 class SharedEngineFactory {
  public:
   /// Parses the spec and prebuilds its shared artifacts. Returns
   /// nullptr for unknown specs. `g` must outlive the factory; it backs
   /// the epoch-0 snapshot.
-  static std::unique_ptr<SharedEngineFactory> Make(
-      std::string_view spec, const DataGraph& g,
-      DeltaOverlayOptions delta_options = {});
+  static std::unique_ptr<SharedEngineFactory> Make(std::string_view spec,
+                                                   const DataGraph& g);
 
   /// The current snapshot. Callers that stamp engines for a whole batch
   /// should pin one snapshot and use it throughout.
@@ -114,8 +116,7 @@ class SharedEngineFactory {
   std::string_view spec() const { return spec_; }
 
  private:
-  SharedEngineFactory(std::string spec, DeltaOverlayOptions delta_options)
-      : spec_(std::move(spec)), delta_options_(delta_options) {}
+  explicit SharedEngineFactory(std::string spec) : spec_(std::move(spec)) {}
 
   /// Builds the epoch-0 creator (and, for gtea specs, the shared
   /// oracle) over `g`. Returns false for unknown specs.
@@ -124,17 +125,10 @@ class SharedEngineFactory {
   void Install(std::shared_ptr<const EngineSnapshot> next);
 
   std::string spec_;
-  DeltaOverlayOptions delta_options_;
 
   mutable std::mutex mu_;        // guards current_
   std::shared_ptr<const EngineSnapshot> current_;
   std::mutex update_mu_;         // serializes ApplyUpdates
-  // Vertices removed by ANY earlier batch. Materialized graphs keep a
-  // tombstoned id as a plain isolated vertex, and the gtea overlay
-  // forgets removals at compaction, so this set is what makes "removed
-  // ids stay dead" durable across batches and uniform across engine
-  // specs. Guarded by update_mu_.
-  std::unordered_set<NodeId> tombstones_;
 };
 
 }  // namespace gtpq

@@ -46,8 +46,7 @@ struct QueryMetrics {
 QueryServer::QueryServer(const DataGraph& g, QueryServerOptions options)
     : g_(g), options_(std::move(options)) {
   GTPQ_CHECK(options_.num_threads > 0);
-  factory_ = SharedEngineFactory::Make(options_.engine_spec, g_,
-                                       options_.delta_options);
+  factory_ = SharedEngineFactory::Make(options_.engine_spec, g_);
   if (factory_ == nullptr) {
     // An unloadable index (missing file, wrong fingerprint, corrupt
     // bytes) or an unknown spec must not abort a serving binary; the

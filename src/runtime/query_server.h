@@ -47,9 +47,6 @@ struct QueryServerOptions {
   std::string engine_spec = "gtea";
   /// Evaluation options applied to every query.
   GteaOptions eval_options = {};
-  /// Auto-compaction tuning for the incremental update path
-  /// (gtea specs; see SharedEngineFactory::ApplyUpdates).
-  DeltaOverlayOptions delta_options = {};
 };
 
 /// Concurrent batch query serving: a fixed ThreadPool whose workers

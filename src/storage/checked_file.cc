@@ -1,11 +1,10 @@
 #include "storage/checked_file.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <vector>
 
+#include "common/atomic_file.h"
 #include "storage/serializer.h"
 
 namespace gtpq {
@@ -21,30 +20,9 @@ Status WriteChecksummedFile(const std::string& path, const FileFormat& format,
   prologue.WriteBytes(format.magic.data(), format.magic.size());
   prologue.WriteU32(format.version);
   prologue.WriteU32(crc);
-
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::NotFound("cannot create " + std::string(format.noun) +
-                            " file: " + tmp);
-  }
-  out.write(prologue.buffer().data(),
-            static_cast<std::streamsize>(prologue.buffer().size()));
-  for (const std::string_view part : body) {
-    out.write(part.data(), static_cast<std::streamsize>(part.size()));
-  }
-  out.close();
-  if (!out) {
-    std::remove(tmp.c_str());
-    return Status::Internal("write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string reason = std::strerror(errno);
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " over " + path + ": " +
-                            reason);
-  }
-  return Status::OK();
+  std::vector<std::string_view> parts{prologue.buffer()};
+  parts.insert(parts.end(), body.begin(), body.end());
+  return ReplaceFileAtomically(path, format.noun, parts);
 }
 
 Result<std::string_view> CheckPrologue(std::string_view bytes,

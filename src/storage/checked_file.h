@@ -30,12 +30,9 @@ struct FileFormat {
 
 inline constexpr size_t kPrologueBytes = 16;
 
-/// Writes the prologue and the concatenated `body` parts to
-/// "<path>.tmp", closes it, then renames it over `path`. A process
-/// killed at any point leaves `path` as it was (the old file, or none),
-/// and readers that opened or mapped the old file keep its inode. There
-/// is no fsync: after a power loss or kernel crash the file may hold
-/// neither version. One writer per path at a time.
+/// Writes the prologue and the concatenated `body` parts to `path`
+/// through ReplaceFileAtomically (common/atomic_file.h), so a killed
+/// writer leaves the old file in place.
 Status WriteChecksummedFile(const std::string& path, const FileFormat& format,
                             std::initializer_list<std::string_view> body);
 

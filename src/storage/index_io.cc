@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "dynamic/delta_overlay.h"
 #include "reachability/chain_cover_index.h"
 #include "reachability/contour.h"
 #include "reachability/factory.h"
@@ -20,7 +19,6 @@ namespace storage {
 namespace {
 
 constexpr std::string_view kShardedPrefix = "sharded:";
-constexpr std::string_view kDeltaPrefix = "delta:";
 
 /// Parses the header that follows the prologue of a file CheckPrologue
 /// accepted (`body`), leaving `r` positioned at the payload.
@@ -172,15 +170,6 @@ Status SaveOracleBody(const ReachabilityOracle& oracle, Writer* w) {
     sharded->SaveBody(w);
     return Status::OK();
   }
-  if (spec.rfind(kDeltaPrefix, 0) == 0) {
-    const auto* delta = dynamic_cast<const DeltaOverlayOracle*>(&oracle);
-    if (delta == nullptr) {
-      return Status::InvalidArgument("oracle named '" + std::string(spec) +
-                                     "' is not a DeltaOverlayOracle");
-    }
-    delta->SaveBody(w);
-    return Status::OK();
-  }
 
   auto save_as = [&](const auto* typed) {
     if (typed == nullptr) {
@@ -211,12 +200,6 @@ Status SaveOracleBody(const ReachabilityOracle& oracle, Writer* w) {
 
 Result<std::unique_ptr<ReachabilityOracle>> LoadOracleBody(
     std::string_view spec, Reader* r) {
-  if (spec.rfind(kDeltaPrefix, 0) == 0) {
-    auto delta =
-        DeltaOverlayOracle::LoadBody(spec.substr(kDeltaPrefix.size()), r);
-    GTPQ_RETURN_NOT_OK(delta.status());
-    return std::unique_ptr<ReachabilityOracle>(delta.TakeValue());
-  }
   if (spec.rfind(kShardedPrefix, 0) == 0) {
     auto sharded = ShardedOracle::LoadBody(r);
     GTPQ_RETURN_NOT_OK(sharded.status());
@@ -293,50 +276,6 @@ Status LoadSccView(Reader* r, SccView* out) {
       return Status::ParseError("SCC component id out of range");
     }
   }
-  return Status::OK();
-}
-
-void SaveDigraph(const Digraph& g, Writer* w) {
-  GTPQ_CHECK(g.finalized());
-  w->WriteU64(g.NumNodes());
-  w->WriteU64(g.NumEdges());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    for (NodeId t : g.OutNeighbors(v)) {
-      w->WriteU32(v);
-      w->WriteU32(t);
-    }
-  }
-}
-
-Status LoadDigraph(Reader* r, Digraph* out) {
-  uint64_t num_nodes = 0, num_edges = 0;
-  GTPQ_RETURN_NOT_OK(r->ReadU64(&num_nodes));
-  GTPQ_RETURN_NOT_OK(r->ReadU64(&num_edges));
-  if (num_nodes > 0xFFFFFFFFull) {
-    // NodeId is 32-bit; also bounds the Digraph allocation below before
-    // a corrupt count can be trusted.
-    return Status::ParseError("digraph section node count out of range");
-  }
-  if (num_edges > r->remaining() / 8) {
-    return Status::ParseError("digraph section edge count overruns payload");
-  }
-  Digraph g(static_cast<size_t>(num_nodes));
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    uint32_t from = 0, to = 0;
-    GTPQ_RETURN_NOT_OK(r->ReadU32(&from));
-    GTPQ_RETURN_NOT_OK(r->ReadU32(&to));
-    if (from >= num_nodes || to >= num_nodes) {
-      return Status::ParseError("digraph section edge out of range");
-    }
-    g.AddEdge(from, to);
-  }
-  g.Finalize();
-  if (g.NumEdges() != num_edges) {
-    // The CSR walk a save iterates is already sorted and duplicate-free,
-    // so any shrink here means the section was not produced by SaveDigraph.
-    return Status::ParseError("digraph section contains duplicate edges");
-  }
-  *out = std::move(g);
   return Status::OK();
 }
 

@@ -48,7 +48,8 @@ namespace storage {
 /// Readers reject, with a clean Status and no crash: wrong magic,
 /// version mismatch, checksum mismatch (covers truncation and bit
 /// corruption), trailing bytes, and — when the caller supplies the
-/// graph being served — a fingerprint mismatch. Saves replace the file
+/// graph being served — a fingerprint mismatch; a header naming a spec
+/// with no loader is Unimplemented. Saves replace the file
 /// atomically against a killed process (WriteChecksummedFile).
 inline constexpr std::string_view kIndexMagic = "GTPQIDX\n";
 inline constexpr uint32_t kIndexFormatVersion = 3;
@@ -127,11 +128,6 @@ void SaveSccView(const SccView& scc, Writer* w);
 Status LoadSccView(Reader* r, SccView* out);
 void SaveChainCoverView(const ChainCoverView& cover, Writer* w);
 Status LoadChainCoverView(Reader* r, ChainCoverView* out);
-/// Structure-only digraph codec (node count + edge list). Used by the
-/// delta-overlay section, whose immutable base graph travels inside the
-/// index file so a loaded snapshot can keep searching the overlay.
-void SaveDigraph(const Digraph& g, Writer* w);
-Status LoadDigraph(Reader* r, Digraph* out);
 
 }  // namespace storage
 }  // namespace gtpq

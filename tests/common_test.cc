@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/rng.h"
@@ -111,6 +112,31 @@ TEST(StringUtilTest, JoinAndStrip) {
   EXPECT_EQ(StripWhitespace("   "), "");
   EXPECT_TRUE(StartsWith("gtpq-graph v1", "gtpq-"));
   EXPECT_FALSE(StartsWith("g", "gtpq"));
+}
+
+TEST(StringUtilTest, CheckedNumberParses) {
+  uint32_t u = 7;
+  EXPECT_TRUE(ParseU32("4294967295", &u));
+  EXPECT_EQ(u, 4294967295u);
+  for (const char* bad : {"", "4294967296", "-1", "-0", "+1", " 1", "1x"}) {
+    EXPECT_FALSE(ParseU32(bad, &u)) << bad;
+  }
+  EXPECT_EQ(u, 4294967295u);  // untouched on failure
+
+  int64_t i = 0;
+  EXPECT_TRUE(ParseI64("-9223372036854775808", &i));
+  EXPECT_EQ(i, std::numeric_limits<int64_t>::min());
+  for (const char* bad : {"", "9223372036854775808", "+1", "1.5", "abc"}) {
+    EXPECT_FALSE(ParseI64(bad, &i)) << bad;
+  }
+
+  double d = 0;
+  EXPECT_TRUE(ParseDouble("2.5e3", &d));
+  EXPECT_EQ(d, 2500.0);
+  for (const char* bad : {"", "1.2.3", "1e999", "nan", "inf", "1.0x"}) {
+    EXPECT_FALSE(ParseDouble(bad, &d)) << bad;
+  }
+  EXPECT_EQ(d, 2500.0);
 }
 
 TEST(StringUtilTest, FormatWithCommas) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
@@ -179,18 +180,41 @@ TEST(GraphIoTest, RoundTrip) {
   EXPECT_EQ(loaded->GetAttr(3, year)->as_int(), 2001);
 }
 
-TEST(GraphIoTest, RejectsMalformedInput) {
-  {
-    std::istringstream in("bogus header\n");
-    EXPECT_FALSE(LoadDataGraph(&in).ok());
-  }
-  {
-    std::istringstream in("gtpq-graph v1\nnodes 2\nedge 0 7\n");
-    EXPECT_FALSE(LoadDataGraph(&in).ok());
-  }
-  {
-    std::istringstream in("gtpq-graph v1\nnodes 2\nfrobnicate\n");
-    EXPECT_FALSE(LoadDataGraph(&in).ok());
+// Every malformed line is a ParseError naming its line — never an
+// exception, an abort, or a silently different graph.
+TEST(GraphIoTest, RejectsMalformedLinesWithTheirLineNumber) {
+  const struct {
+    const char* text;
+    int line;
+  } kCases[] = {
+      {"bogus header\n", 1},
+      {"gtpq-graph v1\nnodes 2\nend\n", 1},
+      {"gtpq-graph v2\nnodes abc\nend\n", 2},
+      {"gtpq-graph v2\nnodes -1\nend\n", 2},
+      {"gtpq-graph v2\nnodes 2\nedge 0 x\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nedge 0 4294967297\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nedge 0 7\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nedge 0 1 bogus\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nnode x 1\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nnode 0 abc\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nnode 0 99999999999999999999\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nnode 0 1 year=12ab\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nnode 0 1 score=1.2.3\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nnode 0 1 flag\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nfrobnicate\nend\n", 3},
+      {"gtpq-graph v2\nnodes 2\nend now\n", 3},
+      // A cut file: no closing `end`.
+      {"gtpq-graph v2\nnodes 2\nedge 0 1\n", 3},
+      // Anything after `end`, as in two files run together.
+      {"gtpq-graph v2\nnodes 2\nend\nedge 0 1\n", 4},
+  };
+  for (const auto& c : kCases) {
+    std::istringstream in(c.text);
+    const Status status = LoadDataGraph(&in).status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << c.text;
+    EXPECT_TRUE(status.message().ends_with("at line " +
+                                           std::to_string(c.line)))
+        << c.text << " -> " << status.ToString();
   }
 }
 

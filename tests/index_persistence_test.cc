@@ -1,5 +1,5 @@
 // Persistence suite for the storage layer: every factory-constructible
-// spec (base backends, sharded:/delta: decorators, nested chains) must
+// spec (base backends and the sharded: decorator over each) must
 // round-trip through SaveReachabilityIndex / LoadReachabilityIndex and
 // still agree with the materialized closure on the full point + set
 // API; corrupted, truncated, version-skewed, and wrong-graph files must

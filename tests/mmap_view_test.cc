@@ -5,8 +5,8 @@
 // (file:<path>); the mapping must actually be MAP_SHARED | PROT_READ;
 // several engines/threads must be able to serve off one mapped index
 // concurrently (ASan/TSan jobs run this file); and an epoch chain of
-// delta: snapshots must layer over the immutable mapped view the same
-// way it layers over a built index.
+// delta-overlay snapshots must layer over the immutable mapped view the
+// same way it layers over a built index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,11 +122,9 @@ TEST(MmapSpecTest, FactoryServesTheMappedIndexUnderTheSameRules) {
 
   EXPECT_TRUE(IsValidReachabilitySpec(spec));
   EXPECT_FALSE(IsValidReachabilitySpec("mmap:" + path + ".missing"));
-  // Same composition rules as file:: no mmap beneath sharded: (the
-  // fingerprint covers the whole graph, not a shard subgraph) or
-  // beneath delta: (compaction must rebuild through the spec).
+  // Same composition rule as file:: no mmap beneath sharded: (the
+  // fingerprint covers the whole graph, not a shard subgraph).
   EXPECT_FALSE(IsValidReachabilitySpec("sharded:" + spec));
-  EXPECT_FALSE(IsValidReachabilitySpec("delta:" + spec));
   EXPECT_EQ(MakeReachabilityIndex(std::string_view("sharded:" + spec),
                                   g.graph()),
             nullptr);

@@ -1,5 +1,5 @@
 // Conformance suite: every spec constructible through the factory —
-// base backends AND sharded:/delta: decorator chains — must agree
+// base backends AND the sharded: decorator over each — must agree
 // with the materialized TransitiveClosure ground truth: on point
 // queries over random DAGs and cyclic digraphs, on the Section-2
 // self-reachability semantics (Reaches(v, v) only on a cycle), and on
@@ -167,7 +167,7 @@ TEST(ReachabilitySpecsTest, SpecsCoverEveryBaseBackend) {
                         std::string(ReachabilityBackendName(kind))),
               specs.end());
   }
-  // And both decorators must be represented.
+  // And the decorator must be represented.
   auto has_prefix = [&specs](std::string_view prefix) {
     return std::any_of(specs.begin(), specs.end(),
                        [prefix](const std::string& s) {
@@ -175,7 +175,6 @@ TEST(ReachabilitySpecsTest, SpecsCoverEveryBaseBackend) {
                        });
   };
   EXPECT_TRUE(has_prefix("sharded:"));
-  EXPECT_TRUE(has_prefix("delta:"));
   for (const std::string& spec : specs) {
     EXPECT_TRUE(IsValidReachabilitySpec(spec)) << spec;
   }

@@ -1,11 +1,11 @@
 // Dynamic-update coverage: GraphDelta validation/atomicity, the
 // delta-overlay oracle differentially against a rebuild-from-scratch
-// golden closure (insert-heavy, delete-heavy, and compaction-triggering
-// schedules), persistence of pending deltas, the update-file format,
-// and the serving runtime's epoch snapshots — including the randomized
-// differential at 1 and 8 threads and the concurrent
-// ApplyUpdates()+EvaluateBatch() consistency check the TSan CI job
-// runs.
+// golden closure (insert-heavy, delete-heavy, and compacting
+// schedules), the update-file format, and the serving runtime's epoch
+// snapshots — removed ids staying dead across auto-compaction and a
+// restart, the randomized differential at 1 and 8 threads, and the
+// concurrent ApplyUpdates()+EvaluateBatch() consistency check the TSan
+// CI job runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "dynamic/stream_gen.h"
 #include "dynamic/update_io.h"
 #include "graph/generators.h"
+#include "graph/graph_io.h"
 #include "query/query_generator.h"
 #include "reachability/factory.h"
 #include "reachability/transitive_closure.h"
@@ -172,23 +173,6 @@ TEST(GraphDeltaTest, MaterializesCombinedView) {
   EXPECT_EQ(resurrect.NumRemovedEdges(), 0u);
 }
 
-// delta: composes above sharded:, never beneath it: shard sub-indexes
-// are built over transient induced-subgraph objects an overlay would
-// dangle on. file: is rejected beneath delta: (compaction cannot
-// rebuild from a file on a mutated graph).
-TEST(DeltaSpecTest, RejectsUnservableCompositions) {
-  DataGraph g = MakeGraph(3, {0, 1, 2}, {{0, 1}, {1, 2}});
-  for (const char* spec :
-       {"sharded:delta:contour", "delta:file:nowhere.gtpqidx",
-        "cached:contour"}) {
-    EXPECT_FALSE(IsValidReachabilitySpec(spec)) << spec;
-    EXPECT_EQ(MakeReachabilityIndex(std::string_view(spec), g.graph()),
-              nullptr)
-        << spec;
-  }
-  EXPECT_TRUE(IsValidReachabilitySpec("delta:sharded:interval"));
-}
-
 // ------------------------------------------------ update file round-trip
 
 TEST(UpdateIoTest, RoundTripsBatches) {
@@ -210,7 +194,7 @@ TEST(UpdateIoTest, RoundTripsBatches) {
 
   std::stringstream bad("gtpq-updates v1\naddedge 1\n");
   EXPECT_FALSE(LoadUpdateBatches(&bad).ok());
-  std::stringstream wrong_header("gtpq-graph v1\n");
+  std::stringstream wrong_header("gtpq-graph v2\n");
   EXPECT_FALSE(LoadUpdateBatches(&wrong_header).ok());
 }
 
@@ -273,37 +257,32 @@ TEST_P(DeltaOverlayDifferentialTest, CompactionPreservesAnswers) {
       GenerateStream(g, /*rounds=*/8, /*ops=*/10, test_case.del_ratio,
                      test_case.seed * 17 + 3);
 
-  // A threshold low enough that the schedule crosses it repeatedly.
-  DeltaOverlayOptions options;
-  options.min_compact_ops = 16;
-  options.compact_fraction = 0.0;
   auto inner =
       MakeReachabilityIndex(std::string_view("interval"), g.graph());
   ASSERT_NE(inner, nullptr);
   auto overlay = std::make_shared<const DeltaOverlayOracle>(
       std::shared_ptr<const ReachabilityOracle>(std::move(inner)),
-      &g.graph(), options);
+      &g.graph());
 
+  // Compacting after every other batch makes later batches layer over a
+  // rebuilt base, as they do past the auto-compaction threshold.
   GraphDelta view(g.NumNodes());
   for (size_t i = 0; i < stream.size(); ++i) {
     ASSERT_TRUE(view.Apply(g.graph(), stream[i]).ok());
     auto next = overlay->WithUpdates(stream[i]);
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     overlay = next.TakeValue();
-    ASSERT_LT(overlay->PendingOps(), 16u + 10u);
+    if (i % 2 == 1) {
+      auto compacted = overlay->Compact();
+      ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+      overlay = compacted.TakeValue();
+      ASSERT_EQ(overlay->PendingOps(), 0u);
+    }
     ExpectOracleMatchesGolden(*overlay,
                               view.MaterializeDigraph(g.graph()),
                               "compacting batch " + std::to_string(i));
   }
-  EXPECT_GT(overlay->compactions(), 0u);
-
-  // Manual compaction is answer-preserving too.
-  auto compacted = overlay->Compact();
-  ASSERT_TRUE(compacted.ok());
-  EXPECT_EQ((*compacted)->PendingOps(), 0u);
-  ExpectOracleMatchesGolden(**compacted,
-                            view.MaterializeDigraph(g.graph()),
-                            "manual compaction");
+  EXPECT_EQ(overlay->compactions(), stream.size() / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -467,11 +446,11 @@ TEST(DeltaSetProbeTest, NativeProbesCountOneQueryWhereProofsApply) {
   }
 }
 
-// Compaction folds a removal into the rebuilt base as a plain isolated
-// vertex; the retired list is what keeps the id dead afterwards — and
-// it must survive save/load, so `gteactl apply` runs agree with the
-// serving runtime.
-TEST(DeltaOverlayTest, RetiredVerticesStayDeadAcrossCompactionAndReload) {
+// The overlay rejects ops at a vertex its pending delta removed.
+// Compaction folds the removal into the rebuilt base as a plain
+// isolated vertex, after which only the graph step's tombstone label
+// keeps the id dead (QueryServerUpdateTest covers that).
+TEST(DeltaOverlayTest, RemovedVertexIsDeadUntilCompaction) {
   DataGraph g = MakeGraph(4, {0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}});
   auto inner =
       MakeReachabilityIndex(std::string_view("contour"), g.graph());
@@ -482,78 +461,53 @@ TEST(DeltaOverlayTest, RetiredVerticesStayDeadAcrossCompactionAndReload) {
 
   auto removed = overlay->WithUpdates(NodeRemove({2}));
   ASSERT_TRUE(removed.ok());
+  for (const UpdateBatch& batch :
+       {EdgeAdd({{1, 2}}), EdgeRemove({{2, 3}}), NodeRemove({2})}) {
+    EXPECT_FALSE((*removed)->WithUpdates(batch).ok());
+  }
   auto compacted = (*removed)->Compact();
   ASSERT_TRUE(compacted.ok());
   EXPECT_EQ((*compacted)->PendingOps(), 0u);
-  EXPECT_EQ((*compacted)->retired_nodes(), std::vector<NodeId>{2});
-  // Every kind of op at a retired vertex is rejected, with the same
-  // check the serving factory applies (TombstonesStayDeadAcrossBatches).
-  for (const UpdateBatch& batch :
-       {EdgeAdd({{1, 2}}), EdgeRemove({{2, 3}}), NodeRemove({2})}) {
-    EXPECT_EQ((*compacted)->WithUpdates(batch).status().code(),
-              StatusCode::kFailedPrecondition);
-  }
-
-  const std::string path = TempPath("retired");
-  ASSERT_TRUE(storage::SaveReachabilityIndex(
-                  **compacted, (*compacted)->base_graph(), path)
-                  .ok());
-  auto loaded =
-      storage::LoadReachabilityIndex(path, (*compacted)->base_graph());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto* reloaded =
-      dynamic_cast<const DeltaOverlayOracle*>(loaded->get());
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(reloaded->retired_nodes(), std::vector<NodeId>{2});
-  EXPECT_EQ(reloaded->WithUpdates(EdgeAdd({{1, 2}})).status().code(),
-            StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
+  EXPECT_FALSE((*compacted)->Reaches(1, 2));
+  EXPECT_FALSE((*compacted)->Reaches(2, 3));
+  EXPECT_TRUE((*compacted)->Reaches(0, 1));
 }
 
-// ----------------------------------------- pending-delta persistence
-
-TEST(DeltaPersistenceTest, RoundTripsPendingDelta) {
-  DataGraph g = RandomDag({.num_nodes = 30,
-                           .avg_degree = 2.0,
-                           .num_labels = 4,
-                           .locality = 1.0,
-                           .seed = 9});
-  const std::vector<UpdateBatch> stream =
-      GenerateStream(g, /*rounds=*/4, /*ops=*/8, /*del_ratio=*/0.4, 77);
-
-  auto inner =
+// Overlays are not persisted and delta: is no spec: a file whose
+// header names one (written byte for byte as SaveReachabilityIndex lays
+// a file out) is refused, never served as its inner index.
+TEST(DeltaTaggedFileTest, IsRefusedByFileAndMmap) {
+  DataGraph g = MakeGraph(3, {0, 1, 2}, {{0, 1}, {1, 2}});
+  EXPECT_FALSE(IsValidReachabilitySpec("delta:contour"));
+  auto contour =
       MakeReachabilityIndex(std::string_view("contour"), g.graph());
-  ASSERT_NE(inner, nullptr);
-  auto overlay = std::make_shared<const DeltaOverlayOracle>(
-      std::shared_ptr<const ReachabilityOracle>(std::move(inner)),
-      &g.graph());
-  GraphDelta view(g.NumNodes());
-  for (const UpdateBatch& batch : stream) {
-    ASSERT_TRUE(view.Apply(g.graph(), batch).ok());
-    auto next = overlay->WithUpdates(batch);
-    ASSERT_TRUE(next.ok());
-    overlay = next.TakeValue();
+  storage::Writer body;
+  body.set_pod_align(true);
+  ASSERT_TRUE(storage::SaveOracleBody(*contour, &body).ok());
+  storage::Writer header;
+  header.set_pod_align(true);
+  header.WriteString("delta:contour");
+  header.WriteU64(storage::GraphFingerprint(g.graph()));
+  header.WriteU64(g.NumNodes());
+  header.WriteU64(g.NumEdges());
+  header.WriteU64(body.buffer().size());
+  header.AlignTo8();
+  const std::string path = TempPath("delta_tagged");
+  ASSERT_TRUE(storage::WriteChecksummedFile(path, storage::kIndexFormat,
+                                            {header.buffer(), body.buffer()})
+                  .ok());
+
+  EXPECT_EQ(storage::LoadReachabilityIndex(path, g.graph()).status().code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(
+      storage::LoadReachabilityIndexView(path, g.graph()).status().code(),
+      StatusCode::kUnimplemented);
+  for (const std::string prefix : {"file:", "mmap:"}) {
+    EXPECT_EQ(MakeReachabilityIndex(std::string_view(prefix + path),
+                                    g.graph()),
+              nullptr)
+        << prefix;
   }
-  ASSERT_GT(overlay->PendingOps(), 0u);
-
-  // The file is stamped with the *updated* graph's fingerprint: that is
-  // the graph a loaded snapshot serves.
-  const Digraph updated = view.MaterializeDigraph(g.graph());
-  const std::string path = TempPath("pending");
-  ASSERT_TRUE(
-      storage::SaveReachabilityIndex(*overlay, updated, path).ok());
-
-  auto loaded = storage::LoadReachabilityIndex(path, updated);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->name(), "delta:contour");
-  const auto* reloaded =
-      dynamic_cast<const DeltaOverlayOracle*>(loaded->get());
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(reloaded->PendingOps(), overlay->PendingOps());
-  ExpectOracleMatchesGolden(*reloaded, updated, "reloaded pending delta");
-
-  // The wrong-graph guard still applies.
-  EXPECT_FALSE(storage::LoadReachabilityIndex(path, g.graph()).ok());
   std::remove(path.c_str());
 }
 
@@ -590,16 +544,13 @@ TEST_P(QueryServerUpdateTest, MatchesRebuiltEngineAfterEachBatch) {
                              .seed = 13});
     const std::vector<Gtpq> queries = MakeQueryBatch(g, 12, 500);
     ASSERT_GE(queries.size(), 6u) << "generator starved";
-    // Delete-heavy enough to exercise the removal regimes, and a
-    // compaction threshold the schedule crosses.
+    // Delete-heavy enough to exercise the removal regimes.
     const std::vector<UpdateBatch> stream =
         GenerateStream(g, /*rounds=*/6, /*ops=*/10, /*del_ratio=*/0.5, 41);
 
     QueryServerOptions options;
     options.num_threads = threads;
     options.engine_spec = spec;
-    options.delta_options.min_compact_ops = 24;
-    options.delta_options.compact_fraction = 0.0;
     QueryServer server(g, options);
 
     GraphDelta view(g.NumNodes());
@@ -641,11 +592,10 @@ TEST_P(QueryServerUpdateTest, RejectsInvalidBatchesUnchanged) {
   EXPECT_EQ(server.EvaluateBatch(queries), before);
 }
 
-// A removed id must stay dead for the rest of the server's life — even
-// though a materialized snapshot shows it as a plain isolated vertex,
-// and even after the gtea overlay compacted the removal away. Both the
-// incremental path (gtea, compacting every batch) and the full-rebuild
-// path (naive) must enforce it identically.
+// A removed id must stay dead for the rest of the server's life: the
+// tombstone label in every successor graph makes the graph step reject
+// later ops on it, on the incremental path (gtea) and the full-rebuild
+// path (naive) alike.
 TEST_P(QueryServerUpdateTest, TombstonesStayDeadAcrossBatches) {
   const size_t threads = GetParam();
   for (const char* spec : {"gtea", "naive"}) {
@@ -653,8 +603,6 @@ TEST_P(QueryServerUpdateTest, TombstonesStayDeadAcrossBatches) {
     QueryServerOptions options;
     options.num_threads = threads;
     options.engine_spec = spec;
-    options.delta_options.min_compact_ops = 1;
-    options.delta_options.compact_fraction = 0.0;
     QueryServer server(g, options);
     ASSERT_TRUE(server.ApplyUpdates(NodeRemove({2})).ok());
     EXPECT_EQ(server.ApplyUpdates(EdgeAdd({{1, 2}})).code(),
@@ -669,6 +617,12 @@ TEST_P(QueryServerUpdateTest, TombstonesStayDeadAcrossBatches) {
     EXPECT_EQ(server.ApplyUpdates(NodeRemove({2})).code(),
               StatusCode::kFailedPrecondition)
         << spec;
+    // The reserved label cannot be smuggled in on a new vertex either.
+    UpdateBatch reserved;
+    reserved.add_nodes = {kRemovedNodeLabel};
+    EXPECT_EQ(server.ApplyUpdates(reserved).code(),
+              StatusCode::kInvalidArgument)
+        << spec;
     EXPECT_EQ(server.epoch(), 1u) << spec;
   }
 
@@ -679,6 +633,74 @@ TEST_P(QueryServerUpdateTest, TombstonesStayDeadAcrossBatches) {
   EXPECT_EQ(server.engine_name(), "gtea[contour]");
   ASSERT_TRUE(server.ApplyUpdates(EdgeAdd({{0, 2}})).ok());
   EXPECT_EQ(server.engine_name(), "gtea[delta:contour]");
+}
+
+// One batch past the overlay's auto-compaction threshold folds the
+// removal into a rebuilt base, where it is a plain isolated vertex; the
+// tombstone label must still keep the id dead.
+TEST_P(QueryServerUpdateTest, RemovedIdsStayDeadAcrossAutoCompaction) {
+  DataGraph g = RandomDag({.num_nodes = 2000,
+                           .avg_degree = 2.0,
+                           .num_labels = 6,
+                           .locality = 1.0,
+                           .seed = 29});
+  UpdateBatch batch =
+      GenerateStream(g, /*rounds=*/1, /*ops=*/1200, /*del_ratio=*/0.5, 7)
+          .front();
+  NodeId dead = 0;
+  while (std::find(batch.remove_nodes.begin(), batch.remove_nodes.end(),
+                   dead) != batch.remove_nodes.end()) {
+    ++dead;
+  }
+  batch.remove_nodes.push_back(dead);
+  ASSERT_GE(batch.NumOps(), DeltaOverlayOracle::kMinCompactOps);
+
+  QueryServer server(g, {.num_threads = GetParam()});
+  ASSERT_TRUE(server.ApplyUpdates(batch).ok());
+  const auto* overlay = dynamic_cast<const DeltaOverlayOracle*>(
+      server.snapshot()->oracle());
+  ASSERT_NE(overlay, nullptr);
+  ASSERT_EQ(overlay->compactions(), 1u);
+  ASSERT_EQ(overlay->PendingOps(), 0u);
+
+  // A live target for the edge ops: not removed by the batch.
+  NodeId live = dead + 1;
+  while (server.snapshot()->graph().LabelOf(live) == kRemovedNodeLabel) {
+    ++live;
+  }
+  EXPECT_EQ(server.ApplyUpdates(EdgeAdd({{dead, live}})).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.ApplyUpdates(EdgeAdd({{live, dead}})).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.ApplyUpdates(NodeRemove({dead})).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.epoch(), 1u);
+  UpdateBatch grow;
+  grow.add_nodes = {1};
+  EXPECT_TRUE(server.ApplyUpdates(grow).ok());
+}
+
+// The tombstone label travels with the saved graph, so a server
+// restarted over it rejects the same ops the old one did.
+TEST_P(QueryServerUpdateTest, RemovedIdsStayDeadAcrossRestart) {
+  DataGraph g = MakeGraph(4, {0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}});
+  const std::string path = ::testing::TempDir() + "gtpq_update_restart.graph";
+  {
+    QueryServer server(g, {.num_threads = GetParam()});
+    ASSERT_TRUE(server.ApplyUpdates(NodeRemove({2})).ok());
+    ASSERT_TRUE(SaveDataGraphToFile(server.snapshot()->graph(), path).ok());
+  }
+  auto saved = LoadDataGraphFromFile(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(saved->LabelOf(2), kRemovedNodeLabel);
+  QueryServer restarted(*saved, {.num_threads = GetParam()});
+  ASSERT_TRUE(restarted.status().ok());
+  EXPECT_EQ(restarted.ApplyUpdates(EdgeAdd({{1, 2}})).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(restarted.ApplyUpdates(NodeRemove({2})).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(restarted.ApplyUpdates(EdgeAdd({{3, 0}})).ok());
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, QueryServerUpdateTest,

@@ -8,7 +8,7 @@
 //                   [--probes=<n>] [--seed=<s>]
 //   gteactl apply   <index-file> --updates=<file>
 //                   (--graph=<file> | --gen=<spec>) --out=<path>
-//                   [--graph-out=<path>] [--compact]
+//                   --graph-out=<path>
 //   gteactl serve   (--graph=<file> | --gen=<spec>) [--index=<spec> |
 //                   --engine=<spec>] [--port=<p>] [--bind=<addr>]
 //                   [--threads=<n>] [--coalesce=<n>] [--window-us=<x>]
@@ -30,7 +30,7 @@
 //                   [--window-us=<x>]
 //
 // Graph sources:
-//   --graph=<file>  a "gtpq-graph v1" text file (graph/graph_io.h)
+//   --graph=<file>  a "gtpq-graph v2" text file (graph/graph_io.h)
 //   --gen=<spec>    a deterministic generator, so `verify` can
 //                   reproduce the exact graph an index was built from:
 //                     xmark:<scale>                  workload XMark tree
@@ -43,12 +43,12 @@
 // validated header without parsing the payload. `verify` reloads the
 // index, enforces the graph fingerprint, and spot-checks whole
 // reachability rows against a BFS ground truth. `apply` replays a
-// "gtpq-updates v1" file (dynamic/update_io.h) against a saved index:
-// the index is wrapped in (or continues) a delta overlay, each batch
-// becomes a snapshot — auto-compacting past the overlay threshold or
-// forced with --compact — and the result is written as a new index
-// stamped with the updated graph's fingerprint (plus, optionally, the
-// updated graph itself via --graph-out).
+// "gtpq-updates v1" file (dynamic/update_io.h) offline: it checks the
+// index header against the graph, runs each batch through the graph
+// step the serving runtime uses (so removed ids stay dead), then writes
+// the updated graph to --graph-out and a freshly built index of the
+// header's spec, stamped with the updated graph's fingerprint, to
+// --out.
 //
 // `serve` exposes the engine over gtpq-wire (net/server.h): an
 // epoll front-end coalescing pipelined queries into snapshot-pinned
@@ -105,7 +105,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "dynamic/delta_overlay.h"
+#include "dynamic/graph_delta.h"
 #include "dynamic/update_io.h"
 #include "graph/algorithms.h"
 #include "graph/data_graph.h"
@@ -135,7 +135,7 @@ int Usage() {
       "[--probes=<n>] [--seed=<s>]\n"
       "  gteactl apply   <index-file> --updates=<file> (--graph=<file> | "
       "--gen=<spec>)\n"
-      "                  --out=<path> [--graph-out=<path>] [--compact]\n"
+      "                  --out=<path> --graph-out=<path>\n"
       "  gteactl serve   (--graph=<file> | --gen=<spec>) [--index=<spec> | "
       "--engine=<spec>]\n"
       "                  [--mmap] [--port=<p>] [--bind=<addr>] "
@@ -168,9 +168,9 @@ int Usage() {
       "index specs:     any MakeReachabilityIndex spec (contour, "
       "three_hop,\n"
       "                 interval, sspi, chain_cover, transitive_closure,\n"
-      "                 sharded:<spec>, delta:<spec>,\n"
-      "                 file:<path>, mmap:<path>; serve --mmap rewrites\n"
-      "                 a file: index to the zero-copy mmap: loader)\n"
+      "                 sharded:<spec>, file:<path>, mmap:<path>; serve\n"
+      "                 --mmap rewrites a file: index to the zero-copy\n"
+      "                 mmap: loader)\n"
       "global flags:    --quiet (suppress log output below error level)\n"
       "An argument a subcommand does not accept exits 2.\n");
   return 2;
@@ -486,38 +486,41 @@ int RunApply(int argc, char** argv) {
   const std::string path = argv[2];
   const auto updates_path = FlagValue(argc, argv, "--updates=");
   const auto out = FlagValue(argc, argv, "--out=");
-  if (!updates_path.has_value() || !out.has_value() || out->empty()) {
+  const auto graph_out = FlagValue(argc, argv, "--graph-out=");
+  if (!updates_path.has_value() || !out.has_value() || out->empty() ||
+      !graph_out.has_value() || graph_out->empty()) {
     std::fprintf(stderr,
-                 "apply: --updates=<file> and --out=<path> are required\n");
+                 "apply: --updates=<file>, --out=<path> and "
+                 "--graph-out=<path> are required\n");
     return Usage();
   }
-  const bool force_compact = HasFlag(argc, argv, "--compact");
 
   auto graph = ResolveGraph(argc, argv);
   if (!graph.ok()) {
     std::fprintf(stderr, "apply: %s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const DataGraph& g = graph.ValueOrDie();
+  DataGraph current = graph.TakeValue();
+  const size_t nodes_before = current.NumNodes();
+  const size_t edges_before = current.NumEdges();
 
-  auto loaded = storage::LoadReachabilityIndex(path, g.graph());
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "apply: %s\n",
-                 loaded.status().ToString().c_str());
+  // Only the header matters: the updated graph gets a fresh index of
+  // the same spec, so the old payload is never parsed.
+  auto info = storage::InspectReachabilityIndex(path);
+  if (!info.ok()) {
+    std::fprintf(stderr, "apply: %s\n", info.status().ToString().c_str());
     return 1;
   }
-  // Continue an existing overlay chain, or start one over the loaded
-  // immutable index (its base graph is then `g`, alive for the rest of
-  // this run).
-  std::shared_ptr<const ReachabilityOracle> oracle(loaded.TakeValue());
-  std::shared_ptr<const DeltaOverlayOracle> overlay =
-      std::dynamic_pointer_cast<const DeltaOverlayOracle>(oracle);
-  if (overlay == nullptr) {
-    overlay =
-        std::make_shared<const DeltaOverlayOracle>(oracle, &g.graph());
+  if (info->graph_fingerprint != storage::GraphFingerprint(current.graph())) {
+    std::fprintf(stderr, "apply: %s was built for a different graph\n",
+                 path.c_str());
+    return 1;
   }
-  std::printf("loaded '%s' (%s): %zu pending ops\n", path.c_str(),
-              std::string(overlay->name()).c_str(), overlay->PendingOps());
+  if (!IsValidReachabilitySpec(info->spec)) {
+    std::fprintf(stderr, "apply: %s names spec '%s', which cannot be "
+                 "rebuilt\n", path.c_str(), info->spec.c_str());
+    return 1;
+  }
 
   auto batches = LoadUpdateBatchesFromFile(*updates_path);
   if (!batches.ok()) {
@@ -525,79 +528,56 @@ int RunApply(int argc, char** argv) {
                  batches.status().ToString().c_str());
     return 1;
   }
-
-  // The combined current view, accumulated across every batch — the
-  // fingerprint the new index file is stamped with.
-  GraphDelta view(g.NumNodes());
-  const uint64_t compactions_before = overlay->compactions();
   Timer apply_timer;
   size_t ops = 0;
   for (size_t i = 0; i < batches->size(); ++i) {
-    const UpdateBatch& batch = (*batches)[i];
-    // The overlay validates first — it also remembers vertices retired
-    // before this run (and across compactions), which the fresh view
-    // cannot. In-place apply is fine: any failure exits immediately.
-    auto next = overlay->WithUpdates(batch);
+    // The graph step the serving runtime takes: a tombstone label from
+    // an earlier run (carried by the input graph) keeps its id dead.
+    auto next = ApplyUpdateBatch(current, (*batches)[i]);
     if (!next.ok()) {
       std::fprintf(stderr, "apply: batch %zu: %s\n", i,
                    next.status().ToString().c_str());
       return 1;
     }
-    const Status folded = view.ApplyInPlace(g.graph(), batch);
-    if (!folded.ok()) {
-      std::fprintf(stderr, "apply: batch %zu: %s\n", i,
-                   folded.ToString().c_str());
-      return 1;
-    }
-    overlay = next.TakeValue();
-    ops += batch.NumOps();
-  }
-  if (force_compact) {
-    auto compacted = overlay->Compact();
-    if (!compacted.ok()) {
-      std::fprintf(stderr, "apply: %s\n",
-                   compacted.status().ToString().c_str());
-      return 1;
-    }
-    overlay = compacted.TakeValue();
+    current = next.TakeValue();
+    ops += (*batches)[i].NumOps();
   }
   const double apply_ms = apply_timer.ElapsedMillis();
 
-  const DataGraph updated = view.MaterializeDataGraph(g);
-  // The save replaces `out` atomically: a live server mapping (or
-  // re-reading) the old file keeps its pinned inode.
-  const Status saved =
-      storage::SaveReachabilityIndex(*overlay, updated.graph(), *out);
+  Timer build_timer;
+  auto oracle = MakeReachabilityIndex(std::string_view(info->spec),
+                                      current.graph());
+  if (oracle == nullptr) {
+    std::fprintf(stderr, "apply: cannot rebuild '%s' over the updated "
+                 "graph\n", info->spec.c_str());
+    return 1;
+  }
+  const double build_ms = build_timer.ElapsedMillis();
+  // Both saves replace their target atomically: a live server mapping
+  // (or re-reading) the old file keeps its pinned inode.
+  Status saved = SaveDataGraphToFile(current, *graph_out);
+  if (saved.ok()) {
+    saved = storage::SaveReachabilityIndex(*oracle, current.graph(), *out);
+  }
   if (!saved.ok()) {
     std::fprintf(stderr, "apply: %s\n", saved.ToString().c_str());
     return 1;
   }
-  if (auto graph_out = FlagValue(argc, argv, "--graph-out=")) {
-    const Status graph_saved = SaveDataGraphToFile(updated, *graph_out);
-    if (!graph_saved.ok()) {
-      std::fprintf(stderr, "apply: %s\n", graph_saved.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote updated graph to %s\n", graph_out->c_str());
-  }
 
-  std::printf("applied %zu batches (%zu ops) in %.1f ms, %llu "
-              "compaction(s)\n",
-              batches->size(), ops, apply_ms,
-              static_cast<unsigned long long>(overlay->compactions() -
-                                              compactions_before));
+  std::printf("applied %zu batches (%zu ops) in %.1f ms, rebuilt '%s' "
+              "in %.1f ms\n",
+              batches->size(), ops, apply_ms, info->spec.c_str(), build_ms);
   std::printf("graph          : %zu -> %zu nodes, %zu -> %zu edges\n",
-              g.NumNodes(), updated.NumNodes(), g.NumEdges(),
-              updated.NumEdges());
-  std::printf("pending ops    : %zu\n", overlay->PendingOps());
-  auto info = storage::InspectReachabilityIndex(*out);
-  if (!info.ok()) {
+              nodes_before, current.NumNodes(), edges_before,
+              current.NumEdges());
+  auto written = storage::InspectReachabilityIndex(*out);
+  if (!written.ok()) {
     std::fprintf(stderr, "apply: wrote an unreadable file?! %s\n",
-                 info.status().ToString().c_str());
+                 written.status().ToString().c_str());
     return 1;
   }
-  PrintInfo(info.ValueOrDie());
-  std::printf("wrote %s\n", out->c_str());
+  PrintInfo(written.ValueOrDie());
+  std::printf("wrote %s and %s\n", out->c_str(), graph_out->c_str());
   return 0;
 }
 
@@ -1188,8 +1168,7 @@ int Run(int argc, char** argv) {
        {RunVerify, true, {"--graph=", "--gen=", "--probes=", "--seed="}}},
       {"apply",
        {RunApply, true,
-        {"--updates=", "--graph=", "--gen=", "--out=", "--graph-out=",
-         "--compact"}}},
+        {"--updates=", "--graph=", "--gen=", "--out=", "--graph-out="}}},
       {"apply --connect",
        {RunRemoteApply, false, {"--connect=", "--updates="}}},
       {"serve",
