@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace gtpq {
 
 int AttrValue::Compare(const AttrValue& other) const {
@@ -29,6 +31,19 @@ std::string AttrValue::ToString() const {
     return buf;
   }
   return as_string();
+}
+
+bool ParseNumericAttrValue(std::string_view text, AttrValue* out) {
+  if (text.find_first_of(".eE") != std::string_view::npos) {
+    double real = 0;
+    if (!ParseDouble(text, &real)) return false;
+    *out = AttrValue(real);
+    return true;
+  }
+  int64_t integer = 0;
+  if (!ParseI64(text, &integer)) return false;
+  *out = AttrValue(integer);
+  return true;
 }
 
 void AttrTuple::Set(AttrId attr, AttrValue value) {

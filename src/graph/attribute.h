@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -54,6 +55,12 @@ class AttrValue {
  private:
   std::variant<int64_t, double, std::string> repr_;
 };
+
+/// Reads an unquoted numeric token: a double when it holds '.', 'e' or
+/// 'E' (as ToString's %g renders one, e.g. "1e+06"), else an int64.
+/// Returns false, leaving *out untouched, on a malformed or out-of-range
+/// token. Graph files and query atoms both read numbers through this.
+bool ParseNumericAttrValue(std::string_view text, AttrValue* out);
 
 /// One attribute binding A = a.
 struct AttrBinding {

@@ -22,16 +22,7 @@ bool DecodeValue(std::string_view text, AttrValue* out) {
     *out = AttrValue(std::string(text.substr(1, text.size() - 2)));
     return true;
   }
-  if (text.find_first_of(".e") != std::string_view::npos) {
-    double real = 0;
-    if (!ParseDouble(text, &real)) return false;
-    *out = AttrValue(real);
-    return true;
-  }
-  int64_t integer = 0;
-  if (!ParseI64(text, &integer)) return false;
-  *out = AttrValue(integer);
-  return true;
+  return ParseNumericAttrValue(text, out);
 }
 }  // namespace
 

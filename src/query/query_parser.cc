@@ -62,13 +62,8 @@ Result<AttrAtom> ParseAtom(const std::string& token, AttrNames* names) {
         return Status::ParseError("unterminated string in '" + token + "'");
       }
       atom.value = AttrValue(value.substr(1, value.size() - 2));
-    } else if (double real = 0; value.find('.') != std::string::npos) {
-      if (!ParseDouble(value, &real)) return BadNumber(token);
-      atom.value = AttrValue(real);
-    } else {
-      int64_t integer = 0;
-      if (!ParseI64(value, &integer)) return BadNumber(token);
-      atom.value = AttrValue(integer);
+    } else if (!ParseNumericAttrValue(value, &atom.value)) {
+      return BadNumber(token);
     }
     return atom;
   }

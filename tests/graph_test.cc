@@ -159,6 +159,26 @@ TEST(AttributesTest, ValueComparisons) {
   EXPECT_TRUE(AttrValue(int64_t{99}) < AttrValue("1"));
 }
 
+// %g renders large or small doubles with an exponent ("1e+06"); those
+// must read back as doubles, never as a malformed or truncated integer.
+TEST(AttributesTest, ParsesNumericTokens) {
+  AttrValue v;
+  ASSERT_TRUE(ParseNumericAttrValue(AttrValue(1e6).ToString(), &v));
+  EXPECT_TRUE(v.is_double());
+  EXPECT_EQ(v.as_double(), 1e6);
+  ASSERT_TRUE(ParseNumericAttrValue("2.5E-3", &v));
+  EXPECT_EQ(v.as_double(), 2.5e-3);
+  ASSERT_TRUE(ParseNumericAttrValue("-42", &v));
+  EXPECT_TRUE(v.is_int());
+  EXPECT_EQ(v.as_int(), -42);
+  for (const char* bad : {"", "12ab", "1.2.3", "1e", "+3",
+                          "99999999999999999999", "1e999"}) {
+    AttrValue untouched(int64_t{7});
+    EXPECT_FALSE(ParseNumericAttrValue(bad, &untouched)) << bad;
+    EXPECT_EQ(untouched.as_int(), 7) << bad;
+  }
+}
+
 TEST(GraphIoTest, RoundTrip) {
   DataGraph g = SmallDag();
   g.SetAttr(3, "year", AttrValue(int64_t{2001}));

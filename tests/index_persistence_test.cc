@@ -329,43 +329,51 @@ TEST(FileSpecTest, FactoryServesAndCrossChecksThePersistedIndex) {
   std::remove(path.c_str());
 }
 
-// Files saved under a "cached:<spec>" header (the inner body, written
-// by a since-removed probe-cache decorator) must fail to load with a
-// typed error, never be served as some other oracle. The file is built
-// byte for byte as SaveReachabilityIndex lays one out.
-TEST(FileSpecTest, LegacyCachedFileIsUnimplemented) {
+// Files saved under a header naming a spec the factory no longer has
+// ("cached:" bodies from a since-removed probe-cache decorator, and
+// "delta:" overlays, which are no longer persisted) must fail to load
+// with a typed error, never be served as their inner index. Each file is
+// built byte for byte as SaveReachabilityIndex lays one out.
+TEST(FileSpecTest, RemovedSpecFilesAreUnimplemented) {
   const DataGraph g = TestDag();
   auto contour =
       MakeReachabilityIndex(std::string_view("contour"), g.graph());
   storage::Writer body;
   body.set_pod_align(true);
   ASSERT_TRUE(storage::SaveOracleBody(*contour, &body).ok());
-  storage::Writer header;
-  header.set_pod_align(true);
-  header.WriteString("cached:contour");
-  header.WriteU64(storage::GraphFingerprint(g.graph()));
-  header.WriteU64(g.NumNodes());
-  header.WriteU64(g.NumEdges());
-  header.WriteU64(body.buffer().size());
-  header.AlignTo8();
-  const std::string path = TempPath("legacy_cached");
-  ASSERT_TRUE(storage::WriteChecksummedFile(path, storage::kIndexFormat,
-                                            {header.buffer(), body.buffer()})
-                  .ok());
+  for (const std::string removed : {"cached:contour", "delta:contour"}) {
+    EXPECT_FALSE(IsValidReachabilitySpec(removed)) << removed;
+    storage::Writer header;
+    header.set_pod_align(true);
+    header.WriteString(removed);
+    header.WriteU64(storage::GraphFingerprint(g.graph()));
+    header.WriteU64(g.NumNodes());
+    header.WriteU64(g.NumEdges());
+    header.WriteU64(body.buffer().size());
+    header.AlignTo8();
+    const std::string path = TempPath("removed_spec");
+    ASSERT_TRUE(storage::WriteChecksummedFile(
+                    path, storage::kIndexFormat,
+                    {header.buffer(), body.buffer()})
+                    .ok());
 
-  auto info = storage::InspectReachabilityIndex(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->spec, "cached:contour");
-  const Status heap =
-      storage::LoadReachabilityIndex(path, g.graph()).status();
-  EXPECT_EQ(heap.code(), StatusCode::kUnimplemented) << heap.ToString();
-  const Status view =
-      storage::LoadReachabilityIndexView(path, g.graph()).status();
-  EXPECT_EQ(view.code(), StatusCode::kUnimplemented) << view.ToString();
-  EXPECT_EQ(MakeReachabilityIndex(std::string_view("file:" + path),
-                                  g.graph()),
-            nullptr);
-  std::remove(path.c_str());
+    auto info = storage::InspectReachabilityIndex(path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->spec, removed);
+    const Status heap =
+        storage::LoadReachabilityIndex(path, g.graph()).status();
+    EXPECT_EQ(heap.code(), StatusCode::kUnimplemented) << heap.ToString();
+    const Status view =
+        storage::LoadReachabilityIndexView(path, g.graph()).status();
+    EXPECT_EQ(view.code(), StatusCode::kUnimplemented) << view.ToString();
+    for (const std::string prefix : {"file:", "mmap:"}) {
+      EXPECT_EQ(MakeReachabilityIndex(std::string_view(prefix + path),
+                                      g.graph()),
+                nullptr)
+          << prefix << removed;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(FileSpecTest, GteaOverLoadedIndexMatchesNaive) {

@@ -158,6 +158,26 @@ output mid
   EXPECT_EQ(q2->ToString(*names), q1->ToString(*names));
 }
 
+// Query atoms read numbers as graph files do: an exponent makes a
+// double, and a malformed value is an error rather than a prefix.
+TEST(QueryParserTest, NumbersParseLikeGraphFiles) {
+  auto names = std::make_shared<AttrNames>();
+  auto q = ParseQuery("backbone a root *\nattr a x=1e+06 y<2.5\n", names);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const std::string rendered = q->ToString(*names);
+  EXPECT_NE(rendered.find("x=1e+06"), std::string::npos) << rendered;
+  EXPECT_NE(rendered.find("y<2.5"), std::string::npos) << rendered;
+  for (const char* bad :
+       {"x=12ab", "x=1.2.3", "x=1e", "x=99999999999999999999"}) {
+    EXPECT_EQ(ParseQuery(std::string("backbone a root *\nattr a ") + bad +
+                         "\n")
+                  .status()
+                  .code(),
+              StatusCode::kParseError)
+        << bad;
+  }
+}
+
 TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("backbone a nowhere ad *\n").ok());
   EXPECT_FALSE(ParseQuery("predicate a root\n").ok());  // pred root
