@@ -4,8 +4,8 @@
 // `gteactl serve` (--connect=). Reports qps and p50/p99 request latency per
 // (clients, pipeline) configuration, verifies every wire answer
 // differentially against an independent in-process QueryServer over
-// the same workload, and cross-checks the server's STATS frame against
-// the client-side request count.
+// the same workload, and (self-hosted) cross-checks the server
+// runtime's query count against the client-side request count.
 //
 //   --clients=1,2,4            client-thread sweep (each 1..1024)
 //   --pipeline=8               pipelining depth per connection
@@ -305,28 +305,21 @@ int main(int argc, char** argv) {
     total_errors += errors;
   }
 
-  // The STATS frame and this report must agree: the server-side query
-  // counter is exactly the requests this process pushed (self-hosted
-  // servers serve nobody else).
-  net::NetClient stats_client;
-  if (net::ConnectWithRetry(&stats_client, host, port).ok()) {
-    auto stats = stats_client.Stats();
-    if (stats.ok()) {
-      std::printf("server stats: engine %s, epoch %llu, %llu queries in "
-                  "%llu batches (busy %.1f ms)\n",
-                  stats->engine.c_str(),
-                  static_cast<unsigned long long>(stats->epoch),
-                  static_cast<unsigned long long>(stats->queries),
-                  static_cast<unsigned long long>(stats->batches),
-                  stats->busy_ms);
-      if (hosted != nullptr && stats->queries != total_requests) {
-        std::fprintf(stderr,
-                     "STATS mismatch: server saw %llu queries, clients "
-                     "sent %llu\n",
-                     static_cast<unsigned long long>(stats->queries),
-                     static_cast<unsigned long long>(total_requests));
-        return 1;
-      }
+  // The server runtime and this report must agree: a self-hosted
+  // server serves nobody else, so its query count is exactly the
+  // requests this process pushed.
+  if (hosted != nullptr) {
+    const ServingStats stats = hosted->runtime().serving_stats();
+    std::printf("server stats: %llu queries (busy %.1f ms)\n",
+                static_cast<unsigned long long>(stats.queries),
+                stats.busy_ms);
+    if (stats.queries != total_requests) {
+      std::fprintf(stderr,
+                   "query count mismatch: server saw %llu queries, "
+                   "clients sent %llu\n",
+                   static_cast<unsigned long long>(stats.queries),
+                   static_cast<unsigned long long>(total_requests));
+      return 1;
     }
   }
 

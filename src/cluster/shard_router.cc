@@ -449,12 +449,10 @@ void ShardRouter::ProbeHealthOnce() const {
     bool ok = false;
     net::NetClient* client = Client(s, /*attempts=*/1);
     if (client != nullptr) {
-      auto health = client->Health();
-      if (health.ok() && health->serving != 0) {
-        ok = true;
-      } else {
-        DropClient(s);
-      }
+      // The server answers HELLO inline on its IO thread, so a reply
+      // shows the event loop is turning.
+      ok = client->Hello().ok();
+      if (!ok) DropClient(s);
     }
     std::lock_guard<std::mutex> lock(health_mutex_);
     if (ok) {

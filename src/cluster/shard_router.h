@@ -28,7 +28,7 @@ struct ShardRouterOptions {
   /// Frame limit of the router's shard connections. A probe whose
   /// answer or id list would not fit one frame goes out as several.
   net::WireLimits limits;
-  /// Health prober cadence (HEALTH round trip to every shard); <= 0
+  /// Health prober cadence (HELLO round trip to every shard); <= 0
   /// disables the prober thread entirely. A shard's gtpq_shard_healthy
   /// gauge drops to 0 after two consecutive failed probes.
   int health_interval_ms = 500;
@@ -105,7 +105,7 @@ class ShardRouter : public BoundaryClosure, public obs::ClusterObservable {
   /// routed update).
   std::vector<uint64_t> shard_epochs() const;
   /// Prober verdict per shard (true until kHealthFailureThreshold
-  /// consecutive HEALTH round trips fail). Mirrors the
+  /// consecutive HELLO round trips fail). Mirrors the
   /// gtpq_shard_healthy{shard="N"} gauges.
   std::vector<bool> shard_health() const;
   /// Runs one synchronous health sweep over every shard — the prober

@@ -64,6 +64,10 @@ bool ParseU32(std::string_view text, uint32_t* out) {
   return ParseWhole(text, out);
 }
 
+bool ParseU64(std::string_view text, uint64_t* out) {
+  return ParseWhole(text, out);
+}
+
 bool ParseI64(std::string_view text, int64_t* out) {
   return ParseWhole(text, out);
 }

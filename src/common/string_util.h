@@ -25,8 +25,9 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Checked decimal parses of a whole token. Each returns false, leaving
 /// *out untouched, on an empty token, leading whitespace or '+',
 /// trailing characters, or a value out of the type's range. ParseU32
-/// also refuses '-'; ParseDouble refuses non-finite values.
+/// and ParseU64 also refuse '-'; ParseDouble refuses non-finite values.
 bool ParseU32(std::string_view text, uint32_t* out);
+bool ParseU64(std::string_view text, uint64_t* out);
 bool ParseI64(std::string_view text, int64_t* out);
 bool ParseDouble(std::string_view text, double* out);
 

@@ -1,6 +1,7 @@
 #include "core/gtea.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/timer.h"
 #include "core/enumerate.h"
@@ -8,6 +9,7 @@
 #include "core/matching_graph.h"
 #include "core/parallel_eval.h"
 #include "core/prune.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace gtpq {
@@ -15,6 +17,19 @@ namespace gtpq {
 namespace {
 std::string EngineName(const ReachabilityOracle& idx) {
   return "gtea[" + std::string(idx.name()) + "]";
+}
+
+/// gtpq_stage_latency_us{stage=<StageName>}, resolved once.
+obs::Histogram* StageLatency(Stage stage) {
+  static const std::array<obs::Histogram*, kNumStages> histograms = [] {
+    std::array<obs::Histogram*, kNumStages> out{};
+    for (size_t s = 0; s < kNumStages; ++s) {
+      out[s] = obs::Registry::Global().GetHistogram(obs::LabeledName(
+          "gtpq_stage_latency_us", {{"stage", StageName(static_cast<Stage>(s))}}));
+    }
+    return out;
+  }();
+  return histograms[static_cast<size_t>(stage)];
 }
 }  // namespace
 
@@ -38,13 +53,16 @@ QueryResult GteaEngine::Evaluate(const Gtpq& q, const GteaOptions& options) {
     stats_.total_ms = total.ElapsedMillis();
     return result;
   };
-  // Times one stage into stats_.stage_ms and records it as a span of the
-  // thread's trace, so spans the stage opens (shard probes) nest under it.
+  // Times one stage into stats_.stage_ms and the stage's latency
+  // histogram, and records it as a span of the thread's trace, so spans
+  // the stage opens (shard probes) nest under it.
   auto run_stage = [this](Stage stage, auto&& body) {
     obs::ScopedSpan span(StageName(stage));
     Timer timer;
     body();
-    stats_.ms(stage) = timer.ElapsedMillis();
+    const double ms = timer.ElapsedMillis();
+    stats_.ms(stage) = ms;
+    StageLatency(stage)->Record(static_cast<uint64_t>(ms * 1000.0));
   };
 
   QueryResult empty;

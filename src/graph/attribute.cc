@@ -1,7 +1,8 @@
 #include "graph/attribute.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 
 #include "common/string_util.h"
 
@@ -26,9 +27,16 @@ int AttrValue::Compare(const AttrValue& other) const {
 std::string AttrValue::ToString() const {
   if (is_int()) return std::to_string(as_int());
   if (is_double()) {
+    // Shortest form that reads back to the same double. A form with no
+    // '.' and no exponent ("3", "-0") gets ".0", so ParseNumericAttrValue
+    // reads it back as a double, not an int.
+    const double v = as_double();
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", as_double());
-    return buf;
+    std::string out(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    if (std::isfinite(v) && out.find_first_of(".e") == std::string::npos) {
+      out += ".0";
+    }
+    return out;
   }
   return as_string();
 }

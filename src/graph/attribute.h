@@ -50,6 +50,9 @@ class AttrValue {
   bool operator>(const AttrValue& o) const { return Compare(o) > 0; }
   bool operator>=(const AttrValue& o) const { return Compare(o) >= 0; }
 
+  /// Ints in decimal; doubles in shortest round-trip form, always with
+  /// a '.' or an exponent ("3.0", "1234567.5", "1e+300"), so
+  /// ParseNumericAttrValue reads back the same value and type.
   std::string ToString() const;
 
  private:
@@ -57,7 +60,7 @@ class AttrValue {
 };
 
 /// Reads an unquoted numeric token: a double when it holds '.', 'e' or
-/// 'E' (as ToString's %g renders one, e.g. "1e+06"), else an int64.
+/// 'E' (as ToString renders one, e.g. "1e+06"), else an int64.
 /// Returns false, leaving *out untouched, on a malformed or out-of-range
 /// token. Graph files and query atoms both read numbers through this.
 bool ParseNumericAttrValue(std::string_view text, AttrValue* out);

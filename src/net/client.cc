@@ -108,13 +108,7 @@ Status NetClient::Connect(const std::string& host, uint16_t port,
   const int one = 1;
   setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-  auto hello = RoundTrip(FrameType::kHello, EncodeHello(),
-                         FrameType::kHelloOk);
-  if (!hello.ok()) {
-    Close();
-    return hello.status();
-  }
-  const Status st = DecodeHelloOk(*hello, &server_info_);
+  const Status st = Hello();
   if (!st.ok()) Close();
   return st;
 }
@@ -295,13 +289,14 @@ Result<ApplyOk> NetClient::ApplyUpdates(std::span<const UpdateBatch> batches) {
   return ApplyUpdates(text.str());
 }
 
-Result<ServingStats> NetClient::Stats() {
-  auto payload = RoundTrip(FrameType::kStats, std::string_view(),
-                           FrameType::kStatsResult);
+Status NetClient::Hello() {
+  auto payload =
+      RoundTrip(FrameType::kHello, EncodeHello(), FrameType::kHelloOk);
   if (!payload.ok()) return payload.status();
-  ServingStats out;
-  GTPQ_RETURN_NOT_OK(DecodeServingStats(*payload, &out));
-  return out;
+  HelloOk info;
+  GTPQ_RETURN_NOT_OK(DecodeHelloOk(*payload, &info));
+  server_info_ = std::move(info);
+  return Status::OK();
 }
 
 Result<ProbeResult> NetClient::Probe(const ProbeRequest& request) {
@@ -326,14 +321,6 @@ Result<std::string> NetClient::Observe(ObserveKind kind,
   auto id = SendObserve(kind, trace_id);
   if (!id.ok()) return id.status();
   return WaitForResponse(*id, FrameType::kObserveResult);
-}
-
-Result<HealthReport> NetClient::Health() {
-  auto body = Observe(ObserveKind::kHealth);
-  if (!body.ok()) return body.status();
-  HealthReport report;
-  GTPQ_RETURN_NOT_OK(DecodeHealthReport(*body, &report));
-  return report;
 }
 
 Result<obs::MetricsSnapshot> NetClient::Metrics() {

@@ -49,11 +49,16 @@ class NetClient {
                  WireLimits limits = {});
   void Close();
   bool connected() const { return fd_ >= 0; }
-  /// HELLO_OK fields captured at Connect (engine, epoch, graph size).
+  /// HELLO_OK fields of the last Hello() (engine, epoch, graph size).
   const HelloOk& server_info() const { return server_info_; }
 
   // --- Synchronous calls ----------------------------------------------
 
+  /// One HELLO round trip; refreshes server_info(). Connect sends the
+  /// first, and the server answers each inline on its IO thread, so a
+  /// reply also shows the event loop is turning (the router's health
+  /// probe).
+  Status Hello();
   /// `text` is the query/query_parser.h line format; result_limit 0
   /// defers to the server's configured cap. Sent as a BATCH of one;
   /// an answer that does not carry exactly one result is a ParseError.
@@ -65,17 +70,13 @@ class NetClient {
   /// batch by batch on the server's live snapshot chain.
   Result<ApplyOk> ApplyUpdates(const std::string& updates_text);
   Result<ApplyOk> ApplyUpdates(std::span<const UpdateBatch> batches);
-  Result<ServingStats> Stats();
   /// Set-at-a-time reachability probe (see ProbeRequest); node ids are
   /// local to the server's graph.
   Result<ProbeResult> Probe(const ProbeRequest& request);
-  /// One observability export (OBSERVE frame): the slow-query log, or
-  /// a binary metrics snapshot, span groups or health report. A
-  /// non-zero trace_id filters kSpans to one trace (0 = whole ring).
+  /// One observability export (OBSERVE frame): the slow-query log, a
+  /// binary metrics snapshot or span groups. A non-zero trace_id
+  /// filters kSpans to one trace (0 = whole ring).
   Result<std::string> Observe(ObserveKind kind, uint64_t trace_id = 0);
-  /// Observe(kHealth), decoded. Answered inline on the server's IO
-  /// thread, so a response bounds event-loop latency too.
-  Result<HealthReport> Health();
   /// Observe(kMetricsSnapshot), decoded; against a router, the
   /// federated snapshot of the whole cluster.
   Result<obs::MetricsSnapshot> Metrics();

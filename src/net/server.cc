@@ -78,6 +78,7 @@ struct NetMetrics {
   obs::Counter* bytes_received_total;
   obs::Counter* bytes_sent_total;
   obs::Counter* admission_rejected_total;
+  obs::Counter* protocol_errors_total;
   obs::Gauge* dispatch_queue_depth;
   obs::Gauge* uptime_seconds;
   obs::Histogram* coalesced_batch_size;
@@ -100,6 +101,7 @@ struct NetMetrics {
           reg.GetCounter("gtpq_net_bytes_received_total"),
           reg.GetCounter("gtpq_net_bytes_sent_total"),
           reg.GetCounter("gtpq_admission_rejected_total"),
+          reg.GetCounter("gtpq_protocol_errors_total"),
           reg.GetGauge("gtpq_dispatch_queue_depth"),
           reg.GetGauge("gtpq_uptime_seconds"),
           reg.GetHistogram("gtpq_coalesced_batch_size")};
@@ -186,12 +188,9 @@ struct NetServer::Impl {
   std::mutex response_mu;
   std::vector<Response> responses;
 
-  std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> queries_served{0};
   std::atomic<uint64_t> probes_served{0};
   std::atomic<uint64_t> batches_dispatched{0};
-  std::atomic<uint64_t> rejected_overload{0};
-  std::atomic<uint64_t> protocol_errors{0};
 
   ~Impl() { CloseFds(); }
 
@@ -426,7 +425,6 @@ void NetServer::Impl::AcceptAll() {
       ::close(fd);
       continue;
     }
-    connections_accepted.fetch_add(1, std::memory_order_relaxed);
     NetMetrics::Get().connections_total->Add();
     conns.emplace(conn->id, std::move(conn));
   }
@@ -454,7 +452,7 @@ void NetServer::Impl::ReadConnection(Connection& conn) {
     if (!frame.ok()) {
       // Framing is untrustworthy from here on: answer with a final
       // typed ERROR and schedule the close.
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      NetMetrics::Get().protocol_errors_total->Add();
       conn.close_after_flush = true;
       SendError(conn, 0, frame.status());
       break;
@@ -470,7 +468,7 @@ void NetServer::Impl::ReadConnection(Connection& conn) {
 
 void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
   if (!IsRequestType(static_cast<uint8_t>(frame.type))) {
-    protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    NetMetrics::Get().protocol_errors_total->Add();
     conn.close_after_flush = true;
     SendError(conn, frame.request_id,
               Status::InvalidArgument(
@@ -483,7 +481,7 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
     case FrameType::kHello: {
       const Status st = DecodeHello(frame.payload);
       if (!st.ok()) {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        NetMetrics::Get().protocol_errors_total->Add();
         conn.close_after_flush = true;
         SendError(conn, frame.request_id, st);
         return;
@@ -497,13 +495,8 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
              EncodeHelloOk(hello));
       return;
     }
-    case FrameType::kStats:
-      if (!conn.hello_done) break;
-      SendOn(conn, FrameType::kStatsResult, frame.request_id,
-             EncodeServingStats(runtime->serving_stats()));
-      return;
     case FrameType::kProbe: {
-      // Answered inline on the IO thread, like STATS: a probe is one
+      // Answered inline on the IO thread, like HELLO: a probe is one
       // prepared set scan over the immutable snapshot, and the cluster
       // router's scatter-gather latency would otherwise eat a full
       // dispatch + coalescing round trip per hop.
@@ -511,7 +504,7 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       ProbeRequest request;
       const Status st = DecodeProbeRequest(frame.payload, &request);
       if (!st.ok()) {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        NetMetrics::Get().protocol_errors_total->Add();
         conn.close_after_flush = true;
         SendError(conn, frame.request_id, st);
         return;
@@ -540,17 +533,16 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
       return;
     }
     case FrameType::kObserve: {
-      // Also inline, like STATS: leaf exports touch no serving state
-      // that needs the dispatcher, and kHealth deliberately measures
-      // IO-thread responsiveness. On a router the metrics and span
-      // exports fan out to every member first (bounded connect retries
-      // keep a dead shard from parking the event loop for long).
+      // Also inline: leaf exports touch no serving state that needs
+      // the dispatcher. On a router the metrics and span exports fan
+      // out to every member first (bounded connect retries keep a dead
+      // shard from parking the event loop for long).
       if (!conn.hello_done) break;
       ObserveKind kind = ObserveKind::kSlowlog;
       uint64_t filter = 0;
       const Status st = DecodeObserveRequest(frame.payload, &kind, &filter);
       if (!st.ok()) {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        NetMetrics::Get().protocol_errors_total->Add();
         conn.close_after_flush = true;
         SendError(conn, frame.request_id, st);
         return;
@@ -601,19 +593,6 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
         case ObserveKind::kSlowlog:
           body = obs::SlowQueryLog::Global().Render();
           break;
-        case ObserveKind::kHealth: {
-          HealthReport report;
-          report.epoch = runtime->epoch();
-          report.uptime_seconds = obs::NowMicros() / 1e6;
-          {
-            std::lock_guard<std::mutex> lock(queue_mu);
-            report.queue_depth = queue.size();
-          }
-          report.serving = runtime->status().ok() ? 1 : 0;
-          report.engine = runtime->engine_name();
-          body = EncodeHealthReport(report);
-          break;
-        }
       }
       SendOn(conn, FrameType::kObserveResult, frame.request_id, body);
       return;
@@ -622,7 +601,6 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
     case FrameType::kApplyUpdates: {
       if (!conn.hello_done) break;
       if (conn.inflight >= options.max_inflight_per_conn) {
-        rejected_overload.fetch_add(1, std::memory_order_relaxed);
         NetMetrics::Get().admission_rejected_total->Add();
         SendError(conn, frame.request_id,
                   Status::FailedPrecondition(
@@ -636,7 +614,6 @@ void NetServer::Impl::HandleFrame(Connection& conn, Frame frame) {
         std::lock_guard<std::mutex> lock(queue_mu);
         if (queue.size() >= options.max_pending_requests ||
             stop_dispatch.load()) {
-          rejected_overload.fetch_add(1, std::memory_order_relaxed);
           NetMetrics::Get().admission_rejected_total->Add();
           SendError(conn, frame.request_id,
                     Status::FailedPrecondition(
@@ -997,18 +974,12 @@ const QueryServer& NetServer::runtime() const { return *impl_->runtime; }
 
 NetServer::Counters NetServer::counters() const {
   Counters out;
-  out.connections_accepted =
-      impl_->connections_accepted.load(std::memory_order_relaxed);
   out.queries_served =
       impl_->queries_served.load(std::memory_order_relaxed);
   out.probes_served =
       impl_->probes_served.load(std::memory_order_relaxed);
   out.batches_dispatched =
       impl_->batches_dispatched.load(std::memory_order_relaxed);
-  out.rejected_overload =
-      impl_->rejected_overload.load(std::memory_order_relaxed);
-  out.protocol_errors =
-      impl_->protocol_errors.load(std::memory_order_relaxed);
   return out;
 }
 

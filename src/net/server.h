@@ -59,7 +59,7 @@ struct NetServerOptions {
 ///    the QueryServer pool, which evaluates them across its workers;
 ///  * responses flow back to the IO thread over a wakeup pipe and are
 ///    correlated by the request id echoed in every frame — responses
-///    may be reordered relative to requests (STATS overtakes a slow
+///    may be reordered relative to requests (a PROBE overtakes a slow
 ///    BATCH), which the protocol permits.
 ///
 /// Malformed frames (bad length, unknown type, CRC mismatch) invalidate
@@ -97,18 +97,16 @@ class NetServer {
   QueryServer& runtime();
   const QueryServer& runtime() const;
 
-  /// Front-end counters (atomic snapshots; safe from any thread).
+  /// Per-instance front-end counters (atomic snapshots; safe from any
+  /// thread). Everything else a server counts lives in the process
+  /// metrics registry (obs/metrics.h), which several servers in one
+  /// process share.
   struct Counters {
-    uint64_t connections_accepted = 0;
     uint64_t queries_served = 0;
     /// PROBE frames answered inline on the IO thread.
     uint64_t probes_served = 0;
     /// EvaluateBatch dispatches (each = one coalesced group share).
     uint64_t batches_dispatched = 0;
-    /// Requests answered with an admission-control ERROR.
-    uint64_t rejected_overload = 0;
-    /// Connections dropped for malformed framing.
-    uint64_t protocol_errors = 0;
   };
   Counters counters() const;
 

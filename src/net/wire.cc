@@ -1,6 +1,5 @@
 #include "net/wire.h"
 
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -29,17 +28,6 @@ Status WrapReader(std::string_view payload, const char* what,
     return Status::ParseError(std::string("malformed ") + what +
                               " payload: " + st.message());
   }
-  return Status::OK();
-}
-
-void WriteDouble(Writer* w, double v) {
-  w->WriteU64(std::bit_cast<uint64_t>(v));
-}
-
-Status ReadDouble(Reader* r, double* v) {
-  uint64_t bits = 0;
-  GTPQ_RETURN_NOT_OK(r->ReadU64(&bits));
-  *v = std::bit_cast<double>(bits);
   return Status::OK();
 }
 
@@ -102,15 +90,21 @@ Status ExpectMagic(Reader* r) {
 }  // namespace
 
 bool IsRequestType(uint8_t type) {
-  return type >= static_cast<uint8_t>(FrameType::kHello) &&
-         type <= static_cast<uint8_t>(FrameType::kObserve);
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kHello:
+    case FrameType::kBatch:
+    case FrameType::kApplyUpdates:
+    case FrameType::kProbe:
+    case FrameType::kObserve:
+      return true;
+    default:
+      return false;
+  }
 }
 
 bool IsKnownType(uint8_t type) {
-  if (IsRequestType(type)) return true;
-  if (type == static_cast<uint8_t>(FrameType::kError)) return true;
-  return type >= static_cast<uint8_t>(FrameType::kHelloOk) &&
-         type <= static_cast<uint8_t>(FrameType::kObserveResult);
+  return IsRequestType(type & 0x7f) ||
+         type == static_cast<uint8_t>(FrameType::kError);
 }
 
 const char* FrameTypeName(FrameType type) {
@@ -118,14 +112,12 @@ const char* FrameTypeName(FrameType type) {
     case FrameType::kHello: return "HELLO";
     case FrameType::kBatch: return "BATCH";
     case FrameType::kApplyUpdates: return "APPLY_UPDATES";
-    case FrameType::kStats: return "STATS";
     case FrameType::kProbe: return "PROBE";
     case FrameType::kObserve: return "OBSERVE";
     case FrameType::kError: return "ERROR";
     case FrameType::kHelloOk: return "HELLO_OK";
     case FrameType::kBatchResult: return "BATCH_RESULT";
     case FrameType::kApplyOk: return "APPLY_OK";
-    case FrameType::kStatsResult: return "STATS_RESULT";
     case FrameType::kProbeResult: return "PROBE_RESULT";
     case FrameType::kObserveResult: return "OBSERVE_RESULT";
   }
@@ -372,47 +364,6 @@ Status DecodeApplyOk(std::string_view payload, ApplyOk* out) {
       out);
 }
 
-std::string EncodeServingStats(const ServingStats& stats) {
-  Writer w;
-  w.WriteString(stats.engine);
-  w.WriteU64(stats.epoch);
-  w.WriteU64(stats.threads);
-  w.WriteU64(stats.queries);
-  w.WriteU64(stats.batches);
-  w.WriteU64(stats.updates_applied);
-  w.WriteU64(stats.work.input_nodes);
-  w.WriteU64(stats.work.index_lookups);
-  w.WriteU64(stats.work.intermediate_size);
-  w.WriteU64(stats.work.join_ops);
-  WriteDouble(&w, stats.busy_ms);
-  for (const double ms : stats.work.stage_ms) WriteDouble(&w, ms);
-  return w.buffer();
-}
-
-Status DecodeServingStats(std::string_view payload, ServingStats* out) {
-  return WrapReader(
-      payload, "STATS_RESULT",
-      [](Reader* r, void* opaque) -> Status {
-        auto* stats = static_cast<ServingStats*>(opaque);
-        GTPQ_RETURN_NOT_OK(r->ReadString(&stats->engine));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->epoch));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->threads));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->queries));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->batches));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->updates_applied));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->work.input_nodes));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->work.index_lookups));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->work.intermediate_size));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&stats->work.join_ops));
-        GTPQ_RETURN_NOT_OK(ReadDouble(r, &stats->busy_ms));
-        for (double& ms : stats->work.stage_ms) {
-          GTPQ_RETURN_NOT_OK(ReadDouble(r, &ms));
-        }
-        return Status::OK();
-      },
-      out);
-}
-
 std::string EncodeProbeRequest(const ProbeRequest& request) {
   Writer w;
   w.WriteU8(request.reverse ? 1 : 0);
@@ -518,7 +469,9 @@ Status DecodeObserveRequest(std::string_view payload, ObserveKind* kind,
         auto* request = static_cast<ObserveRequestOut*>(opaque);
         uint8_t raw = 0;
         GTPQ_RETURN_NOT_OK(r->ReadU8(&raw));
-        if (raw > static_cast<uint8_t>(ObserveKind::kSpans)) {
+        if (raw != static_cast<uint8_t>(ObserveKind::kSlowlog) &&
+            raw != static_cast<uint8_t>(ObserveKind::kMetricsSnapshot) &&
+            raw != static_cast<uint8_t>(ObserveKind::kSpans)) {
           return Status::ParseError("unknown observe kind " +
                                     std::to_string(raw));
         }
@@ -526,41 +479,6 @@ Status DecodeObserveRequest(std::string_view payload, ObserveKind* kind,
         return r->ReadU64(request->trace_id);
       },
       &out);
-}
-
-// Health reports travel as the OBSERVE_RESULT body; the magic guards
-// against decoding a text export as a report after a version-skewed
-// exchange.
-inline constexpr uint32_t kHealthMagic = 0x48505447;  // "GTPH"
-
-std::string EncodeHealthReport(const HealthReport& report) {
-  Writer w;
-  w.WriteU32(kHealthMagic);
-  w.WriteU64(report.epoch);
-  WriteDouble(&w, report.uptime_seconds);
-  w.WriteU64(report.queue_depth);
-  w.WriteU8(report.serving);
-  w.WriteString(report.engine);
-  return w.buffer();
-}
-
-Status DecodeHealthReport(std::string_view payload, HealthReport* out) {
-  return WrapReader(
-      payload, "HEALTH",
-      [](Reader* r, void* opaque) -> Status {
-        auto* report = static_cast<HealthReport*>(opaque);
-        uint32_t magic = 0;
-        GTPQ_RETURN_NOT_OK(r->ReadU32(&magic));
-        if (magic != kHealthMagic) {
-          return Status::ParseError("bad health report magic");
-        }
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&report->epoch));
-        GTPQ_RETURN_NOT_OK(ReadDouble(r, &report->uptime_seconds));
-        GTPQ_RETURN_NOT_OK(r->ReadU64(&report->queue_depth));
-        GTPQ_RETURN_NOT_OK(r->ReadU8(&report->serving));
-        return r->ReadString(&report->engine);
-      },
-      out);
 }
 
 std::string EncodeError(const Status& status) {

@@ -10,12 +10,11 @@
 #include "common/status.h"
 #include "core/eval_types.h"
 #include "obs/trace.h"
-#include "runtime/query_server.h"
 
 namespace gtpq {
 namespace net {
 
-/// "gtpq-wire v5": the length-prefixed binary protocol the network
+/// "gtpq-wire v6": the length-prefixed binary protocol the network
 /// front-end (net/server.h) speaks. Every frame is
 ///
 ///   u32 length       bytes that follow (header + payload + trailer),
@@ -42,7 +41,6 @@ namespace net {
 ///                  (query/query_parser.h line format); a single query
 ///                  is a BATCH of one
 ///   APPLY_UPDATES  string "gtpq-updates v1" text (dynamic/update_io.h)
-///   STATS          empty
 ///   PROBE          u8 direction (0 = does pivots[r] reach ids[c], 1 =
 ///                  does ids[c] reach pivots[r]), the pivots as a NodeId
 ///                  POD vector, then the ids as a NodeId POD vector —
@@ -51,17 +49,14 @@ namespace net {
 ///                  (src/cluster/shard_router.h), or once per tile when
 ///                  the answer would not fit one frame (MaxProbeCells)
 ///   OBSERVE        u8 kind (0 = slow-query log, 1 = binary metrics
-///                  snapshot, 2 = health report, 3 = binary span
-///                  groups), u64 trace-id filter (0 = every trace)
+///                  snapshot, 3 = binary span groups), u64 trace-id
+///                  filter (0 = every trace)
 ///
 /// Response payloads (type = request type | 0x80, or ERROR):
 ///   HELLO_OK       u32 magic, u32 version, u64 epoch, u64 graph nodes,
 ///                  string engine name
 ///   BATCH_RESULT   u64 epoch, u32 count, count QueryResults
 ///   APPLY_OK       u64 epoch, u64 batches applied
-///   STATS_RESULT   ServingStats (EncodeServingStats): engine string,
-///                  nine u64 counters, f64 busy ms, then one f64 per
-///                  GTEA stage in Stage order (core/eval_types.h)
 ///   PROBE_RESULT   u64 epoch, u32 rows, u32 cols, then the packed
 ///                  rows x cols answer matrix, row-major (bit r * cols + c
 ///                  answers (pivots[r], ids[c])), as a u8 POD vector of
@@ -74,9 +69,11 @@ inline constexpr uint32_t kWireMagic = 0x57505447;  // "GTPW" LE
 /// payload one fixed layout; v4 dropped the u32 lane budget from
 /// QUERY and BATCH; v5 dropped QUERY/RESULT (a BATCH of one says the
 /// same) and the rendered OBSERVE kinds (the client renders the binary
-/// exports). HELLO rejects any other version, so a peer never misreads
-/// a frame.
-inline constexpr uint32_t kWireVersion = 5;
+/// exports); v6 dropped STATS/STATS_RESULT (0x04/0x84) and the health
+/// OBSERVE kind (2): the metrics snapshot carries every counter, and a
+/// HELLO round trip is the liveness probe. HELLO rejects any other
+/// version, so a peer never misreads a frame.
+inline constexpr uint32_t kWireVersion = 6;
 
 /// Frame bytes after the length prefix that are not payload: type +
 /// request id + trace context + crc trailer.
@@ -86,7 +83,6 @@ enum class FrameType : uint8_t {
   kHello = 0x01,
   kBatch = 0x02,
   kApplyUpdates = 0x03,
-  kStats = 0x04,
   kProbe = 0x05,
   kObserve = 0x06,
 
@@ -94,12 +90,11 @@ enum class FrameType : uint8_t {
   kHelloOk = 0x81,
   kBatchResult = 0x82,
   kApplyOk = 0x83,
-  kStatsResult = 0x84,
   kProbeResult = 0x85,
   kObserveResult = 0x86,
 };
 
-/// True for the six request (client -> server) frame types.
+/// True for the five request (client -> server) frame types.
 bool IsRequestType(uint8_t type);
 /// True for any frame type gtpq-wire defines.
 bool IsKnownType(uint8_t type);
@@ -207,9 +202,6 @@ struct ApplyOk {
 std::string EncodeApplyOk(const ApplyOk& apply);
 Status DecodeApplyOk(std::string_view payload, ApplyOk* out);
 
-std::string EncodeServingStats(const ServingStats& stats);
-Status DecodeServingStats(std::string_view payload, ServingStats* out);
-
 /// One set-at-a-time reachability probe: `reverse == false` asks "does
 /// pivots[r] reach ids[c]?", `reverse == true` asks "does ids[c] reach
 /// pivots[r]?", for every pair. Node ids are LOCAL to the server's
@@ -250,35 +242,17 @@ size_t MaxProbeNodes(const WireLimits& limits);
 /// not rendered text: gteactl renders kMetricsSnapshot as Prometheus
 /// text (obs::RenderPrometheusSnapshot) and kSpans as Chrome trace JSON
 /// (obs::RenderChromeTrace). Both federate across the cluster when the
-/// serving oracle is an obs::ClusterObservable (the router); kHealth is
-/// always answered inline on the IO thread so it measures event-loop
-/// responsiveness itself.
+/// serving oracle is an obs::ClusterObservable (the router). Kind 2
+/// (v5's health report) is retired and decodes as unknown.
 enum class ObserveKind : uint8_t {
   kSlowlog = 0,          // slow-query log dump
   kMetricsSnapshot = 1,  // binary registry snapshot (obs/federation.h)
-  kHealth = 2,           // binary HealthReport
   kSpans = 3,            // binary span groups (obs/federation.h)
 };
 /// A non-zero `trace_id` filters kSpans exports to one trace.
 std::string EncodeObserveRequest(ObserveKind kind, uint64_t trace_id = 0);
 Status DecodeObserveRequest(std::string_view payload, ObserveKind* kind,
                             uint64_t* trace_id);
-
-/// Lightweight liveness report (OBSERVE kind = kHealth). Answered
-/// inline on the server's IO thread — a response proves the event loop
-/// is turning, not just that the process exists. Consumed by the
-/// router's health prober (the replica-failover seam).
-struct HealthReport {
-  uint64_t epoch = 0;
-  double uptime_seconds = 0;
-  /// Requests parked for the dispatch thread at answer time.
-  uint64_t queue_depth = 0;
-  /// 1 when the runtime's engine spec loaded and the pool is serving.
-  uint8_t serving = 0;
-  std::string engine;
-};
-std::string EncodeHealthReport(const HealthReport& report);
-Status DecodeHealthReport(std::string_view payload, HealthReport* out);
 
 /// ERROR payload round trip; encoding an OK status is a programming
 /// error. DecodeError returns the CARRIED status on success (never OK)

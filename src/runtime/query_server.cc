@@ -19,11 +19,15 @@ struct QueryMetrics {
   obs::Counter* queries_total;
   obs::Counter* updates_applied_total;
   obs::Counter* update_rows_total;
+  // EngineStats' work counters (the paper's #input, #index, ...),
+  // summed over every query served.
+  obs::Counter* input_nodes_total;
+  obs::Counter* index_lookups_total;
+  obs::Counter* intermediate_size_total;
+  obs::Counter* join_ops_total;
   obs::Histogram* query_latency_us;
   obs::Histogram* batch_latency_us;
-  obs::Histogram* snapshot_pin_us;
   obs::Gauge* epoch;
-  obs::Gauge* uptime_seconds;
 
   static const QueryMetrics& Get() {
     static const QueryMetrics m = [] {
@@ -31,11 +35,13 @@ struct QueryMetrics {
       return QueryMetrics{reg.GetCounter("gtpq_queries_total"),
                           reg.GetCounter("gtpq_updates_applied_total"),
                           reg.GetCounter("gtpq_update_rows_total"),
+                          reg.GetCounter("gtpq_input_nodes_total"),
+                          reg.GetCounter("gtpq_index_lookups_total"),
+                          reg.GetCounter("gtpq_intermediate_size_total"),
+                          reg.GetCounter("gtpq_join_ops_total"),
                           reg.GetHistogram("gtpq_query_latency_us"),
                           reg.GetHistogram("gtpq_batch_latency_us"),
-                          reg.GetHistogram("gtpq_snapshot_pin_us"),
-                          reg.GetGauge("gtpq_epoch"),
-                          reg.GetGauge("gtpq_uptime_seconds")};
+                          reg.GetGauge("gtpq_epoch")};
     }();
     return m;
   }
@@ -69,12 +75,7 @@ QueryServer::QueryServer(const DataGraph& g, QueryServerOptions options)
   // The pool starts after the workers so a task can never observe a
   // half-initialized slot.
   pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  const QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.epoch->Set(static_cast<int64_t>(factory_->epoch()));
-  // Seeded here, refreshed on every metrics scrape (net/server.cc) so
-  // the exported value is current without a dedicated ticker thread.
-  metrics.uptime_seconds->Set(
-      static_cast<int64_t>(obs::NowMicros() / 1e6));
+  QueryMetrics::Get().epoch->Set(static_cast<int64_t>(factory_->epoch()));
 }
 
 QueryServer::~QueryServer() {
@@ -110,6 +111,10 @@ QueryResult QueryServer::EvaluateOnWorker(
   const EngineStats& stats = worker.engine->stats();
   const QueryMetrics& metrics = QueryMetrics::Get();
   metrics.queries_total->Add();
+  metrics.input_nodes_total->Add(stats.input_nodes);
+  metrics.index_lookups_total->Add(stats.index_lookups);
+  metrics.intermediate_size_total->Add(stats.intermediate_size);
+  metrics.join_ops_total->Add(stats.join_ops);
   metrics.query_latency_us->Record(
       static_cast<uint64_t>(elapsed_ms * 1000.0));
   obs::SlowQueryLog& slowlog = obs::SlowQueryLog::Global();
@@ -130,7 +135,6 @@ QueryResult QueryServer::EvaluateOnWorker(
     std::lock_guard<std::mutex> lock(worker.mu);
     ++worker.served.queries;
     worker.served.busy_ms += elapsed_ms;
-    worker.served.work += stats;
   }
   return result;
 }
@@ -184,12 +188,9 @@ std::vector<QueryResult> QueryServer::EvaluateBatch(
   }
   std::unique_lock<std::mutex> lock(state.mu);
   state.cv.wait(lock, [&state] { return state.remaining == 0; });
-  batches_.fetch_add(1, std::memory_order_relaxed);
   const double wall_ms = wall.ElapsedMillis();
-  const QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.batch_latency_us->Record(static_cast<uint64_t>(wall_ms * 1000.0));
-  // The batch held its snapshot pin for its whole wall time.
-  metrics.snapshot_pin_us->Record(static_cast<uint64_t>(wall_ms * 1000.0));
+  QueryMetrics::Get().batch_latency_us->Record(
+      static_cast<uint64_t>(wall_ms * 1000.0));
   if (info != nullptr) info->wall_ms = wall_ms;
   return results;
 }
@@ -234,7 +235,6 @@ Status QueryServer::ProbeReachability(bool reverse,
 Status QueryServer::ApplyUpdates(const UpdateBatch& batch) {
   const Status st = factory_->ApplyUpdates(batch);
   if (st.ok()) {
-    updates_applied_.fetch_add(1, std::memory_order_relaxed);
     const QueryMetrics& metrics = QueryMetrics::Get();
     metrics.epoch->Set(static_cast<int64_t>(factory_->epoch()));
     metrics.updates_applied_total->Add();
@@ -245,17 +245,10 @@ Status QueryServer::ApplyUpdates(const UpdateBatch& batch) {
 
 ServingStats QueryServer::serving_stats() const {
   ServingStats out;
-  out.engine = engine_name();
-  out.epoch = epoch();
-  out.threads = num_threads();
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.updates_applied = updates_applied_.load(std::memory_order_relaxed);
   for (const auto& worker : workers_) {
     std::lock_guard<std::mutex> lock(worker->mu);
-    const ServingStats& served = worker->served;
-    out.queries += served.queries;
-    out.busy_ms += served.busy_ms;
-    out.work += served.work;
+    out.queries += worker->served.queries;
+    out.busy_ms += worker->served.busy_ms;
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #ifndef GTPQ_RUNTIME_QUERY_SERVER_H_
 #define GTPQ_RUNTIME_QUERY_SERVER_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -18,25 +17,14 @@
 
 namespace gtpq {
 
-/// One coherent picture of a QueryServer's serving state: identity
-/// (engine, pool size), the epoch new queries would see, and the
-/// cumulative work counters — everything the STATS wire frame and the
-/// bench reporters need, gathered in ONE call so the numbers cannot
-/// drift apart across piecemeal accessors.
+/// The two per-instance serving counters of one QueryServer. Every
+/// other serving counter (work counters, stage latencies, updates)
+/// lives in the process metrics registry (obs/metrics.h).
 struct ServingStats {
-  std::string engine;
-  uint64_t epoch = 0;
-  uint64_t threads = 0;
   /// Queries answered (EvaluateBatch members).
   uint64_t queries = 0;
-  /// EvaluateBatch calls completed.
-  uint64_t batches = 0;
-  /// ApplyUpdates calls that installed a new snapshot.
-  uint64_t updates_applied = 0;
   /// Sum of per-query evaluation times (not wall clock).
   double busy_ms = 0;
-  /// EngineStats summed across every query served.
-  EngineStats work;
 };
 
 struct QueryServerOptions {
@@ -153,16 +141,15 @@ class QueryServer {
     return factory_->snapshot();
   }
 
-  /// One coherent aggregate of identity + counters (see ServingStats).
-  /// Safe to call concurrently with queries and updates.
+  /// Both counters summed over the workers (see ServingStats). Safe to
+  /// call concurrently with queries and updates.
   ServingStats serving_stats() const;
 
  private:
   // Per-worker slot: engine (bound to `snap`, re-stamped on epoch
-  // change) plus its share of the serving counters (queries, busy_ms
-  // and work of ServingStats; identity fields stay unset), guarded
-  // by a (virtually uncontended) per-worker mutex and padded onto its
-  // own cache line. `snap`/`engine` are only touched by the owning pool
+  // change) plus its share of the serving counters, guarded by a
+  // (virtually uncontended) per-worker mutex and padded onto its own
+  // cache line. `snap`/`engine` are only touched by the owning pool
   // thread after construction.
   struct alignas(64) Worker {
     std::shared_ptr<const EngineSnapshot> snap;
@@ -182,8 +169,6 @@ class QueryServer {
   std::unique_ptr<SharedEngineFactory> factory_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<ThreadPool> pool_;
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> updates_applied_{0};
 };
 
 }  // namespace gtpq

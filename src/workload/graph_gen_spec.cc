@@ -1,7 +1,5 @@
 #include "workload/graph_gen_spec.h"
 
-#include <cstdlib>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -14,33 +12,24 @@ namespace workload {
 
 namespace {
 
-/// Parses "a[,b[,c]]" numeric generator params with defaults.
-struct GenParams {
-  double a = 0;
-  uint64_t b = 0;
-  double c = 0;
-  int count = 0;  // how many fields were present
-};
-
-std::optional<GenParams> ParseGenParams(std::string_view rest) {
-  GenParams p;
-  const std::vector<std::string> parts = Split(rest, ',');
-  if (parts.empty() || parts.size() > 3) return std::nullopt;
-  char* end = nullptr;
-  p.a = std::strtod(parts[0].c_str(), &end);
-  if (end == parts[0].c_str() || *end != '\0') return std::nullopt;
-  p.count = 1;
-  if (parts.size() > 1) {
-    p.b = std::strtoull(parts[1].c_str(), &end, 10);
-    if (end == parts[1].c_str() || *end != '\0') return std::nullopt;
-    p.count = 2;
+/// Reads "<nodes>[,<seed>[,<deg>]]" into a generator's options: the
+/// node count is a NodeId-range integer >= 1, the seed any u64, and the
+/// degree (only where the generator takes one) finite and >= 0.
+template <typename Options>
+bool ParseShape(const std::vector<std::string>& fields, Options* o) {
+  constexpr bool kHasDegree = requires(Options& opts) { opts.avg_degree; };
+  if (fields.size() > (kHasDegree ? 3u : 2u)) return false;
+  uint32_t nodes = 0;
+  if (!ParseU32(fields[0], &nodes) || nodes < 1) return false;
+  o->num_nodes = nodes;
+  if (fields.size() > 1 && !ParseU64(fields[1], &o->seed)) return false;
+  if constexpr (kHasDegree) {
+    if (fields.size() > 2 &&
+        (!ParseDouble(fields[2], &o->avg_degree) || o->avg_degree < 0)) {
+      return false;
+    }
   }
-  if (parts.size() > 2) {
-    p.c = std::strtod(parts[2].c_str(), &end);
-    if (end == parts[2].c_str() || *end != '\0') return std::nullopt;
-    p.count = 3;
-  }
-  return p;
+  return true;
 }
 
 }  // namespace
@@ -51,42 +40,34 @@ Result<DataGraph> GenerateGraphFromSpec(const std::string& spec) {
     return Status::InvalidArgument("generator spec needs params: " + spec);
   }
   const std::string kind = spec.substr(0, colon);
-  auto params = ParseGenParams(std::string_view(spec).substr(colon + 1));
-  if (!params.has_value()) {
-    return Status::InvalidArgument("malformed generator params: " + spec);
-  }
+  // Empty fields are kept, so "dag:5,,2" is refused rather than read as
+  // "dag:5,2".
+  const std::vector<std::string> fields =
+      Split(std::string_view(spec).substr(colon + 1), ',',
+            /*skip_empty=*/false);
+  const Status malformed =
+      Status::InvalidArgument("malformed generator params: " + spec);
   if (kind == "xmark") {
     XmarkOptions o;
-    o.scale = params->a;
-    if (o.scale <= 0) {
-      return Status::InvalidArgument("xmark scale must be positive: " +
-                                     spec);
+    if (fields.size() != 1 || !ParseDouble(fields[0], &o.scale) ||
+        o.scale <= 0) {
+      return malformed;
     }
     return GenerateXmark(o);
   }
-  const auto nodes = static_cast<size_t>(params->a);
-  if (nodes < 1) {
-    return Status::InvalidArgument("generator node count must be >= 1: " +
-                                   spec);
-  }
   if (kind == "dag") {
     RandomDagOptions o;
-    o.num_nodes = nodes;
-    if (params->count > 1) o.seed = params->b;
-    if (params->count > 2) o.avg_degree = params->c;
+    if (!ParseShape(fields, &o)) return malformed;
     return RandomDag(o);
   }
   if (kind == "digraph") {
     RandomDigraphOptions o;
-    o.num_nodes = nodes;
-    if (params->count > 1) o.seed = params->b;
-    if (params->count > 2) o.avg_degree = params->c;
+    if (!ParseShape(fields, &o)) return malformed;
     return RandomDigraph(o);
   }
   if (kind == "tree") {
     RandomTreeOptions o;
-    o.num_nodes = nodes;
-    if (params->count > 1) o.seed = params->b;
+    if (!ParseShape(fields, &o)) return malformed;
     return RandomTreeWithCrossEdges(o);
   }
   return Status::InvalidArgument("unknown generator kind '" + kind +

@@ -19,6 +19,11 @@ namespace workload {
 ///   dag:<nodes>[,<seed>[,<deg>]]     random DAG
 ///   digraph:<nodes>[,<seed>[,<deg>]] random digraph (cycles allowed)
 ///   tree:<nodes>[,<seed>]            random tree + cross edges
+///
+/// <nodes> is an integer in [1, 2^32 - 1], <seed> a u64, <deg> a finite
+/// number >= 0 and <scale> a finite number > 0. A spec with junk in a
+/// field, or with a field its kind does not take, is InvalidArgument,
+/// before anything is allocated.
 Result<DataGraph> GenerateGraphFromSpec(const std::string& spec);
 
 }  // namespace workload

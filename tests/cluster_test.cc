@@ -354,8 +354,9 @@ TEST(ProbeCodecTest, RejectsMalformedFrames) {
   w.WritePodVec(std::vector<uint8_t>{0xff});
   EXPECT_FALSE(net::DecodeProbeResult(w.buffer(), &out).ok());
 
-  // A v1-v4 peer fails at HELLO instead of misreading a frame.
-  for (const uint32_t version : {1u, 2u, 3u, 4u}) {
+  // A v1-v5 peer fails at HELLO instead of misreading a frame.
+  EXPECT_EQ(net::kWireVersion, 6u);
+  for (const uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
     storage::Writer hello;
     hello.WriteU32(net::kWireMagic);
     hello.WriteU32(version);

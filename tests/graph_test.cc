@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -198,6 +200,31 @@ TEST(GraphIoTest, RoundTrip) {
   ASSERT_NE(year, -1);
   ASSERT_NE(loaded->GetAttr(3, year), nullptr);
   EXPECT_EQ(loaded->GetAttr(3, year)->as_int(), 2001);
+}
+
+// Doubles save in shortest round-trip form with a '.' or an exponent,
+// so a save and reload gives back the same value and the same type.
+TEST(GraphIoTest, DoubleAttributesRoundTripExactly) {
+  const double kValues[] = {1234567.5, 3.0, 0.1, -2.5e-07, 1e+300, -0.0};
+  DataGraph g(std::size(kValues));
+  for (size_t v = 0; v < std::size(kValues); ++v) {
+    g.SetAttr(static_cast<NodeId>(v), "score", AttrValue(kValues[v]));
+  }
+  g.Finalize();
+  std::ostringstream out;
+  ASSERT_TRUE(SaveDataGraph(g, &out).ok());
+  std::istringstream in(out.str());
+  auto loaded = LoadDataGraph(&in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const AttrId score = loaded->attr_names()->Lookup("score");
+  for (size_t v = 0; v < std::size(kValues); ++v) {
+    const AttrValue* got = loaded->GetAttr(static_cast<NodeId>(v), score);
+    ASSERT_NE(got, nullptr) << kValues[v];
+    ASSERT_TRUE(got->is_double()) << kValues[v] << "\n" << out.str();
+    EXPECT_EQ(std::bit_cast<uint64_t>(got->as_double()),
+              std::bit_cast<uint64_t>(kValues[v]))
+        << kValues[v] << " reloaded as " << got->ToString();
+  }
 }
 
 // Every malformed line is a ParseError naming its line — never an

@@ -65,7 +65,9 @@ TEST(WireCodecTest, FrameRoundTripsEveryType) {
       {FrameType::kBatch,
        net::EncodeBatchRequest({7, {"q0\n", "q1\n", ""}})},
       {FrameType::kApplyUpdates, "gtpq-updates v1\naddedge 0 1\n"},
-      {FrameType::kStats, ""},
+      {FrameType::kProbe, net::EncodeProbeRequest({false, {1}, {2, 3}})},
+      {FrameType::kObserve,
+       net::EncodeObserveRequest(net::ObserveKind::kMetricsSnapshot)},
       {FrameType::kError,
        net::EncodeError(Status::InvalidArgument("boom"))},
       {FrameType::kHelloOk,
@@ -73,14 +75,8 @@ TEST(WireCodecTest, FrameRoundTripsEveryType) {
       {FrameType::kBatchResult,
        net::EncodeBatchResult({6, {{{0}, {{1}, {2}}}, {{1}, {}}}})},
       {FrameType::kApplyOk, net::EncodeApplyOk({9, 4})},
-      {FrameType::kStatsResult, net::EncodeServingStats([] {
-         ServingStats s;
-         s.engine = "gtea";
-         s.epoch = 2;
-         s.queries = 11;
-         s.busy_ms = 1.5;
-         return s;
-       }())},
+      {FrameType::kProbeResult, net::EncodeProbeResult({4, 1, 2, {0x01}})},
+      {FrameType::kObserveResult, "slow query log\n"},
   };
   // One buffer carrying all frames, drip-fed a byte at a time, checks
   // both pipelining and resumable partial decode. Each frame carries its
@@ -116,6 +112,18 @@ TEST(WireCodecTest, FrameRoundTripsEveryType) {
     ++id;
   }
   EXPECT_EQ(decoder.buffered(), 0u);
+
+  // v6 retired STATS (0x04) and STATS_RESULT (0x84): a v6 decoder
+  // refuses them as unknown types, with a valid CRC.
+  for (const uint8_t retired : {0x04, 0x84}) {
+    EXPECT_FALSE(net::IsKnownType(retired)) << int{retired};
+    std::string frame;
+    net::EncodeFrame(static_cast<FrameType>(retired), 1, {}, "", &frame);
+    FrameDecoder strict;
+    strict.Append(frame.data(), frame.size());
+    const auto next = strict.Next();
+    EXPECT_EQ(next.status().code(), StatusCode::kParseError) << int{retired};
+  }
 }
 
 TEST(WireCodecTest, PayloadCodecsRoundTrip) {
@@ -207,10 +215,6 @@ TEST(WireCodecTest, OneQueryBatchKeepsTheV5Layout) {
 // encoded payload, and the payload with one byte appended, must be
 // rejected.
 TEST(WireCodecTest, FixedLayoutsRejectPrefixesAndTrailingBytes) {
-  ServingStats stats;
-  stats.engine = "gtea";
-  stats.queries = 3;
-  stats.work.ms(Stage::kEnumerate) = 0.5;
   net::ProbeResult probe_result;
   probe_result.rows = 2;
   probe_result.cols = 5;
@@ -235,11 +239,6 @@ TEST(WireCodecTest, FixedLayoutsRejectPrefixesAndTrailingBytes) {
          net::ObserveKind kind;
          uint64_t filter = 0;
          return net::DecodeObserveRequest(p, &kind, &filter);
-       }},
-      {"STATS_RESULT", net::EncodeServingStats(stats),
-       [](std::string_view p) {
-         ServingStats out;
-         return net::DecodeServingStats(p, &out);
        }},
       {"BATCH_RESULT",
        net::EncodeBatchResult({6, {{{0}, {{1}, {2}}}, {{1}, {}}}}),
@@ -312,7 +311,7 @@ TEST(WireCodecTest, ProbeLimitsMatchTheEncoder) {
 TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
   for (net::ObserveKind kind :
        {net::ObserveKind::kSlowlog, net::ObserveKind::kMetricsSnapshot,
-        net::ObserveKind::kHealth, net::ObserveKind::kSpans}) {
+        net::ObserveKind::kSpans}) {
     net::ObserveKind out;
     uint64_t filter = 7;
     ASSERT_TRUE(net::DecodeObserveRequest(net::EncodeObserveRequest(kind),
@@ -321,9 +320,10 @@ TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
     EXPECT_EQ(out, kind);
     EXPECT_EQ(filter, 0u);
   }
-  // Every kind past kSpans (v4's rendered kinds sat there) is rejected.
-  for (int raw = static_cast<int>(net::ObserveKind::kSpans) + 1; raw < 256;
-       ++raw) {
+  // Kind 2 (v5's health report) and every kind past kSpans (v4's
+  // rendered kinds sat there) are rejected.
+  for (int raw = 2; raw < 256; ++raw) {
+    if (raw == static_cast<int>(net::ObserveKind::kSpans)) continue;
     storage::Writer w;
     w.WriteU8(static_cast<uint8_t>(raw));
     w.WriteU64(0);
@@ -351,72 +351,9 @@ TEST(WireCodecTest, ObserveCodecsRoundTripAndValidate) {
       static_cast<uint8_t>(FrameType::kObserveResult)));
 }
 
-TEST(WireCodecTest, HealthReportRoundTripAndValidate) {
-  net::HealthReport report;
-  report.epoch = 9;
-  report.uptime_seconds = 123.5;
-  report.queue_depth = 4;
-  report.serving = 1;
-  report.engine = "gtea[contour]";
-  const std::string encoded = net::EncodeHealthReport(report);
-  net::HealthReport out;
-  ASSERT_TRUE(net::DecodeHealthReport(encoded, &out).ok());
-  EXPECT_EQ(out.epoch, 9u);
-  EXPECT_EQ(out.uptime_seconds, 123.5);
-  EXPECT_EQ(out.queue_depth, 4u);
-  EXPECT_EQ(out.serving, 1);
-  EXPECT_EQ(out.engine, "gtea[contour]");
-  // Truncation anywhere must be a ParseError, not a garbage report.
-  for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    net::HealthReport junk;
-    EXPECT_FALSE(
-        net::DecodeHealthReport(encoded.substr(0, cut), &junk).ok());
-  }
-  // Wrong magic is rejected up front.
-  std::string wrong = encoded;
-  wrong[0] ^= 0x5a;
-  net::HealthReport junk;
-  EXPECT_FALSE(net::DecodeHealthReport(wrong, &junk).ok());
-}
-
-// The STATS_RESULT payload is gtpq-wire's fixed layout (unchanged in
-// v5), pinned byte for byte: engine, the five serving counters, the
-// four work counters, busy ms, then the six stage timings in pipeline
-// order.
-TEST(WireCodecTest, ServingStatsKeepsTheV4Layout) {
-  ServingStats stats;
-  stats.engine = "gtea[contour]";
-  stats.epoch = 7;
-  stats.threads = 4;
-  stats.queries = 5;
-  stats.batches = 2;
-  stats.updates_applied = 1;
-  stats.work.input_nodes = 100;
-  stats.work.index_lookups = 200;
-  stats.work.intermediate_size = 300;
-  stats.work.join_ops = 400;
-  stats.busy_ms = 1.5;
-  // match, prune_down, prime, prune_up, matching_graph, enumerate
-  stats.work.stage_ms = {0.25, 0.5, 0.125, 0.0625, 2.0, 4.0};
-
-  storage::Writer w;
-  w.WriteString("gtea[contour]");
-  for (const uint64_t v : {7, 4, 5, 2, 1, 100, 200, 300, 400}) w.WriteU64(v);
-  for (const double ms : {1.5, 0.25, 0.5, 0.125, 0.0625, 2.0, 4.0}) {
-    w.WriteU64(std::bit_cast<uint64_t>(ms));
-  }
-  const std::string encoded = net::EncodeServingStats(stats);
-  EXPECT_EQ(encoded, w.buffer());
-
-  // Decoding restores every field the layout carries.
-  ServingStats out;
-  ASSERT_TRUE(net::DecodeServingStats(encoded, &out).ok());
-  EXPECT_EQ(net::EncodeServingStats(out), encoded);
-}
-
 TEST(WireCodecTest, DecoderRejectsMalformedFrames) {
   std::string good;
-  net::EncodeFrame(FrameType::kStats, 1, {}, "", &good);
+  net::EncodeFrame(FrameType::kHello, 1, {}, net::EncodeHello(), &good);
 
   // Truncation is not an error — the decoder just waits for more.
   {
@@ -493,6 +430,25 @@ std::vector<std::string> ToTexts(const DataGraph& g,
   return texts;
 }
 
+/// A counter's value in a metrics snapshot; 0 when absent.
+uint64_t CounterIn(const obs::MetricsSnapshot& snapshot,
+                   std::string_view name) {
+  for (const auto& [n, v] : snapshot.counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+/// How many samples a histogram in a metrics snapshot holds; 0 when
+/// absent.
+uint64_t HistogramCountIn(const obs::MetricsSnapshot& snapshot,
+                          std::string_view name) {
+  for (const auto& [n, h] : snapshot.histograms) {
+    if (n == name) return h.TotalCount();
+  }
+  return 0;
+}
+
 /// Starts a server or skips the test on non-epoll platforms.
 #define START_OR_SKIP(server)                                   \
   do {                                                          \
@@ -503,7 +459,7 @@ std::vector<std::string> ToTexts(const DataGraph& g,
     ASSERT_TRUE(_st.ok()) << _st.ToString();                    \
   } while (0)
 
-TEST(NetServerTest, HelloQueryBatchStatsRoundTrip) {
+TEST(NetServerTest, HelloQueryBatchRoundTrip) {
   DataGraph g = RandomDag({.num_nodes = 60,
                            .avg_degree = 2.2,
                            .num_labels = 6,
@@ -544,18 +500,12 @@ TEST(NetServerTest, HelloQueryBatchStatsRoundTrip) {
   ASSERT_TRUE(limited.ok());
   EXPECT_LE(limited->result.tuples.size(), 1u);
 
-  // STATS aggregates: warmup batch + wire singles + wire batch + the
-  // limited query, all counted by the shared runtime.
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->engine, "gtea[contour]");
-  EXPECT_EQ(stats->queries, 3 * texts.size() + 1);
-  EXPECT_GE(stats->batches, 2u);
-  EXPECT_EQ(stats->updates_applied, 0u);
-  // And they are the same numbers the in-process accessor reports.
-  const ServingStats direct = server.runtime().serving_stats();
-  EXPECT_EQ(stats->queries, direct.queries);
-  EXPECT_EQ(stats->work.index_lookups, direct.work.index_lookups);
+  // The runtime counted the warmup batch, the wire singles, the wire
+  // batch and the limited query; a fresh HELLO still reports epoch 0.
+  EXPECT_EQ(server.runtime().serving_stats().queries, 3 * texts.size() + 1);
+  ASSERT_TRUE(client.Hello().ok());
+  EXPECT_EQ(client.server_info().epoch, 0u);
+  EXPECT_EQ(client.server_info().engine, "gtea[contour]");
 
   // Malformed query text is a per-request typed error; the connection
   // survives and keeps serving.
@@ -586,6 +536,8 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
 
   net::NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  auto before = client.Metrics();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
 
   // Trace-tagged frames through NetClient pipelining: answers must be
   // byte-compatible with untraced ones, and every request id resolves.
@@ -627,41 +579,27 @@ TEST(NetServerTest, ObserveExportsAndTracedPipelining) {
   ASSERT_TRUE(slowlog.ok()) << slowlog.status().ToString();
   EXPECT_NE(slowlog->find("slow query log"), std::string::npos);
 
-  // STATS now carries the per-stage timing aggregation.
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GT(stats->work.ms(Stage::kMatch), 0.0);
-  EXPECT_GE(stats->work.ms(Stage::kEnumerate), 0.0);
-
-  // HEALTH: answered inline on the IO thread; a standalone leaf server
-  // reports itself serving at epoch 0 with its engine name.
-  auto health = client.Health();
-  ASSERT_TRUE(health.ok()) << health.status().ToString();
-  EXPECT_EQ(health->serving, 1);
-  EXPECT_EQ(health->epoch, 0u);
-  EXPECT_GE(health->uptime_seconds, 0.0);
-  EXPECT_FALSE(health->engine.empty());
-
-  // METRICS: the binary snapshot shows the load, with full histogram
-  // buckets (gteactl renders it as Prometheus text).
+  // METRICS: the binary snapshot counts every wire query once (the
+  // untraced and traced singles and the traced BATCH), and each one ran
+  // the match stage once. It keeps full histogram buckets; gteactl
+  // renders it as Prometheus text.
   auto snapshot = client.Metrics();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  const auto counter_value = [&snapshot](const std::string& name) {
-    for (const auto& [n, v] : snapshot->counters) {
-      if (n == name) return v;
-    }
-    return uint64_t{0};
+  const uint64_t served = 3 * texts.size();
+  const auto counter_delta = [&](const std::string& name) {
+    return CounterIn(*snapshot, name) - CounterIn(*before, name);
   };
-  EXPECT_GE(counter_value("gtpq_queries_total"), texts.size());
-  EXPECT_GT(counter_value("gtpq_connections_total"), 0u);
-  bool found_latency = false;
-  for (const auto& [n, h] : snapshot->histograms) {
-    if (n == "gtpq_query_latency_us") {
-      found_latency = true;
-      EXPECT_GE(h.TotalCount(), texts.size());
-    }
-  }
-  EXPECT_TRUE(found_latency);
+  EXPECT_EQ(counter_delta("gtpq_queries_total"), served);
+  EXPECT_GT(counter_delta("gtpq_input_nodes_total"), 0u);
+  const std::string match = obs::LabeledName("gtpq_stage_latency_us",
+                                             {{"stage", "match"}});
+  EXPECT_EQ(HistogramCountIn(*snapshot, match) -
+                HistogramCountIn(*before, match),
+            served);
+  EXPECT_EQ(HistogramCountIn(*snapshot, "gtpq_query_latency_us") -
+                HistogramCountIn(*before, "gtpq_query_latency_us"),
+            served);
+  EXPECT_GT(CounterIn(*snapshot, "gtpq_connections_total"), 0u);
 
   // SPANS with the trace-id filter: one group for this process, holding
   // only our trace.
@@ -749,6 +687,9 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
   options.limits.max_frame_bytes = 4096;
   net::NetServer server(g, options);
   START_OR_SKIP(server);
+  obs::Counter* protocol_errors =
+      obs::Registry::Global().GetCounter("gtpq_protocol_errors_total");
+  const uint64_t errors_before = protocol_errors->Value();
 
   // BATCH before HELLO: typed error, connection stays open.
   {
@@ -815,7 +756,7 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorsThenClose) {
     EXPECT_TRUE(conn.WaitForClose());
   }
 
-  EXPECT_GE(server.counters().protocol_errors, 3u);
+  EXPECT_GE(protocol_errors->Value() - errors_before, 3u);
 }
 
 #endif  // defined(__linux__)
@@ -840,6 +781,9 @@ TEST(NetServerTest, AdmissionControlRejectsWithTypedErrors) {
   net::NetServer server(g, options);
   START_OR_SKIP(server);
 
+  obs::Counter* rejections =
+      obs::Registry::Global().GetCounter("gtpq_admission_rejected_total");
+  const uint64_t rejections_before = rejections->Value();
   net::NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   constexpr size_t kSends = 8;
@@ -861,7 +805,7 @@ TEST(NetServerTest, AdmissionControlRejectsWithTypedErrors) {
   }
   EXPECT_EQ(ok_count, 2u);
   EXPECT_EQ(rejected, kSends - 2);
-  EXPECT_EQ(server.counters().rejected_overload, kSends - 2);
+  EXPECT_EQ(rejections->Value() - rejections_before, kSends - 2);
 
   // A zero-capacity global queue rejects everything typed, too.
   net::NetServerOptions zero = options;
@@ -1068,6 +1012,9 @@ TEST(NetServerTest, WireUpdatesAndQueriesSeeOneEpoch) {
   options.runtime.num_threads = 4;
   net::NetServer server(g, options);
   START_OR_SKIP(server);
+  obs::Counter* updates_applied =
+      obs::Registry::Global().GetCounter("gtpq_updates_applied_total");
+  const uint64_t applied_before = updates_applied->Value();
 
   std::atomic<int> failures{0};
   std::thread updater([&] {
@@ -1137,10 +1084,9 @@ TEST(NetServerTest, WireUpdatesAndQueriesSeeOneEpoch) {
   ASSERT_TRUE(probe.ok());
   EXPECT_EQ(probe->results.size(), 0u);
   EXPECT_EQ(probe->epoch, stream.size());
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->updates_applied, stream.size());
-  EXPECT_EQ(stats->epoch, stream.size());
+  ASSERT_TRUE(client.Hello().ok());
+  EXPECT_EQ(client.server_info().epoch, stream.size());
+  EXPECT_EQ(updates_applied->Value() - applied_before, stream.size());
 
   // Invalid updates are typed errors and change nothing.
   UpdateBatch bogus;
@@ -1148,7 +1094,8 @@ TEST(NetServerTest, WireUpdatesAndQueriesSeeOneEpoch) {
   auto rejected =
       client.ApplyUpdates(std::span<const UpdateBatch>(&bogus, 1));
   EXPECT_FALSE(rejected.ok());
-  EXPECT_EQ(client.Stats()->epoch, stream.size());
+  ASSERT_TRUE(client.Hello().ok());
+  EXPECT_EQ(client.server_info().epoch, stream.size());
 }
 
 #if defined(__linux__)

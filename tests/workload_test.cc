@@ -9,6 +9,7 @@
 #include "core/gtea.h"
 #include "graph/algorithms.h"
 #include "workload/arxiv.h"
+#include "workload/graph_gen_spec.h"
 #include "workload/xmark.h"
 #include "workload/xmark_queries.h"
 
@@ -142,6 +143,32 @@ TEST(ArxivTest, MatchesReportedStatistics) {
   // Roughly 1132 distinct labels.
   EXPECT_GT(g.NumDistinctLabels(), 900u);
   EXPECT_LE(g.NumDistinctLabels(), 1132u);
+}
+
+// A generator spec with junk in a field, or a field its kind does not
+// take, is refused before anything is allocated: no undefined casts of
+// nan/inf/negative counts, no node count past NodeId's range, no
+// silently truncated or ignored field.
+TEST(GeneratorSpecTest, RejectsJunkBeforeAllocating) {
+  for (const char* spec :
+       {"dag:nan", "dag:inf", "dag:-5", "dag:1e10", "dag:4294967296",
+        "dag:2000.5", "dag:0", "dag:", "dag", "dag:5,,2", "dag:5,-1",
+        "dag:5,1,-1", "dag:2000,7,inf", "dag:2000,7,nan", "dag:5,1,2,3",
+        "digraph:10,x", "digraph:1e10,1", "tree:100,1,5", "tree:2.5",
+        "xmark:0.1,2", "xmark:0", "xmark:-1", "xmark:nan", "xmark:inf",
+        "bogus:5"}) {
+    EXPECT_EQ(workload::GenerateGraphFromSpec(spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
+  for (const char* spec : {"dag:50", "dag:50,3", "dag:50,3,2.5",
+                           "digraph:40,1,0", "tree:40,2", "xmark:0.001"}) {
+    auto graph = workload::GenerateGraphFromSpec(spec);
+    ASSERT_TRUE(graph.ok()) << spec << ": " << graph.status().ToString();
+    EXPECT_GT(graph->NumNodes(), 0u) << spec;
+  }
+  auto dag = workload::GenerateGraphFromSpec("dag:50,3,2.5");
+  EXPECT_EQ(dag->NumNodes(), 50u);
 }
 
 }  // namespace

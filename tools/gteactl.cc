@@ -15,7 +15,6 @@
 //   gteactl query   --connect=<host:port> (--file=<query-file> |
 //                   --text=<query>) [--limit=<n>] [--trace]
 //   gteactl apply   --connect=<host:port> --updates=<file>
-//   gteactl stats   --connect=<host:port>
 //   gteactl metrics --connect=<host:port> [--out=<file>]
 //   gteactl trace   --connect=<host:port> [--id=<hex>] [--out=<file>]
 //   gteactl slowlog --connect=<host:port> [--out=<file>]
@@ -53,11 +52,12 @@
 // `serve` exposes the engine over gtpq-wire (net/server.h): an
 // epoll front-end coalescing pipelined queries into snapshot-pinned
 // batches, with APPLY_UPDATES folding into the live epoch chain. The
-// `--connect=` subcommands (`query`, `apply`, `stats`, `metrics`,
-// `trace`, `slowlog`, `top`) are thin net/client.h wrappers, so a
-// built index can be served from one shell and queried/updated/
-// observed from another: `metrics` renders the server's binary metrics
-// snapshot as Prometheus text exposition, `trace` renders its span
+// `--connect=` subcommands (`query`, `apply`, `metrics`, `trace`,
+// `slowlog`, `top`) are thin net/client.h wrappers, so a built index
+// can be served from one shell and queried/updated/observed from
+// another: `metrics` renders the server's binary metrics snapshot
+// (every serving counter, the per-stage latency histograms and the
+// epoch) as Prometheus text exposition, `trace` renders its span
 // ring as Chrome trace-event JSON (load it at chrome://tracing), and
 // `slowlog` prints the worst-query ring with per-stage timings.
 // Against a `route` front-end, `metrics` and `trace` return
@@ -145,7 +145,6 @@ int Usage() {
       "--text=<query>)\n"
       "                  [--limit=<n>] [--trace]\n"
       "  gteactl apply   --connect=<host:port> --updates=<file>\n"
-      "  gteactl stats   --connect=<host:port>\n"
       "  gteactl metrics --connect=<host:port> [--out=<file>]\n"
       "  gteactl trace   --connect=<host:port> [--id=<hex-trace-id>] "
       "[--out=<file>]\n"
@@ -674,19 +673,24 @@ int ServeLoop(const DataGraph& g, const net::NetServerOptions& options,
   }
   server.Stop();
 
-  const ServingStats stats = server.runtime().serving_stats();
-  const net::NetServer::Counters counters = server.counters();
+  // This process runs one front-end, so its registry counters are the
+  // server's own.
+  obs::Registry& reg = obs::Registry::Global();
+  const auto count = [&reg](const char* name) {
+    return static_cast<unsigned long long>(reg.GetCounter(name)->Value());
+  };
   std::printf("shutting down at epoch %llu: served %llu queries in %llu "
               "dispatched batch(es), %llu update(s), %llu connection(s), "
               "%llu overload rejection(s), %llu protocol error(s)\n",
-              static_cast<unsigned long long>(stats.epoch),
-              static_cast<unsigned long long>(stats.queries),
-              static_cast<unsigned long long>(counters.batches_dispatched),
-              static_cast<unsigned long long>(stats.updates_applied),
+              static_cast<unsigned long long>(server.runtime().epoch()),
               static_cast<unsigned long long>(
-                  counters.connections_accepted),
-              static_cast<unsigned long long>(counters.rejected_overload),
-              static_cast<unsigned long long>(counters.protocol_errors));
+                  server.runtime().serving_stats().queries),
+              static_cast<unsigned long long>(
+                  server.counters().batches_dispatched),
+              count("gtpq_updates_applied_total"),
+              count("gtpq_connections_total"),
+              count("gtpq_admission_rejected_total"),
+              count("gtpq_protocol_errors_total"));
   return 0;
 }
 
@@ -898,39 +902,6 @@ int RunRemoteApply(int argc, char** argv) {
   return 0;
 }
 
-int RunRemoteStats(int argc, char** argv) {
-  auto client = ConnectFlag(argc, argv, "stats");
-  if (client == nullptr) return 1;
-  auto stats = client->Stats();
-  if (!stats.ok()) {
-    std::fprintf(stderr, "stats: %s\n", stats.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("engine         : %s\n", stats->engine.c_str());
-  std::printf("epoch          : %llu\n",
-              static_cast<unsigned long long>(stats->epoch));
-  std::printf("threads        : %llu\n",
-              static_cast<unsigned long long>(stats->threads));
-  std::printf("queries        : %llu\n",
-              static_cast<unsigned long long>(stats->queries));
-  std::printf("batches        : %llu\n",
-              static_cast<unsigned long long>(stats->batches));
-  std::printf("updates        : %llu\n",
-              static_cast<unsigned long long>(stats->updates_applied));
-  std::printf("input nodes    : %llu\n",
-              static_cast<unsigned long long>(stats->work.input_nodes));
-  std::printf("index lookups  : %llu\n",
-              static_cast<unsigned long long>(stats->work.index_lookups));
-  std::printf("busy ms        : %.2f\n", stats->busy_ms);
-  std::printf("stage ms       :");
-  for (size_t s = 0; s < kNumStages; ++s) {
-    std::printf("%s %s %.2f", s == 0 ? "" : ",",
-                StageName(static_cast<Stage>(s)), stats->work.stage_ms[s]);
-  }
-  std::printf("\n");
-  return 0;
-}
-
 /// Shared body of the metrics/trace/slowlog subcommands: one OBSERVE
 /// round trip, printed (or written to --out= for trace dumps destined
 /// for chrome://tracing). The server exports data and this renders it:
@@ -1071,17 +1042,21 @@ std::map<std::string, TopRow> ExtractTopRows(
 int RunTop(int argc, char** argv) {
   double interval_s = 2.0;
   if (auto flag = FlagValue(argc, argv, "--interval=")) {
-    char* end = nullptr;
-    interval_s = std::strtod(flag->c_str(), &end);
-    if (end == flag->c_str() || *end != '\0' || !(interval_s >= 0.05)) {
-      std::fprintf(stderr, "top: --interval= wants seconds >= 0.05\n");
-      return 1;
+    // ParseDouble refuses nan and inf, which would otherwise reach
+    // sleep_for.
+    if (!ParseDouble(*flag, &interval_s) || interval_s < 0.05 ||
+        interval_s > 3600) {
+      std::fprintf(stderr,
+                   "top: --interval= wants seconds in [0.05, 3600], "
+                   "got '%s'\n",
+                   flag->c_str());
+      return Usage();
     }
   }
   unsigned long long count = 0;  // 0: run until interrupted
   if (!ParseBoundedFlag(argc, argv, "top", "--count=", 0, ULLONG_MAX,
                         &count)) {
-    return 1;
+    return Usage();
   }
   auto client = ConnectFlag(argc, argv, "top");
   if (client == nullptr) return 1;
@@ -1186,7 +1161,6 @@ int Run(int argc, char** argv) {
       {"query",
        {RunRemoteQuery, false,
         {"--connect=", "--file=", "--text=", "--limit=", "--trace"}}},
-      {"stats", {RunRemoteStats, false, {"--connect="}}},
       {"metrics",
        {[](int argc, char** argv) {
           return RunObserve(argc, argv, net::ObserveKind::kMetricsSnapshot);
