@@ -24,8 +24,9 @@ obs::Histogram* StageLatency(Stage stage) {
   static const std::array<obs::Histogram*, kNumStages> histograms = [] {
     std::array<obs::Histogram*, kNumStages> out{};
     for (size_t s = 0; s < kNumStages; ++s) {
-      out[s] = obs::Registry::Global().GetHistogram(obs::LabeledName(
-          "gtpq_stage_latency_us", {{"stage", StageName(static_cast<Stage>(s))}}));
+      const char* stage = StageName(static_cast<Stage>(s));
+      out[s] = obs::Registry::Global().GetHistogram(
+          obs::LabeledName("gtpq_stage_latency_us", {{"stage", stage}}));
     }
     return out;
   }();

@@ -311,8 +311,13 @@ void NetServer::Impl::Stop() {
   if (!started.exchange(false)) return;
   // Dispatcher first: it drains the request queue (every queued request
   // still gets its response), then the IO thread delivers, flushes
-  // best-effort, and closes.
-  stop_dispatch.store(true);
+  // best-effort, and closes. The flag is set under queue_mu: set
+  // between the dispatcher's predicate check and its wait, the wakeup
+  // would be lost and the join below would hang.
+  {
+    std::lock_guard<std::mutex> lock(queue_mu);
+    stop_dispatch.store(true);
+  }
   queue_cv.notify_all();
   dispatch_thread.join();
   stop_io.store(true);

@@ -1050,13 +1050,13 @@ int RunTop(int argc, char** argv) {
                    "top: --interval= wants seconds in [0.05, 3600], "
                    "got '%s'\n",
                    flag->c_str());
-      return Usage();
+      return 1;
     }
   }
   unsigned long long count = 0;  // 0: run until interrupted
   if (!ParseBoundedFlag(argc, argv, "top", "--count=", 0, ULLONG_MAX,
                         &count)) {
-    return Usage();
+    return 1;
   }
   auto client = ConnectFlag(argc, argv, "top");
   if (client == nullptr) return 1;
